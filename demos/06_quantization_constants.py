@@ -2,7 +2,8 @@
 
 Every closed-form Gamma product is cross-checked: moments by sphere Monte
 Carlo, the norm constant by two assemblies and by MC of its defining
-integral, the operator constants by 1-D and 2-D adaptive quadrature.
+integral, the operator constants by 1-D adaptive quadrature (c_l as the
+product of its radial and angular factors).
 """
 
 import math
@@ -32,7 +33,7 @@ best = qz.b_coeff_mc(1, 1, MCConfig(samples=400_000, seed=1))
 print("b_1 defining-integral MC:", best.value, "+-", best.stderr)
 print("a_3 quadrature rel err:",
       abs(qz.a_coeff(1, 3) - qz.a_coeff_quadrature(1, 3)) / qz.a_coeff(1, 3))
-print("c_3 2-D quadrature rel err:",
+print("c_3 radius x angle quadrature rel err:",
       abs(qz.c_coeff(1, 3) - qz.c_coeff_quadrature(1, 3)) / qz.c_coeff(1, 3))
 
 print("\nlimits (computed at l = 10^6 through log-gamma):")

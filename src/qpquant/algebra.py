@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "CQuaternion",
     "Quaternion",
     "cbilinear",
     "complexify",
@@ -28,7 +27,6 @@ __all__ = [
     "fro_norm_tuple",
     "hinner",
     "inner_r",
-    "is_theta_hermitian",
     "jmat",
     "jordan",
     "qconj",
@@ -132,30 +130,6 @@ class Quaternion:
         return float(np.linalg.norm(self.to_array()))
 
 
-@dataclass(frozen=True)
-class CQuaternion:
-    """Element of the complexified quaternions, complex coefficients c0..c3."""
-
-    c0: complex
-    c1: complex
-    c2: complex
-    c3: complex
-
-    @classmethod
-    def from_array(cls, a):
-        a = np.asarray(a, dtype=complex)
-        return cls(*a.tolist())
-
-    def to_array(self):
-        return np.array([self.c0, self.c1, self.c2, self.c3], dtype=complex)
-
-    def __mul__(self, other):
-        return CQuaternion.from_array(qmul(self.to_array(), other.to_array()))
-
-    def conj_theta(self):
-        return CQuaternion(self.c0, -self.c1, -self.c2, -self.c3)
-
-
 def rho(h):
     """2x2 complex matrix of a (complexified) quaternion; trailing axis 4."""
     return np.einsum("...a,aij->...ij", np.asarray(h, dtype=complex), RHO_BASIS)
@@ -187,11 +161,6 @@ def qmat_mul(x, y):
 def theta_transpose(x):
     """theta-transpose X -> theta(X^t); fixed points are the Jordan algebra."""
     return qconj(np.swapaxes(np.asarray(x), -3, -2))
-
-
-def is_theta_hermitian(x, tol=1e-12):
-    x = np.asarray(x)
-    return bool(np.max(np.abs(x - theta_transpose(x))) <= tol * max(1.0, np.max(np.abs(x))))
 
 
 def jordan(x, y):

@@ -466,12 +466,15 @@ def _env(name, cast, default):
     try:
         return cast(raw)
     except ValueError:
-        raise SystemExit(2)
+        raise ValueError(f"QPQUANT_{name}={raw!r} is not a valid {cast.__name__}") from None
 
 
 def _parse_l_range(text):
     lo, _, hi = text.partition("..")
-    return int(lo), int(hi)
+    lo, hi = int(lo), int(hi)
+    if not 0 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a range A..B with 0 <= A <= B")
+    return lo, hi
 
 
 def build_parser():
@@ -546,9 +549,8 @@ def _kernel_payload(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command in ("verify", "verify-geometry", "verify-spectral",
                             "verify-quantization"):
             suite = {"verify-geometry": "geometry", "verify-spectral": "spectral",

@@ -30,7 +30,6 @@ from .algebra import (
     qconj,
     qmat_mul,
     qmul,
-    rho,
     rho_inv,
 )
 from .spaces import (
@@ -38,8 +37,9 @@ from .spaces import (
     BTuple,
     SphereCovector,
     alpha,
-    hopf_project,
+    beta_blocks,
     random_es0,
+    sp1_orbit_frame,
     tau_h,
     tau_h_inv,
     tau_s,
@@ -141,13 +141,6 @@ def d_tau_h(P, Q, P_dot, Q_dot):
             + (1j / math.sqrt(2.0)) * ((dq / nq) * rq + nq * rqd))
 
 
-def d_tau_s_coords(p, q, pdot, qdot):
-    nq = math.sqrt(float(np.sum(q * q)))
-    dnq = float(np.sum(q * qdot)) / nq
-    h_dot = (dnq * p + nq * pdot).astype(complex) + 1j * qdot
-    return blocks_to_coords(rho(h_dot))
-
-
 def blocks_to_coords(blocks):
     """(m, 2, 2) blocks -> ambient coordinates (z..., w...)."""
     m = blocks.shape[0]
@@ -194,8 +187,8 @@ def d_tau_h_inv(am, w_mat):
     return P_dot, Q_dot
 
 
-def tangent_basis_et_s(bt):
-    """Complex orthonormal tangent basis of the B-model at bt (4n+3 vectors)."""
+def _dd_gradient(bt):
+    """Gradient of D = sum det B_i in the ambient coordinates (z, w) of bt."""
     u = bt.coords
     m2 = u.shape[0] // 2
     z, w = u[:m2], u[m2:]
@@ -204,7 +197,12 @@ def tangent_basis_et_s(bt):
     grad[1:m2:2] = -w[0::2]
     grad[m2::2] = -z[1::2]
     grad[m2 + 1::2] = z[0::2]
-    _, s, vt = np.linalg.svd(grad[None, :])
+    return grad
+
+
+def tangent_basis_et_s(bt):
+    """Complex orthonormal tangent basis of the B-model at bt (4n+3 vectors)."""
+    _, s, vt = np.linalg.svd(_dd_gradient(bt)[None, :])
     basis = np.conj(vt[1:])
     return basis  # rows orthonormal, dD(row) = 0
 
@@ -441,15 +439,7 @@ def omega_closed_fd(model, point, v, w, x, h=1e-5):
 
 def z_field(bt):
     """The dual gradient field trivializing dD, in ambient coordinates."""
-    u = bt.coords
-    m2 = u.shape[0] // 2
-    z, w = u[:m2], u[m2:]
-    grad = np.empty_like(u)
-    grad[0:m2:2] = w[1::2]
-    grad[1:m2:2] = -w[0::2]
-    grad[m2::2] = -z[1::2]
-    grad[m2 + 1::2] = z[0::2]
-    return np.conj(grad) / (bt.norm ** 2)
+    return np.conj(_dd_gradient(bt)) / (bt.norm ** 2)
 
 
 def y_fields(bt):
@@ -500,33 +490,9 @@ def qmat_vec(X, v):
     return qmul(X, v[None, :, :]).sum(axis=1)
 
 
-def beta_blocks(b):
-    """Blockwise beta for a raw (m, 2, 2) array."""
-    m = b.shape[0]
-    adj = np.empty_like(b)
-    adj[..., 0, 0] = b[..., 1, 1]
-    adj[..., 1, 1] = b[..., 0, 0]
-    adj[..., 0, 1] = -b[..., 0, 1]
-    adj[..., 1, 0] = -b[..., 1, 0]
-    return np.einsum("iab,jbc->iajc", b, adj).reshape(2 * m, 2 * m)
-
-
 def d_beta_blocks(b, v):
     """Differential of beta at B applied to a block tangent V."""
-    adjb = np.empty_like(b)
-    adjb[..., 0, 0] = b[..., 1, 1]
-    adjb[..., 1, 1] = b[..., 0, 0]
-    adjb[..., 0, 1] = -b[..., 0, 1]
-    adjb[..., 1, 0] = -b[..., 1, 0]
-    adjv = np.empty_like(v)
-    adjv[..., 0, 0] = v[..., 1, 1]
-    adjv[..., 1, 1] = v[..., 0, 0]
-    adjv[..., 0, 1] = -v[..., 0, 1]
-    adjv[..., 1, 0] = -v[..., 1, 0]
-    m = b.shape[0]
-    term1 = np.einsum("iab,jbc->iajc", v, adjb).reshape(2 * m, 2 * m)
-    term2 = np.einsum("iab,jbc->iajc", b, adjv).reshape(2 * m, 2 * m)
-    return term1 + term2
+    return beta_blocks(v, b) + beta_blocks(b, v)
 
 
 def sigma_h_eval(am, cols, bt=None):
@@ -559,14 +525,11 @@ def det_theta_prime(bt):
     nq = float(np.linalg.norm(b))
     p = c.real / nq
 
+    vertical = sp1_orbit_frame(p)[1:]
+
     def theta_i(w_coords):
         pdot, _ = d_tau_s_inv(bt, w_coords)
-        out = np.empty(3)
-        for k in (1, 2, 3):
-            e = np.zeros(4)
-            e[k] = 1.0
-            out[k - 1] = float(np.sum(qmul(p, np.broadcast_to(e, p.shape)) * pdot))
-        return out
+        return np.sum(vertical * pdot, axis=(-2, -1))
 
     ys = y_fields(bt)
     mat = np.empty((3, 3), dtype=complex)
@@ -615,19 +578,6 @@ def _subset_signs(mdim, k):
         comps.append(comp)
         signs.append(-1.0 if inv % 2 else 1.0)
     return subs, comps, signs
-
-
-def wedge_top_eval(f_of_tuple, g_of_tuple, basis, k):
-    """(f ^ g)(basis) for a k-form f and an (m-k)-form g on an m-basis."""
-    mdim = len(basis)
-    subs, comps, signs = _subset_signs(mdim, k)
-    total = 0.0
-    for s, c, sg in zip(subs, comps, signs):
-        fv = f_of_tuple([basis[i] for i in s])
-        if fv == 0.0:
-            continue
-        total += sg * fv * g_of_tuple([basis[i] for i in c])
-    return total
 
 
 # ----------------------------------------------------- constants recovery
@@ -776,12 +726,7 @@ def geodesic_flow_pair(pt, t):
 
 def hopf_vertical_fields(p):
     """V_j(p) = p e_j for j = 1, 2, 3: unit tangents along the fiber."""
-    out = []
-    for k in (1, 2, 3):
-        e = np.zeros(4)
-        e[k] = 1.0
-        out.append(qmul(p, np.broadcast_to(e, p.shape)))
-    return out
+    return list(sp1_orbit_frame(p)[1:])
 
 def hopf_pushforward_check(n, nsamples, rng):
     """Pointwise eta/V duality and the volume ratio of the fibration."""

@@ -1,17 +1,17 @@
 """Shared numerical engines.
 
 Deterministic counter-based RNG substreams, chunked Monte Carlo with error
-estimates, radial Gamma integrals, sphere volumes, log-gamma, and finite
-differences.  Every stochastic routine in the package goes through
-:func:`mc_mean` so that results are bit-identical for a fixed seed,
-independent of how many workers execute the chunks.
+estimates, radial Gamma integrals, sphere volumes and log-gamma.  Every
+stochastic routine in the package goes through :func:`mc_mean` so that
+results are bit-identical for a fixed seed, independent of how many workers
+execute the chunks.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import integrate
@@ -20,7 +20,6 @@ from scipy.special import gammaln
 __all__ = [
     "MCConfig",
     "MCEstimate",
-    "central_diff",
     "gamma_radial",
     "log_gamma",
     "log_gamma_radial",
@@ -28,7 +27,6 @@ __all__ = [
     "radial_quad",
     "sphere_uniform",
     "substream",
-    "vol_ball",
     "vol_sphere",
 ]
 
@@ -68,6 +66,10 @@ class MCEstimate:
     def within(self, expected, nsigma=3.0, floor=0.0):
         """True if ``expected`` lies within ``nsigma`` standard errors."""
         return abs(self.value - expected) <= nsigma * self.stderr + floor
+
+    def scaled(self, c):
+        """The estimate of ``c`` times the mean: value times c, stderr times |c|."""
+        return replace(self, value=self.value * c, stderr=self.stderr * abs(c))
 
 
 def substream(seed, index):
@@ -186,11 +188,6 @@ def vol_sphere(m):
     return math.exp(math.log(2.0) + 0.5 * (m + 1) * math.log(math.pi) - log_gamma(0.5 * (m + 1)))
 
 
-def vol_ball(m):
-    """Volume of the unit ball in R^m."""
-    return vol_sphere(m - 1) / m if m > 0 else 1.0
-
-
 def radial_quad(fn, c, power=0.0, growth_bound=None, tol=1e-11):
     """Adaptive integral_0^inf fn(r) r^power e^(-c r) dr.
 
@@ -201,16 +198,8 @@ def radial_quad(fn, c, power=0.0, growth_bound=None, tol=1e-11):
         raise ValueError("declare a polynomial growth bound for the radial integrand")
     if c <= 0:
         raise ValueError("decay rate must be positive")
-    scale = (power + growth_bound + 1.0) / c  # peak location heuristic
     val, err = integrate.quad(lambda r: fn(r) * r ** power * math.exp(-c * r),
                               0.0, np.inf, epsabs=0.0, epsrel=tol,
                               points=None, limit=200)
-    del scale
     return val, err
 
-
-def central_diff(f, x, direction, h=1e-5):
-    """Central difference of scalar f along ``direction`` at x."""
-    x = np.asarray(x, dtype=complex)
-    d = np.asarray(direction, dtype=complex)
-    return (f(x + h * d) - f(x - h * d)) / (2.0 * h)

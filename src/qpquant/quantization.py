@@ -1,8 +1,8 @@
 """Quantization constants, the pairing operators, and the reproducing kernel.
 
 Every closed-form constant is a Gamma product assembled in log space, and
-every one of them is paired with an independent oracle: a 1-D or 2-D
-quadrature, or an angular Monte Carlo estimate with the radial direction
+every one of them is paired with an independent oracle: a 1-D or a
+separable 2-D quadrature, or an angular Monte Carlo estimate with the radial direction
 integrated exactly (all radial factors are Gamma integrals).
 
 The volume-form constants recovered in :mod:`qpquant.geometry` enter the
@@ -18,10 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .algebra import qconj, qmul, rho
-from .numerics import MCConfig, MCEstimate, log_gamma, mc_mean, sphere_uniform
+from .algebra import rho
+from .numerics import log_gamma, mc_mean, sphere_uniform, vol_sphere
+from .spaces import beta_blocks, sp1_orbit_frame
 from .spectral import dim_eigenspace, pair_projector_amatrix
-from .numerics import vol_sphere
 
 __all__ = [
     "A_H_CONST",
@@ -150,10 +150,7 @@ def i_coeff_mc(n, l, config):
         pts = sphere_uniform(4 * m - 1, rng, size=size)
         return sphere_moment_integrand(pts, m) ** l
 
-    est = mc_mean(batch, config)
-    scale = vol_pnh(n) * (2.0 * math.sqrt(2.0)) ** (-2 * l)
-    return MCEstimate(value=est.value * scale, stderr=est.stderr * scale,
-                      samples=est.samples, seed=est.seed)
+    return mc_mean(batch, config).scaled(vol_pnh(n) * (2.0 * math.sqrt(2.0)) ** (-2 * l))
 
 
 def moment_s7_mc(l, config):
@@ -162,10 +159,7 @@ def moment_s7_mc(l, config):
         pts = sphere_uniform(7, rng, size=size)
         return sphere_moment_integrand(pts, 2) ** l
 
-    est = mc_mean(batch, config)
-    scale = vol_sphere(7)
-    return MCEstimate(value=est.value * scale, stderr=est.stderr * scale,
-                      samples=est.samples, seed=est.seed)
+    return mc_mean(batch, config).scaled(vol_sphere(7))
 
 
 def log_b_coeff(n, l):
@@ -204,54 +198,32 @@ def b_coeff_semianalytic(n, l):
     return math.exp(logv)
 
 
-def _project_off_orbit(p, q):
-    """Remove the components of q along p, p e1, p e2, p e3 (in place-free)."""
-    dirs = [p]
-    for k in (1, 2, 3):
-        e = np.zeros(4)
-        e[k] = 1.0
-        dirs.append(qmul(p, np.broadcast_to(e, p.shape)))
+def _unit_covectors(dirs, rng):
+    """Uniform unit vectors orthogonal to the orthonormal rows of dirs, (k, N, m, 4).
+
+    The orbit frame of p gives the horizontal covectors at p; p alone gives
+    the whole cotangent sphere.
+    """
+    q = rng.standard_normal(dirs.shape[1:])
     for d in dirs:
         q = q - np.sum(q * d, axis=(-2, -1), keepdims=True) * d
-    return q
-
-
-def _unit_fiber_directions(p, rng, size):
-    """Uniform unit horizontal covectors over (a batch of) base points p."""
-    if p.ndim == 2:
-        p = np.broadcast_to(p, (size,) + p.shape)
-    q = rng.standard_normal(p.shape)
-    q = _project_off_orbit(p, q)
     nrm = np.sqrt((q ** 2).sum(axis=(-2, -1), keepdims=True))
     return q / nrm
 
 
-def _amatrix_unit_fiber(p, q):
-    """tau_h(alpha(p, q)) for batched unit horizontal covectors, |q| = 1."""
-    from .algebra import complexify
-    tp, tq = qconj(p), qconj(q)
-    pnew = p[..., :, None, :]
-    qnew = q[..., :, None, :]
-    P = qmul(pnew, tp[..., None, :, :])
-    Q = qmul(pnew, tq[..., None, :, :]) + qmul(qnew, tp[..., None, :, :])
-    rp = complexify(P)
-    rq = complexify(Q)
-    # ||Q|| = sqrt(2) |q| = sqrt(2): A = 2 rho(P) - rho(Q)^2 + i rho(Q)
-    return 2.0 * rp - rq @ rq + 1j * rq
+def _beta_tau_s_unit(p, q):
+    """beta(tau_s(p, q)) for batched unit covectors q at base points p.
+
+    On horizontal covectors this is tau_h(alpha(p, q)), the commuting
+    square, so it is the one fiber-matrix sampler of every oracle.
+    """
+    return beta_blocks(rho(p + 1j * q))  # |q| = 1
 
 
-def _pair_batched(p, a):
-    """<(p_i theta(p_j)), A>_C with both arguments batched."""
-    rp = rho(np.asarray(p, dtype=complex))
-    nbatch, m = rp.shape[0], rp.shape[1]
-    phat = rp.reshape(nbatch, 2 * m, 2)
-    adj = np.empty_like(rp)
-    adj[..., 0, 0] = rp[..., 1, 1]
-    adj[..., 1, 1] = rp[..., 0, 0]
-    adj[..., 0, 1] = -rp[..., 0, 1]
-    adj[..., 1, 0] = -rp[..., 1, 0]
-    qhat = adj.transpose(0, 2, 1, 3).reshape(nbatch, 2, 2 * m)
-    return 0.5 * np.einsum("nab,nbc,nca->n", qhat, a, phat, optimize=True)
+def _unit_fiber_amatrices(p, rng, size):
+    """tau_h(alpha(p, q)) for uniform unit horizontal covectors q at p."""
+    p = np.broadcast_to(p, (size,) + p.shape[-2:])
+    return _beta_tau_s_unit(p, _unit_covectors(sp1_orbit_frame(p), rng))
 
 
 def b_coeff_mc(n, l, config):
@@ -262,28 +234,11 @@ def b_coeff_mc(n, l, config):
     def batch(rng, size):
         pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
         base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        direc = _unit_fiber_directions(base, rng, size)
-        ahat = _amatrix_unit_fiber(base, direc)
-        return np.abs(_pair_cross(pts, ahat)) ** (2 * l)
+        ahat = _unit_fiber_amatrices(base, rng, size)
+        return np.abs(pair_projector_amatrix(pts, ahat)) ** (2 * l)
 
-    est = mc_mean(batch, config)
     scale = math.exp(log_radial_gg(n, 2 * l)) * vol_pnh(n) ** 2 * vol_sphere(4 * n - 1) / dim
-    return MCEstimate(value=est.value * scale, stderr=est.stderr * scale,
-                      samples=est.samples, seed=est.seed)
-
-
-def _pair_cross(p, a):
-    """<(p_i theta(p_j)), A_k>_C for batched p against batched A."""
-    rp = rho(np.asarray(p, dtype=complex))
-    nbatch, m = rp.shape[0], rp.shape[1]
-    phat = rp.reshape(nbatch, 2 * m, 2)
-    adj = np.empty_like(rp)
-    adj[..., 0, 0] = rp[..., 1, 1]
-    adj[..., 1, 1] = rp[..., 0, 0]
-    adj[..., 0, 1] = -rp[..., 0, 1]
-    adj[..., 1, 0] = -rp[..., 1, 0]
-    qhat = adj.transpose(0, 2, 1, 3).reshape(nbatch, 2, 2 * m)
-    return 0.5 * np.einsum("nab,nbc,nca->n", qhat, a, phat, optimize=True)
+    return mc_mean(batch, config).scaled(scale)
 
 
 def log_a_coeff(n, l):
@@ -308,10 +263,21 @@ def a_coeff_semianalytic(n, l):
     return math.exp(logv)
 
 
+def _radial_quadrature(power, tol):
+    """int_0^inf t^power e^(-2 pi t) dt by adaptive quadrature.
+
+    The integrand is evaluated as one exponential: t^power alone overflows
+    for large l.
+    """
+    val, _ = integrate.quad(
+        lambda t: math.exp(power * math.log(t) - 2 * math.pi * t) if t > 0 else 0.0,
+        0.0, np.inf, epsabs=0.0, epsrel=tol, limit=200)
+    return val
+
+
 def a_coeff_quadrature(n, l, tol=1e-12):
     """a_l with the radial factor done by adaptive quadrature, as an oracle."""
-    val, _ = integrate.quad(lambda t: t ** (2 * l + 4 * n) * math.exp(-2 * math.pi * t),
-                            0.0, np.inf, epsabs=0.0, epsrel=tol, limit=200)
+    val = _radial_quadrature(2 * l + 4 * n, tol)
     return (2.0 * math.sqrt(2.0)) ** 0.5 * val * vol_sphere(4 * n - 1) * vol_pnh(n) \
         * math.sqrt(abs(B_H_CONST)) / dim_eigenspace(n, l)
 
@@ -333,18 +299,18 @@ def c_coeff(n, l):
 
 
 def c_coeff_quadrature(n, l, tol=1e-11):
-    """c_l via adaptive 2-D quadrature of the cotangent-fiber integral.
+    """c_l via adaptive quadrature of the cotangent-fiber integral.
 
     Radius x polar-angle reduction of the R^(4n+3) integral of
-    (|x|^2 - r3^2)^l e^(-2 pi |x|) (2|x|)^(-1/2).
+    (|x|^2 - r3^2)^l e^(-2 pi |x|) (2|x|)^(-1/2).  The integrand separates,
+    r^(2l+4n+2) e^(-2 pi r) (2r)^(-1/2) times sin(phi)^(2l+4n-1) cos(phi)^2,
+    so each factor is one 1-D adaptive quadrature.
     """
-    def inner(phi, r):
-        return (r ** (2 * l + 4 * n + 2) * math.sin(phi) ** (2 * l + 4 * n - 1)
-                * math.cos(phi) ** 2 * math.exp(-2 * math.pi * r) / math.sqrt(2.0 * r))
-
-    val, _ = integrate.dblquad(inner, 0.0, 40.0, 0.0, math.pi / 2.0,
-                               epsabs=1e-16, epsrel=tol)
-    lfactor = val * vol_sphere(2) * vol_sphere(4 * n - 1) * math.sqrt(abs(B_S_CONST))
+    radial = _radial_quadrature(2 * l + 4 * n + 1.5, tol) / math.sqrt(2.0)
+    angular, _ = integrate.quad(
+        lambda phi: math.sin(phi) ** (2 * l + 4 * n - 1) * math.cos(phi) ** 2,
+        0.0, math.pi / 2.0, epsabs=0.0, epsrel=tol, limit=200)
+    lfactor = radial * angular * vol_sphere(2) * vol_sphere(4 * n - 1) * math.sqrt(abs(B_S_CONST))
     return lfactor * vol_pnh(n) / dim_eigenspace(n, l)
 
 
@@ -424,21 +390,15 @@ def t_apply(g, p_prime, n, config, homogeneous_degree=None, growth_bound=None,
 
     if homogeneous_degree is not None:
         def batch(rng, size):
-            direc = _unit_fiber_directions(p_prime, rng, size)
-            ahat = _amatrix_unit_fiber(np.broadcast_to(p_prime, direc.shape), direc)
-            return g(ahat)
+            return g(_unit_fiber_amatrices(p_prime, rng, size))
 
-        est = mc_mean(batch, config)
-        scale = _t_apply_scale(n, homogeneous_degree)
-        return MCEstimate(value=est.value * scale, stderr=est.stderr * scale,
-                          samples=est.samples, seed=est.seed)
+        return mc_mean(batch, config).scaled(_t_apply_scale(n, homogeneous_degree))
 
     if growth_bound is None:
         raise ValueError("declare homogeneous_degree or a polynomial growth_bound")
 
     def batch(rng, size):
-        direc = _unit_fiber_directions(p_prime, rng, size)
-        ahat = _amatrix_unit_fiber(np.broadcast_to(p_prime, direc.shape), direc)
+        ahat = _unit_fiber_amatrices(p_prime, rng, size)
         out = np.empty(size, dtype=complex)
         for k in range(size):
             fn = lambda r: complex(g((r ** 2 * ahat[k])[None])[0])
@@ -451,10 +411,8 @@ def t_apply(g, p_prime, n, config, homogeneous_degree=None, growth_bound=None,
             out[k] = re + 1j * im
         return out
 
-    est = mc_mean(batch, config)
-    scale = vol_sphere(4 * n - 1) * 2.0 ** 0.75 * math.sqrt(abs(B_H_CONST))
-    return MCEstimate(value=est.value * scale, stderr=est.stderr * scale,
-                      samples=est.samples, seed=est.seed)
+    return mc_mean(batch, config).scaled(
+        vol_sphere(4 * n - 1) * 2.0 ** 0.75 * math.sqrt(abs(B_H_CONST)))
 
 
 def t_apply_eigenfunction(phi, p_prime, config, flow_t=None):
@@ -474,41 +432,13 @@ def t_apply_eigenfunction(phi, p_prime, config, flow_t=None):
 
     def batch(rng, size):
         pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        direc = _unit_fiber_directions(p_prime, rng, size)
-        ahat = _amatrix_unit_fiber(np.broadcast_to(p_prime, direc.shape), direc)
+        ahat = _unit_fiber_amatrices(p_prime, rng, size)
         if flow_t is not None:
             ahat = np.exp(-2j * flow_t) * ahat
-        pair = _pair_cross(pts, ahat) ** l
+        pair = pair_projector_amatrix(pts, ahat) ** l
         return phi.eval_sphere(pts) * pair
 
-    est = mc_mean(batch, config)
-    scale = _t_apply_scale(n, l) * vol_pnh(n)
-    return MCEstimate(value=est.value * scale * phase, stderr=est.stderr * abs(scale),
-                      samples=est.samples, seed=est.seed)
-
-
-def _unit_sphere_covectors(p, rng, size):
-    """Uniform unit covectors in the full cotangent sphere at p."""
-    pflat = np.broadcast_to(p, (size,) + p.shape)
-    q = rng.standard_normal(pflat.shape)
-    q = q - np.sum(q * pflat, axis=(-2, -1), keepdims=True) * pflat
-    nrm = np.sqrt((q ** 2).sum(axis=(-2, -1), keepdims=True))
-    return q / nrm
-
-
-def _beta_tau_s_unit(p, q):
-    """beta(tau_s(p, q)) for batched unit covectors q at base p."""
-    c = p.astype(complex) + 1j * q  # |q| = 1
-    blocks = rho(c)
-    nbatch, m = blocks.shape[0], blocks.shape[1]
-    bstack = blocks.reshape(nbatch, 2 * m, 2)
-    adj = np.empty_like(blocks)
-    adj[..., 0, 0] = blocks[..., 1, 1]
-    adj[..., 1, 1] = blocks[..., 0, 0]
-    adj[..., 0, 1] = -blocks[..., 0, 1]
-    adj[..., 1, 0] = -blocks[..., 1, 0]
-    arow = adj.transpose(0, 2, 1, 3).reshape(nbatch, 2, 2 * m)
-    return bstack @ arow
+    return mc_mean(batch, config).scaled(_t_apply_scale(n, l) * vol_pnh(n) * phase)
 
 
 def t_tilde_apply_eigenfunction(phi, p_prime, config):
@@ -519,17 +449,15 @@ def t_tilde_apply_eigenfunction(phi, p_prime, config):
 
     def batch(rng, size):
         pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        xi = _unit_sphere_covectors(p_prime, rng, size)
-        amats = _beta_tau_s_unit(np.broadcast_to(p_prime, xi.shape), xi)
-        pair = _pair_cross(pts, amats) ** l
+        base = np.broadcast_to(p_prime, (size, m, 4))
+        amats = _beta_tau_s_unit(base, _unit_covectors(base[None], rng))
+        pair = pair_projector_amatrix(pts, amats) ** l
         return phi.eval_sphere(pts) * pair
 
-    est = mc_mean(batch, config)
     scale = (vol_pnh(n) * vol_sphere(4 * n + 2) * math.sqrt(abs(B_S_CONST))
              * 2.0 ** -0.5 * math.exp(log_gamma(2 * l + 4 * n + 2.5)
                                       - (2 * l + 4 * n + 2.5) * math.log(2 * math.pi)))
-    return MCEstimate(value=est.value * scale, stderr=est.stderr * scale,
-                      samples=est.samples, seed=est.seed)
+    return mc_mean(batch, config).scaled(scale)
 
 
 # ----------------------------------------------------------- flow identity
@@ -592,14 +520,11 @@ def pairing_gg_mc(fa_hat, fb_hat, homogeneity, n, config):
 
     def batch(rng, size):
         base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        direc = _unit_fiber_directions(base, rng, size)
-        ahat = _amatrix_unit_fiber(base, direc)
+        ahat = _unit_fiber_amatrices(base, rng, size)
         return fa_hat(ahat) * np.conj(fb_hat(ahat))
 
-    est = mc_mean(batch, config)
     scale = math.exp(log_radial_gg(n, homogeneity)) * vol_pnh(n) * vol_sphere(4 * n - 1)
-    return MCEstimate(value=est.value * scale, stderr=est.stderr * scale,
-                      samples=est.samples, seed=est.seed)
+    return mc_mean(batch, config).scaled(scale)
 
 
 def orthogonality_check(n, l, lp, config, rng):
@@ -611,16 +536,13 @@ def orthogonality_check(n, l, lp, config, rng):
 
     def batch(rng_, size):
         base = sphere_uniform(4 * m - 1, rng_, size=size).reshape(size, m, 4)
-        direc = _unit_fiber_directions(base, rng_, size)
-        ahat = _amatrix_unit_fiber(base, direc)
+        ahat = _unit_fiber_amatrices(base, rng_, size)
         za = _cpair(ahat, a1)
         zb = _cpair(ahat, a2)
         return za ** l * np.conj(zb ** lp)
 
-    est = mc_mean(batch, config)
     scale = math.exp(log_radial_gg(n, l + lp)) * vol_pnh(n) * vol_sphere(4 * n - 1)
-    return MCEstimate(value=est.value * scale, stderr=est.stderr * scale,
-                      samples=est.samples, seed=est.seed)
+    return mc_mean(batch, config).scaled(scale)
 
 
 def _cpair(abatch, afixed):
@@ -653,9 +575,8 @@ def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
     def batch(rng, size):
         pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
         base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        direc = _unit_fiber_directions(base, rng, size)
-        ahat = _amatrix_unit_fiber(base, direc)
-        pair_hat = _pair_cross(pts, ahat)          # <P, Ahat>
+        ahat = _unit_fiber_amatrices(base, rng, size)
+        pair_hat = pair_projector_amatrix(pts, ahat)     # <P, Ahat>
         pair_pr = pair_projector_amatrix(pts, a_prime)   # <P, A'>
         f_hat = f_eval(ahat)                        # f on the unit fiber
         fconst = complex(c0)
@@ -670,10 +591,7 @@ def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
                                           + fquad * core * math.exp(log_radial_gg(n, 2)))
         return out
 
-    est = mc_mean(batch, config)
-    scale = vol_pnh(n) ** 2 * vol_sphere(4 * n - 1)
-    return f_at_aprime, MCEstimate(value=est.value * scale, stderr=est.stderr * scale,
-                                   samples=est.samples, seed=est.seed)
+    return f_at_aprime, mc_mean(batch, config).scaled(vol_pnh(n) ** 2 * vol_sphere(4 * n - 1))
 
 
 def kernel_norm_bound_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):

@@ -48,6 +48,7 @@ __all__ = [
     "SphereCovector",
     "alpha",
     "beta",
+    "beta_blocks",
     "hopf_project",
     "in_amatrix_space",
     "in_btuple_space",
@@ -63,6 +64,7 @@ __all__ = [
     "random_es_generic",
     "random_sl2",
     "random_sphere",
+    "sp1_orbit_frame",
     "tau_h",
     "tau_h_inv",
     "tau_s",
@@ -306,15 +308,31 @@ def _adj2(b):
     return out
 
 
+def _block_factors(b, c=None):
+    """The blocks of B stacked, (..., 2m, 2), and the adjugates of C side by
+    side, (..., 2, 2m); their product has the blocks B_i adj(C_j)."""
+    c = b if c is None else c
+    m = b.shape[-3]
+    rows = b.reshape(b.shape[:-3] + (2 * m, 2))
+    cols = np.swapaxes(_adj2(c), -3, -2).reshape(c.shape[:-3] + (2, 2 * m))
+    return rows, cols
+
+
+def beta_blocks(b, c=None):
+    """Blocks A_ij = B_i adj(C_j) of (..., m, 2, 2) tuples, one point or a batch.
+
+    With C = B (the default) this is beta; the differential of beta is the
+    sum of the two mixed products.
+    """
+    rows, cols = _block_factors(b, c)
+    return rows @ cols
+
+
 def beta(pt, tol=EQ_TOL):
     """B -> A with blocks A_ij = -B_i J B_j^t J = B_i adj(B_j)."""
     if not in_btuple_space(pt, tol):
         raise ValueError("tuple is not in the B-model space")
-    b = pt.B
-    m = b.shape[0]
-    adj = _adj2(b)
-    a = np.einsum("iab,jbc->iajc", b, adj).reshape(2 * m, 2 * m)
-    return AMatrix(a)
+    return AMatrix(beta_blocks(pt.B))
 
 
 def tau_s_inv(pt, tol=EQ_TOL, boundary_tol=1e-8):
@@ -368,14 +386,20 @@ def random_sphere(dim, rng):
     return sphere_uniform(dim, rng)
 
 
-def _sp1_orbit_frame(p):
-    """Unit vectors p, p e1, p e2, p e3 spanning the quaternionic line of p."""
-    dirs = [p]
-    for k in (1, 2, 3):
-        e = np.zeros(4)
-        e[k] = 1.0
-        dirs.append(qmul(p, np.broadcast_to(e, p.shape)))
-    return dirs
+# p e_k is a signed permutation of the coefficients of p: entry c of p e_k
+# is _FRAME_SIGN[k, c] * p[_FRAME_INDEX[k, c]]
+_FRAME_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_FRAME_SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, -1.0],
+                        [-1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0]])
+
+
+def sp1_orbit_frame(p):
+    """p, p e1, p e2, p e3 stacked on a new leading axis, for p of shape (..., 4).
+
+    For a unit p these are orthonormal and span the quaternionic line of p.
+    """
+    p = np.asarray(p)
+    return np.moveaxis(p[..., _FRAME_INDEX] * _FRAME_SIGN, -2, 0)
 
 
 def random_es0(n, qnorm_val, rng, max_tries=64):
@@ -384,7 +408,7 @@ def random_es0(n, qnorm_val, rng, max_tries=64):
     for _ in range(max_tries):
         p = sphere_uniform(4 * m - 1, rng).reshape(m, 4)
         q = rng.standard_normal((m, 4))
-        for d in _sp1_orbit_frame(p):
+        for d in sp1_orbit_frame(p):
             q = q - np.sum(q * d) * d
         nq = np.sqrt(np.sum(q ** 2))
         if nq > 1e-8:
@@ -400,7 +424,7 @@ def random_es_generic(n, rng, vertical_mix=0.7, max_tries=64):
         p = base.p
         vert = np.zeros((m, 4))
         coeffs = rng.standard_normal(3)
-        for c, d in zip(coeffs, _sp1_orbit_frame(p)[1:]):
+        for c, d in zip(coeffs, sp1_orbit_frame(p)[1:]):
             vert += c * d
         q = base.q + vertical_mix * vert
         q -= np.sum(q * p) * p  # keep (p, q)_E = 0

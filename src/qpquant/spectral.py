@@ -8,13 +8,14 @@ invariance, sphere eigenvalue descent).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import qconj, qmul, rho
-from .numerics import log_gamma, sphere_uniform
-from .spaces import AMatrix, hopf_project, in_amatrix_space
+from .numerics import sphere_uniform
+from .spaces import AMatrix, _block_factors, in_amatrix_space
 
 __all__ = [
     "HlFunction",
@@ -32,21 +33,14 @@ __all__ = [
 
 
 def dim_eigenspace(n, l):
-    """Dimension of the l-th Laplacian eigenspace, a positive integer.
+    """Dimension of the l-th Laplacian eigenspace, an exact integer.
 
-    Evaluated through log-gamma; a result that fails to round cleanly to an
-    integer signals a transcription bug and raises.
+    2n (2l+2n+1) C(l+2n, 2n)^2 / ((2n+1)(l+1)(l+2n)); the division is exact.
     """
     if n < 1 or l < 0:
         raise ValueError("need n >= 1 and l >= 0")
-    logv = (np.log(2 * n) - np.log(2 * n + 1) + np.log(l + 1) - np.log(l + 2 * n)
-            + np.log(2 * l + 2 * n + 1)
-            + 2.0 * (log_gamma(l + 2 * n + 1) - log_gamma(2 * n + 1) - log_gamma(l + 2)))
-    val = float(np.exp(logv))
-    rounded = round(val)
-    if abs(val - rounded) > 1e-6 * max(1.0, rounded):
-        raise ArithmeticError(f"eigenspace dimension {val} does not round to an integer")
-    return int(rounded)
+    return (2 * n * (2 * l + 2 * n + 1) * math.comb(l + 2 * n, 2 * n) ** 2
+            // ((2 * n + 1) * (l + 1) * (l + 2 * n)))
 
 
 def eigenvalue(n, l):
@@ -72,27 +66,19 @@ def sphere_descent_residual(n, l):
 
 
 def pair_projector_amatrix(p, a):
-    """<(p_i theta(p_j)), A>_C for batched sphere points p.
+    """<(p_i theta(p_j)), A>_C for sphere points p, one or a batch (N, m, 4).
 
-    Uses the factorization rho(P) = Phat Qhat with Phat the stacked 2x2
-    blocks rho(p_i) and Qhat their adjugates, so the pairing is the 2x2
-    trace tr(Qhat A Phat)/2 -- O(m^2) per point and fully vectorized.
+    A is either one fixed matrix or a batch (N, 2m, 2m) paired row by row
+    with the batch of p.  Uses the factorization rho(P) = Phat Qhat with
+    Phat the stacked 2x2 blocks rho(p_i) and Qhat their adjugates, so the
+    pairing is the 2x2 trace tr(Qhat A Phat)/2 -- O(m^2) per point.
     """
     p = np.asarray(p, dtype=float)
     batched = p.ndim == 3
     if not batched:
         p = p[None]
-    rp = rho(p.astype(complex))                      # (N, m, 2, 2)
-    n_, m = rp.shape[0], rp.shape[1]
-    phat = rp.transpose(0, 1, 2, 3).reshape(n_, 2 * m, 2)
-    adj = np.empty_like(rp)
-    adj[..., 0, 0] = rp[..., 1, 1]
-    adj[..., 1, 1] = rp[..., 0, 0]
-    adj[..., 0, 1] = -rp[..., 0, 1]
-    adj[..., 1, 0] = -rp[..., 1, 0]
-    qhat = adj.transpose(0, 2, 1, 3).reshape(n_, 2, 2 * m)
-    out = 0.5 * np.einsum("nab,bc,ncd->nad", qhat, np.asarray(a, dtype=complex), phat,
-                          optimize=True).trace(axis1=-2, axis2=-1)
+    phat, qhat = _block_factors(rho(p))
+    out = 0.5 * np.einsum("nab,nba->n", qhat @ np.asarray(a), phat)
     return out if batched else out[0]
 
 
@@ -188,9 +174,6 @@ class HlFunction:
         for c, a in zip(self.coeffs, self.amats):
             vals = vals + c * pair_projector_amatrix(p, a) ** self.l
         return vals
-
-    def eval_projector(self, pts):
-        return self.eval_sphere(pts)
 
 
 def random_hl_function(n, l, k, rng, qnorm=1.0):

@@ -1,8 +1,10 @@
 """CLI surface: suites, report schema, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,9 +12,11 @@ from qpquant import cli
 
 
 def run_cli(args, env_extra=None):
-    import os
     env = dict(os.environ)
     env["SOURCE_DATE_EPOCH"] = "1700000000"
+    # the subprocess imports the same qpquant as these tests, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "qpquant.cli", *args],
@@ -40,6 +44,13 @@ def test_exit_codes():
     assert bad.returncode == 2
     bad2 = run_cli(["verify", "--l-range", "zz"])
     assert bad2.returncode == 2
+    for cmd in (["verify", "--suite", "quantization"], ["constants"]):
+        inverted = run_cli([*cmd, "--l-range", "3..1"])
+        assert inverted.returncode == 2 and inverted.stdout == ""
+        assert "'3..1' is not a range A..B" in inverted.stderr
+    bad_env = run_cli(["verify", "--suite", "algebra"], env_extra={"QPQUANT_SEED": "abc"})
+    assert bad_env.returncode == 2
+    assert "configuration error: QPQUANT_SEED='abc' is not a valid int" in bad_env.stderr
 
 
 def test_deterministic_reports(tmp_path):
@@ -73,6 +84,15 @@ def test_constants_table_json_oracle_matched():
     rows = json.loads(res.stdout)
     assert len(rows) == 3
     assert all(r["oracle_matched"] for r in rows)
+
+
+def test_constants_table_to_l50_matches_oracles():
+    for n in (1, 2):
+        res = run_cli(["constants", "--n", str(n), "--l-range", "0..50"])
+        assert res.returncode == 0
+        rows = json.loads(res.stdout)
+        assert [r["l"] for r in rows] == list(range(51))
+        assert all(r["oracle_matched"] for r in rows)
 
 
 def test_kernel_command():

@@ -128,6 +128,20 @@ def test_constants_positive_and_monotone_ratios():
     assert np.all(np.diff(ratios) < 0)  # decreases toward pi/2
 
 
+def test_fiber_sampler_is_the_commuting_square(rng):
+    # the oracles' batched beta(tau_s(p, q)) is tau_h(alpha(p, q)) row by row
+    for n in (1, 2):
+        m = n + 1
+        base = np.stack([sp.random_sphere(4 * m - 1, rng).reshape(m, 4) for _ in range(64)])
+        q = qz._unit_covectors(sp.sp1_orbit_frame(base), rng)
+        amats = qz._beta_tau_s_unit(base, q)
+        for p_k, q_k, a_k in zip(base, q, amats):
+            pt = sp.SphereCovector(p_k, q_k)
+            assert sp.in_sphere_covector0(pt) and abs(np.sum(q_k ** 2) - 1.0) < 1e-14
+            ref = sp.tau_h(sp.alpha(pt)).A
+            assert np.abs(a_k - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_operator_identity_t(rng):
     for l in (0, 1):
         phi = spl.random_hl_function(1, l, 2, rng)

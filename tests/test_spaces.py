@@ -167,6 +167,16 @@ def test_sampler_constraints(rng):
     assert sp.in_cotangent_h(cp)
 
 
+def test_orbit_frame_is_right_multiplication(rng):
+    from qpquant.algebra import qmul
+    for shape in ((3, 4), (50, 2, 4)):
+        p = rng.standard_normal(shape)
+        frame = sp.sp1_orbit_frame(p)
+        assert frame.shape == (4,) + shape
+        for k, e in enumerate(np.eye(4)):
+            assert np.array_equal(frame[k], qmul(p, np.broadcast_to(e, shape)))
+
+
 def test_sphere_sampler_moments(rng):
     from qpquant.numerics import sphere_uniform
     pts = sphere_uniform(7, rng, size=200_000)

@@ -18,6 +18,28 @@ def test_dimensions_match_degree_2l_sphere_harmonics():
     assert spec.dim_eigenspace(2, 0) == 1
 
 
+def _weyl_dim_sp(n, l):
+    """Weyl dimension formula for Sp(n+1) at highest weight l(e1 + e2)."""
+    rho = [n + 1 - i for i in range(n + 1)]
+    v = [x + y for x, y in zip([l, l] + [0] * (n - 1), rho)]
+    num = den = 1
+    for i in range(n + 1):
+        num, den = num * v[i], den * rho[i]
+        for j in range(i + 1, n + 1):
+            num *= (v[i] - v[j]) * (v[i] + v[j])
+            den *= (rho[i] - rho[j]) * (rho[i] + rho[j])
+    return num // den
+
+
+def test_dimensions_exact_past_float_precision():
+    # the log-gamma float evaluation first rounds wrong at (n, l) = (2, 128)
+    assert spec.dim_eigenspace(2, 128) == _weyl_dim_sp(2, 128) == 1790197508385
+    for n in (1, 2, 3):
+        assert all(spec.dim_eigenspace(n, l) == _weyl_dim_sp(n, l) for l in range(200))
+    l = 10 ** 6
+    assert spec.dim_eigenspace(1, l) == (l + 1) * (l + 2) * (2 * l + 3) // 6
+
+
 def test_eigenvalues():
     assert spec.eigenvalue(1, 1) == 16.0
     for n in (1, 2, 3):
@@ -58,6 +80,18 @@ def test_quad_form_matches_pairing(rng):
     val = spec.pair_projector_amatrix(p, a)
     expect = (p[0] @ p[0] - p[1] @ p[1]) + 2j * (p[0] @ p[1])
     assert abs(val - expect) < 1e-12
+
+
+def test_pairing_batched_amatrix_matches_fixed(rng):
+    amats = np.stack([sp.tau_h(sp.random_eh(2, 1.3, rng)).A for _ in range(20)])
+    pts = rng.standard_normal((20, 3, 4))
+    batched = spec.pair_projector_amatrix(pts, amats)
+    fixed = [spec.pair_projector_amatrix(p, a) for p, a in zip(pts, amats)]
+    assert np.abs(batched - fixed).max() <= 1e-14 * np.abs(batched).max()
+    # a batch of one repeated matrix is the fixed-matrix call
+    rep = spec.pair_projector_amatrix(pts, np.broadcast_to(amats[0], amats.shape))
+    assert np.abs(rep - spec.pair_projector_amatrix(pts, amats[0])).max() \
+        <= 1e-14 * np.abs(rep).max()
 
 
 def test_harmonicity_certificate_canonical_and_random(rng):
