@@ -34,6 +34,7 @@ __all__ = [
     "qmul",
     "qnorm",
     "quat_conj_c",
+    "quat_split",
     "rho",
     "rho_inv",
     "rho_inv_real",
@@ -216,13 +217,24 @@ def quat_conj_c(a):
     return jj @ np.conj(a) @ (-jj)
 
 
+def quat_split(a):
+    """(X, Y) with A = complexify(X) + i complexify(Y), X and Y fixed by
+    :func:`quat_conj_c`: real quaternion matrices, returned as complex
+    coefficient arrays whose imaginary parts are round-off."""
+    a = np.asarray(a, dtype=complex)
+    aq = quat_conj_c(a)
+    return complexify_inv(0.5 * (a + aq)), complexify_inv((a - aq) / 2j)
+
+
 def cbilinear(a, b):
     """Complex bilinear trace form <A, B>_C = tr(A B^sharp)/2.
 
     Restricts to the Euclidean pairing on real quaternion matrices and
-    satisfies <A, quat_conj_c(A)>_C = tr(A A*)/2 = ||A||^2 / 2.
+    satisfies <A, quat_conj_c(A)>_C = tr(A A*)/2 = ||A||^2 / 2.  Either
+    argument may be a batch; the trace of the product is contracted
+    directly, O(m^2) per pair.
     """
-    return 0.5 * np.trace(np.asarray(a, dtype=complex) @ sharp(b), axis1=-2, axis2=-1)
+    return 0.5 * np.einsum("...ab,...ba->...", np.asarray(a, dtype=complex), sharp(b))
 
 
 def fro_norm(a):

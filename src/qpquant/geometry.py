@@ -23,27 +23,28 @@ import numpy as np
 
 from .algebra import (
     complexify,
-    complexify_inv,
     fro_norm,
-    jmat,
     jordan,
     qconj,
-    qmat_mul,
     qmul,
+    quat_split,
     rho_inv,
 )
 from .spaces import (
     AMatrix,
     BTuple,
     SphereCovector,
+    _tau_h_inv_core,
+    _tau_s_inv_core,
     alpha,
     beta_blocks,
+    blocks_to_coords,
+    coords_to_blocks,
     random_es0,
     sp1_orbit_frame,
     tau_h,
     tau_h_inv,
     tau_s,
-    tau_s_inv,
 )
 from .numerics import vol_sphere
 
@@ -141,46 +142,21 @@ def d_tau_h(P, Q, P_dot, Q_dot):
             + (1j / math.sqrt(2.0)) * ((dq / nq) * rq + nq * rqd))
 
 
-def blocks_to_coords(blocks):
-    """(m, 2, 2) blocks -> ambient coordinates (z..., w...)."""
-    m = blocks.shape[0]
-    z = blocks[:, :, 0].reshape(2 * m)
-    w = blocks[:, :, 1].reshape(2 * m)
-    return np.concatenate([z, w])
-
-
-def coords_to_blocks(u):
-    u = np.asarray(u, dtype=complex)
-    m2 = u.shape[0] // 2
-    return np.stack([u[:m2].reshape(m2 // 2, 2), u[m2:].reshape(m2 // 2, 2)], axis=-1)
-
-
-def d_tau_s_inv(bt, w_coords):
-    """(pdot, qdot) from a tangent at a B-model point, both as (m, 4) arrays."""
-    c = rho_inv(bt.B if isinstance(bt, BTuple) else bt)
-    a, b = c.real, c.imag
-    nq = float(np.linalg.norm(b))
+def d_tau_s_inv(p, q, w_coords):
+    """(pdot, qdot), both (m, 4), from a coordinate tangent W at the B-model
+    point over (p, q) = tau_s^-1(B)."""
+    nq = float(np.linalg.norm(q))
     cd = rho_inv(coords_to_blocks(w_coords))
-    ad, bd = cd.real, cd.imag
-    qdot = bd
-    dnq = float(np.sum(b * bd)) / nq
-    p = a / nq
-    pdot = (ad - dnq * p) / nq
-    return pdot, qdot
+    dnq = float(np.sum(q * cd.imag)) / nq
+    return (cd.real - dnq * p) / nq, cd.imag
 
 
-def d_tau_h_inv(am, w_mat):
-    """(P_dot, Q_dot) from a matrix tangent at an A-model point."""
-    a = am.A if isinstance(am, AMatrix) else np.asarray(am, dtype=complex)
-    w = np.asarray(w_mat, dtype=complex)
-    m = a.shape[0] // 2
-    jj = jmat(m)
-    cp = tau_h_inv(AMatrix(a))
-    P, Q = cp.P, cp.Q
+def d_tau_h_inv(P, Q, w_mat):
+    """(P_dot, Q_dot) from a matrix tangent W at the A-model point over
+    (P, Q) = tau_h^-1(A)."""
     nq = math.sqrt(float(np.sum(Q * Q)))
-    wq = jj @ np.conj(w) @ (-jj)
-    x_re = complexify_inv(0.5 * (w + wq)).real
-    x_im = complexify_inv((w - wq) / 2j).real
+    x, y = quat_split(w_mat)
+    x_re, x_im = x.real, y.real
     dq = float(np.sum(Q * x_im)) / (math.sqrt(2.0) * nq)
     Q_dot = (math.sqrt(2.0) * x_im - (dq / nq) * Q) / nq
     P_dot = (x_re - 2.0 * dq * P + 2.0 * jordan(Q_dot, Q)) / nq ** 2
@@ -334,19 +310,27 @@ def oneform_potential(model, point, w):
 
 
 def theta_s(bt, w_coords):
-    """Canonical one-form of the sphere cotangent bundle, via the inverse map."""
-    if not isinstance(bt, BTuple):
-        bt = BTuple(coords_to_blocks(np.asarray(bt, dtype=complex).ravel()))
-    q = rho_inv(bt.B).imag
-    pdot, _ = d_tau_s_inv(bt, w_coords)
+    """Canonical one-form of the sphere cotangent bundle, via the inverse map.
+
+    ``bt`` is a BTuple or its coordinate vector; neither is tested for
+    membership, so points off the B-model (finite differences) are accepted.
+    """
+    b = bt.B if isinstance(bt, BTuple) else coords_to_blocks(np.ravel(bt))
+    p, q = _tau_s_inv_core(b)
+    pdot, _ = d_tau_s_inv(p, q, w_coords)
     return float(np.sum(q * pdot))
+
+
+def _theta_h(P, Q, w_mat):
+    """theta_H on the matrix tangent W at the point over (P, Q)."""
+    P_dot, _ = d_tau_h_inv(P, Q, w_mat)
+    return 0.5 * float(np.sum(Q * P_dot))
 
 
 def theta_h(am, w_mat):
     """Canonical one-form of the projective-space cotangent bundle."""
     cp = tau_h_inv(am if isinstance(am, AMatrix) else AMatrix(am))
-    P_dot, _ = d_tau_h_inv(am, w_mat)
-    return 0.5 * float(np.sum(cp.Q * P_dot))
+    return _theta_h(cp.P, cp.Q, w_mat)
 
 
 def canonical_oneform_check(model, point, w):
@@ -372,49 +356,19 @@ def hamilton_check(am, y_mat):
     return abs(lhs - dh)
 
 
-def _theta_raw(model, point_coords, w):
-    """Membership-free extension of the canonical one-form (for FD use)."""
-    if model == "S":
-        bt = BTuple(coords_to_blocks(point_coords))
-        c = rho_inv(bt.B)
-        b = c.imag
-        nq = float(np.linalg.norm(b))
-        cd = rho_inv(coords_to_blocks(w))
-        ad, bd = cd.real, cd.imag
-        dnq = float(np.sum(b * bd)) / nq
-        p = c.real / nq
-        pdot = (ad - dnq * p) / nq
-        return float(np.sum(b * pdot))
-    a = np.asarray(point_coords, dtype=complex)
-    m = a.shape[0] // 2
-    jj = jmat(m)
-    aq = jj @ np.conj(a) @ (-jj)
-    x_im = complexify_inv((a - aq) / 2j).real
-    nrm = fro_norm(a)
-    nq = math.sqrt(nrm / math.sqrt(2.0))
-    Q = math.sqrt(2.0) * x_im / nq
-    w = np.asarray(w, dtype=complex)
-    wq = jj @ np.conj(w) @ (-jj)
-    wx_re = complexify_inv(0.5 * (w + wq)).real
-    wx_im = complexify_inv((w - wq) / 2j).real
-    dq = float(np.sum(Q * wx_im)) / (math.sqrt(2.0) * nq)
-    Q_dot = (math.sqrt(2.0) * wx_im - (dq / nq) * Q) / nq
-    x_re = complexify_inv(0.5 * (a + aq)).real
-    P = (x_re + qmat_mul(Q, Q)) / nq ** 2
-    P_dot = (wx_re - 2.0 * dq * P + 2.0 * jordan(Q_dot, Q)) / nq ** 2
-    return 0.5 * float(np.sum(Q * P_dot))
-
-
 def dtheta_fd(model, point, v, w, h=1e-5):
     """Finite-difference exterior derivative of the canonical one-form."""
     if model == "S":
         x0 = point.coords if isinstance(point, BTuple) else np.asarray(point)
+        theta = theta_s
     else:
         x0 = point.A if isinstance(point, AMatrix) else np.asarray(point)
+        # the displaced points leave the A-model: no membership test
+        theta = lambda a, t: _theta_h(*_tau_h_inv_core(a)[:2], t)
     v = np.asarray(v, dtype=complex).reshape(x0.shape)
     w = np.asarray(w, dtype=complex).reshape(x0.shape)
-    tv = (_theta_raw(model, x0 + h * v, w) - _theta_raw(model, x0 - h * v, w)) / (2 * h)
-    tw = (_theta_raw(model, x0 + h * w, v) - _theta_raw(model, x0 - h * w, v)) / (2 * h)
+    tv = (theta(x0 + h * v, w) - theta(x0 - h * v, w)) / (2 * h)
+    tw = (theta(x0 + h * w, v) - theta(x0 - h * w, v)) / (2 * h)
     return tv - tw
 
 
@@ -520,15 +474,11 @@ def sigma_h_eval(am, cols, bt=None):
 def det_theta_prime(bt):
     """det of the holomorphic parts of the pulled-back dual one-forms on the
     right-action generators; constant = 1/8 exactly on the horizontal locus."""
-    c = rho_inv(bt.B)
-    b = c.imag
-    nq = float(np.linalg.norm(b))
-    p = c.real / nq
-
+    p, q = _tau_s_inv_core(bt.B)
     vertical = sp1_orbit_frame(p)[1:]
 
     def theta_i(w_coords):
-        pdot, _ = d_tau_s_inv(bt, w_coords)
+        pdot, _ = d_tau_s_inv(p, q, w_coords)
         return np.sum(vertical * pdot, axis=(-2, -1))
 
     ys = y_fields(bt)
@@ -631,14 +581,8 @@ def recover_b_s(bt):
     mdim = len(rbasis)
     k = mdim // 2
     n = bt.n
-    c = rho_inv(bt.B)
-    p = c.real / float(np.linalg.norm(c.imag))
-
-    pdots = []
-    for v in rbasis:
-        pdot, _ = d_tau_s_inv(bt, v)
-        pdots.append(pdot.ravel())
-    pdots = np.array(pdots)                       # (mdim, 4m) real
+    p, q = _tau_s_inv_core(bt.B)
+    pdots = np.array([d_tau_s_inv(p, q, v)[0].ravel() for v in rbasis])  # (mdim, 4m) real
     zvec = z_field(bt)
     cols_c = np.array([np.asarray(v, dtype=complex).ravel() for v in rbasis])
 

@@ -192,14 +192,16 @@ def radial_quad(fn, c, power=0.0, growth_bound=None, tol=1e-11):
     """Adaptive integral_0^inf fn(r) r^power e^(-c r) dr.
 
     ``growth_bound`` declares a polynomial bound on ``fn``; integrands
-    without one are rejected since e^(-c r) cannot be assumed to win.
+    without one are rejected since e^(-c r) cannot be assumed to win.  The
+    weight is evaluated as one exponential: r^power alone overflows for
+    large powers.
     """
     if growth_bound is None:
         raise ValueError("declare a polynomial growth bound for the radial integrand")
     if c <= 0:
         raise ValueError("decay rate must be positive")
-    val, err = integrate.quad(lambda r: fn(r) * r ** power * math.exp(-c * r),
-                              0.0, np.inf, epsabs=0.0, epsrel=tol,
-                              points=None, limit=200)
+    val, err = integrate.quad(
+        lambda r: fn(r) * math.exp(power * math.log(r) - c * r) if r > 0 else 0.0,
+        0.0, np.inf, epsabs=0.0, epsrel=tol, limit=200)
     return val, err
 

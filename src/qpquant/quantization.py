@@ -18,8 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .algebra import rho
-from .numerics import log_gamma, mc_mean, sphere_uniform, vol_sphere
+from .algebra import cbilinear, rho
+from .numerics import (
+    gamma_radial,
+    log_gamma,
+    log_gamma_radial,
+    mc_mean,
+    radial_quad,
+    sphere_uniform,
+    vol_sphere,
+)
 from .spaces import beta_blocks, sp1_orbit_frame
 from .spectral import dim_eigenspace, pair_projector_amatrix
 
@@ -132,11 +140,10 @@ def i_coeff(n, l):
     return math.exp(log_i_coeff(n, l))
 
 
-def sphere_moment_integrand(pts, m):
+def sphere_moment_integrand(pts):
     """((|p0|^2 - |p1|^2)^2 + 4 (p0, p1)_E^2) for flat sphere samples."""
     p0 = pts[:, 0:4]
     p1 = pts[:, 4:8]
-    del m
     a = (p0 ** 2).sum(1) - (p1 ** 2).sum(1)
     b = (p0 * p1).sum(1)
     return a * a + 4.0 * b * b
@@ -148,7 +155,7 @@ def i_coeff_mc(n, l, config):
 
     def batch(rng, size):
         pts = sphere_uniform(4 * m - 1, rng, size=size)
-        return sphere_moment_integrand(pts, m) ** l
+        return sphere_moment_integrand(pts) ** l
 
     return mc_mean(batch, config).scaled(vol_pnh(n) * (2.0 * math.sqrt(2.0)) ** (-2 * l))
 
@@ -157,7 +164,7 @@ def moment_s7_mc(l, config):
     """MC oracle for the S^7 moment itself."""
     def batch(rng, size):
         pts = sphere_uniform(7, rng, size=size)
-        return sphere_moment_integrand(pts, 2) ** l
+        return sphere_moment_integrand(pts) ** l
 
     return mc_mean(batch, config).scaled(vol_sphere(7))
 
@@ -187,7 +194,7 @@ def log_radial_gg(n, k):
     """log of the radial fiber integral against the holomorphic-side weight
     for integrands of fiber homogeneity 2k (in the flat fiber coordinate)."""
     return (0.5 * math.log(A_H_CONST(n)) + 1.5 * (n + 1) * LOG2
-            + log_gamma(6 * n + 2 * k + 2) - (6 * n + 2 * k + 2) * math.log(4 * math.pi))
+            + log_gamma_radial(6 * n + 2 * k + 1, 4 * math.pi))
 
 
 def b_coeff_semianalytic(n, l):
@@ -256,28 +263,16 @@ def a_coeff(n, l):
 
 def a_coeff_semianalytic(n, l):
     """a_l from the diagonal fiber integral: Gamma factor x volumes / dim."""
-    logv = (0.75 * LOG2 + log_gamma(2 * l + 4 * n + 1)
-            - (2 * l + 4 * n + 1) * math.log(2 * math.pi)
+    logv = (0.75 * LOG2 + log_gamma_radial(2 * l + 4 * n, 2 * math.pi)
             + math.log(vol_sphere(4 * n - 1)) + math.log(vol_pnh(n))
             + 0.5 * math.log(abs(B_H_CONST)) - math.log(dim_eigenspace(n, l)))
     return math.exp(logv)
 
 
-def _radial_quadrature(power, tol):
-    """int_0^inf t^power e^(-2 pi t) dt by adaptive quadrature.
-
-    The integrand is evaluated as one exponential: t^power alone overflows
-    for large l.
-    """
-    val, _ = integrate.quad(
-        lambda t: math.exp(power * math.log(t) - 2 * math.pi * t) if t > 0 else 0.0,
-        0.0, np.inf, epsabs=0.0, epsrel=tol, limit=200)
-    return val
-
-
 def a_coeff_quadrature(n, l, tol=1e-12):
     """a_l with the radial factor done by adaptive quadrature, as an oracle."""
-    val = _radial_quadrature(2 * l + 4 * n, tol)
+    val, _ = radial_quad(lambda r: 1.0, 2 * math.pi, power=2 * l + 4 * n, growth_bound=0,
+                         tol=tol)
     return (2.0 * math.sqrt(2.0)) ** 0.5 * val * vol_sphere(4 * n - 1) * vol_pnh(n) \
         * math.sqrt(abs(B_H_CONST)) / dim_eigenspace(n, l)
 
@@ -290,8 +285,7 @@ def log_c_coeff(n, l):
             - math.log(dim_eigenspace(n, l))
             + 0.5 * LOGPI - math.log(4.0) + math.log(vol_sphere(2)) + math.log(vol_sphere(4 * n - 1))
             - math.log(l + 2 * n + 0.5) + log_gamma(l + 2 * n) - log_gamma(l + 2 * n + 0.5)
-            - 0.5 * LOG2 + log_gamma(2 * l + 4 * n + 2.5)
-            - (2 * l + 4 * n + 2.5) * math.log(2 * math.pi))
+            - 0.5 * LOG2 + log_gamma_radial(2 * l + 4 * n + 1.5, 2 * math.pi))
 
 
 def c_coeff(n, l):
@@ -306,7 +300,9 @@ def c_coeff_quadrature(n, l, tol=1e-11):
     r^(2l+4n+2) e^(-2 pi r) (2r)^(-1/2) times sin(phi)^(2l+4n-1) cos(phi)^2,
     so each factor is one 1-D adaptive quadrature.
     """
-    radial = _radial_quadrature(2 * l + 4 * n + 1.5, tol) / math.sqrt(2.0)
+    radial, _ = radial_quad(lambda r: 1.0, 2 * math.pi, power=2 * l + 4 * n + 1.5,
+                            growth_bound=0, tol=tol)
+    radial /= math.sqrt(2.0)
     angular, _ = integrate.quad(
         lambda phi: math.sin(phi) ** (2 * l + 4 * n - 1) * math.cos(phi) ** 2,
         0.0, math.pi / 2.0, epsabs=0.0, epsrel=tol, limit=200)
@@ -373,8 +369,7 @@ def t_norm_limit(n, l=10 ** 6):
 def _t_apply_scale(n, degree):
     """Angular-MC scale for the mixed-weight fiber integral at homogeneity 2*degree."""
     return (vol_sphere(4 * n - 1) * 2.0 ** 0.75 * math.sqrt(abs(B_H_CONST))
-            * math.exp(log_gamma(2 * degree + 4 * n + 1)
-                       - (2 * degree + 4 * n + 1) * math.log(2 * math.pi)))
+            * gamma_radial(2 * degree + 4 * n, 2 * math.pi))
 
 
 def t_apply(g, p_prime, n, config, homogeneous_degree=None, growth_bound=None,
@@ -455,8 +450,7 @@ def t_tilde_apply_eigenfunction(phi, p_prime, config):
         return phi.eval_sphere(pts) * pair
 
     scale = (vol_pnh(n) * vol_sphere(4 * n + 2) * math.sqrt(abs(B_S_CONST))
-             * 2.0 ** -0.5 * math.exp(log_gamma(2 * l + 4 * n + 2.5)
-                                      - (2 * l + 4 * n + 2.5) * math.log(2 * math.pi)))
+             * 2.0 ** -0.5 * gamma_radial(2 * l + 4 * n + 1.5, 2 * math.pi))
     return mc_mean(batch, config).scaled(scale)
 
 
@@ -537,18 +531,18 @@ def orthogonality_check(n, l, lp, config, rng):
     def batch(rng_, size):
         base = sphere_uniform(4 * m - 1, rng_, size=size).reshape(size, m, 4)
         ahat = _unit_fiber_amatrices(base, rng_, size)
-        za = _cpair(ahat, a1)
-        zb = _cpair(ahat, a2)
+        za = cbilinear(ahat, a1)
+        zb = cbilinear(ahat, a2)
         return za ** l * np.conj(zb ** lp)
 
     scale = math.exp(log_radial_gg(n, l + lp)) * vol_pnh(n) * vol_sphere(4 * n - 1)
     return mc_mean(batch, config).scaled(scale)
 
 
-def _cpair(abatch, afixed):
-    """<A_k, M>_C = tr(A_k sharp(M))/2 for the theta-symmetric fixed M."""
-    return 0.5 * np.einsum("nab,ba->n", abatch, np.asarray(afixed, dtype=complex),
-                           optimize=True)
+def _test_function(c0, amats, coeffs):
+    """f = c0 + sum_k c_k <., A_k>_C, evaluated at one matrix or a batch."""
+    terms = list(zip(coeffs, amats))
+    return lambda a: c0 + sum(c * cbilinear(a, amat) for c, amat in terms)
 
 
 def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
@@ -558,17 +552,8 @@ def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
     """
     a_prime = np.asarray(a_prime, dtype=complex)
     m = n + 1
-    amats = [np.asarray(a, dtype=complex) for a in phi1_amats]
-    coeffs = list(phi1_coeffs)
-
-    def f_eval(abatch):
-        out = np.full(abatch.shape[0], complex(c0))
-        for c, amat in zip(coeffs, amats):
-            out = out + c * _cpair(abatch, amat)
-        return out
-
-    f_at_aprime = complex(c0) + sum(c * 0.5 * np.trace(a_prime @ amat)
-                                    for c, amat in zip(coeffs, amats))
+    f = _test_function(complex(c0), phi1_amats, phi1_coeffs)
+    f_at_aprime = f(a_prime)
 
     logb = [log_b_coeff(n, 0), log_b_coeff(n, 1)]
 
@@ -578,7 +563,7 @@ def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
         ahat = _unit_fiber_amatrices(base, rng, size)
         pair_hat = pair_projector_amatrix(pts, ahat)     # <P, Ahat>
         pair_pr = pair_projector_amatrix(pts, a_prime)   # <P, A'>
-        f_hat = f_eval(ahat)                        # f on the unit fiber
+        f_hat = f(ahat)                             # f on the unit fiber
         fconst = complex(c0)
         fquad = f_hat - fconst                      # the homogeneity-2 part
         out = 0.0
@@ -597,18 +582,10 @@ def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
 def kernel_norm_bound_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
     """Check |f(A')| <= sqrt(R(A', A')) ||f|| for f = c0 + linear part."""
     a_prime = np.asarray(a_prime, dtype=complex)
-    amats = [np.asarray(a, dtype=complex) for a in phi1_amats]
-    coeffs = list(phi1_coeffs)
-    f_at_aprime = complex(c0) + sum(c * 0.5 * np.trace(a_prime @ amat)
-                                    for c, amat in zip(coeffs, amats))
+    f1_hat = _test_function(0.0, phi1_amats, phi1_coeffs)   # the linear part of f
+    f_at_aprime = complex(c0) + f1_hat(a_prime)
     norm_a = float(np.sqrt(np.sum(np.abs(a_prime) ** 2)))
     diag, _ = kernel_diag(n, norm_a, lmax=30)
-
-    def f1_hat(abatch):
-        out = np.zeros(abatch.shape[0], dtype=complex)
-        for c, amat in zip(coeffs, amats):
-            out = out + c * _cpair(abatch, amat)
-        return out
 
     norm1_sq = pairing_gg_mc(f1_hat, f1_hat, 2, n, config)
     norm0_sq = abs(c0) ** 2 * b_coeff(n, 0) / vol_pnh(n)
@@ -639,15 +616,20 @@ class ConstantsRow:
 
 
 def constants_table(n, l_values):
+    """One row per l; raises ValueError at the first l whose constants leave
+    the double range."""
     rows = []
     for l in l_values:
-        rows.append(ConstantsRow(
-            n=n, l=l,
-            i_coeff=i_coeff(n, l),
-            b_coeff=b_coeff(n, l),
-            a_coeff=a_coeff(n, l),
-            c_coeff=c_coeff(n, l),
-            t_norm=t_norm(n, l),
-            ratio_c_over_a=c_coeff(n, l) / a_coeff(n, l),
-        ))
+        try:
+            rows.append(ConstantsRow(
+                n=n, l=l,
+                i_coeff=i_coeff(n, l),
+                b_coeff=b_coeff(n, l),
+                a_coeff=a_coeff(n, l),
+                c_coeff=c_coeff(n, l),
+                t_norm=t_norm(n, l),
+                ratio_c_over_a=c_coeff(n, l) / a_coeff(n, l),
+            ))
+        except OverflowError:
+            raise ValueError(f"the constants at n={n}, l={l} overflow the double range") from None
     return rows

@@ -24,7 +24,6 @@ import numpy as np
 
 from .algebra import (
     complexify,
-    complexify_inv,
     einner,
     fro_norm,
     fro_norm_tuple,
@@ -36,6 +35,7 @@ from .algebra import (
     qmul,
     qnorm,
     qtrace,
+    quat_split,
     rho,
     rho_inv,
 )
@@ -49,6 +49,8 @@ __all__ = [
     "alpha",
     "beta",
     "beta_blocks",
+    "blocks_to_coords",
+    "coords_to_blocks",
     "hopf_project",
     "in_amatrix_space",
     "in_btuple_space",
@@ -79,6 +81,17 @@ def _freeze(a):
     a = np.array(a, copy=True)
     a.flags.writeable = False
     return a
+
+
+def blocks_to_coords(blocks):
+    """(m, 2, 2) blocks -> ambient coordinates (z_0..z_{2m-1}, w_0..w_{2m-1}),
+    where B_i = [[z_2i, w_2i], [z_2i+1, w_2i+1]]."""
+    return np.asarray(blocks).transpose(2, 0, 1).ravel()
+
+
+def coords_to_blocks(u):
+    """Inverse of :func:`blocks_to_coords`."""
+    return np.stack(np.asarray(u, dtype=complex).reshape(2, -1, 2), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -134,24 +147,13 @@ class BTuple:
     @property
     def zw(self):
         """Column vectors z, w of length 2n+2: B_i = [[z_2i, w_2i], [z_2i+1, w_2i+1]]."""
-        m = self.B.shape[0]
-        z = self.B[:, :, 0].reshape(2 * m)
-        w = self.B[:, :, 1].reshape(2 * m)
+        z, w = self.coords.reshape(2, -1)
         return z, w
 
     @property
     def coords(self):
         """Ambient coordinate vector (z_0..z_{2n+1}, w_0..w_{2n+1})."""
-        z, w = self.zw
-        return np.concatenate([z, w])
-
-    @classmethod
-    def from_coords(cls, u):
-        u = np.asarray(u, dtype=complex)
-        m2 = u.shape[0] // 2
-        z, w = u[:m2], u[m2:]
-        b = np.stack([z.reshape(m2 // 2, 2), w.reshape(m2 // 2, 2)], axis=-1)
-        return cls(b)
+        return blocks_to_coords(self.B)
 
     @property
     def norm(self):
@@ -335,6 +337,13 @@ def beta(pt, tol=EQ_TOL):
     return AMatrix(beta_blocks(pt.B))
 
 
+def _tau_s_inv_core(b):
+    """(p, q) from blocks B by the real/imaginary quaternion split, with no
+    membership test: q = Im rho^-1(B) and p = Re rho^-1(B) / |q|."""
+    c = rho_inv(b)
+    return c.real / float(np.linalg.norm(c.imag)), c.imag
+
+
 def tau_s_inv(pt, tol=EQ_TOL, boundary_tol=1e-8):
     """Recover (p, q) from B via the real/imaginary quaternion split.
 
@@ -343,13 +352,12 @@ def tau_s_inv(pt, tol=EQ_TOL, boundary_tol=1e-8):
     """
     if not in_btuple_space(pt, tol):
         raise ValueError("tuple is not in the B-model space")
-    c = rho_inv(pt.B)
-    a, b = c.real, c.imag
-    nq = float(np.linalg.norm(b))
+    # p is undefined where q vanishes; that tuple is rejected next
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p, q = _tau_s_inv_core(pt.B)
+    nq = float(np.linalg.norm(q))
     if nq <= boundary_tol:
         raise ValueError("tuple has vanishing covector part")
-    q = b
-    p = a / nq
     out = SphereCovector(p, q)
     qp = hinner(q, p)
     shifted = q + qmul(p, qp[None, :])
@@ -360,22 +368,25 @@ def tau_s_inv(pt, tol=EQ_TOL, boundary_tol=1e-8):
     return out
 
 
+def _tau_h_inv_core(a):
+    """(P, Q) from A by the quaternionic split A = complexify(X) + i complexify(Y),
+    with no membership test: ||Q||^2 = |A| / sqrt(2), Q = sqrt(2) Y / ||Q|| and
+    P = (X + Q^2) / ||Q||^2.  Also returns the largest imaginary coefficient
+    of X and Y, which is round-off for every complex matrix."""
+    x, y = quat_split(a)
+    nq = (fro_norm(a) / np.sqrt(2.0)) ** 0.5
+    Q = np.sqrt(2.0) * y.real / nq
+    P = (x.real + qmat_mul(Q, Q)) / nq ** 2
+    return P, Q, max(np.max(np.abs(x.imag)), np.max(np.abs(y.imag)))
+
+
 def tau_h_inv(pt, tol=EQ_TOL):
     """Recover (P, Q) from A using the quaternionic real/imaginary parts."""
     if not in_amatrix_space(pt, tol):
         raise ValueError("matrix is not in the A-model space")
-    a = pt.A
-    m = a.shape[0] // 2
-    jj = jmat(m)
-    aq = jj @ np.conj(a) @ (-jj)
-    x_re = complexify_inv(0.5 * (a + aq))
-    x_im = complexify_inv((a - aq) / 2j)
-    if max(np.max(np.abs(x_re.imag)), np.max(np.abs(x_im.imag))) > 1e-9 * max(1.0, fro_norm(a)):
+    P, Q, imag = _tau_h_inv_core(pt.A)
+    if imag > 1e-9 * max(1.0, fro_norm(pt.A)):
         raise ValueError("matrix has no quaternionic hermitian split")
-    x_re, x_im = x_re.real, x_im.real
-    nq = (fro_norm(a) / np.sqrt(2.0)) ** 0.5
-    Q = np.sqrt(2.0) * x_im / nq
-    P = (x_re + qmat_mul(Q, Q)) / nq ** 2
     return CotangentPointH(P, Q)
 
 

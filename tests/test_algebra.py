@@ -143,6 +143,10 @@ def test_cbilinear_conventions(rng):
     lhs = alg.cbilinear(alg.complexify(X), alg.complexify(Y))
     assert np.isclose(lhs.real, float(np.sum(X * Y)))
     assert abs(lhs.imag) < 1e-12 * max(1.0, abs(lhs.real))
+    # a batch of A against one fixed M pairs row by row
+    batch = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+    rows = np.array([alg.cbilinear(x, a) for x in batch])
+    assert np.abs(alg.cbilinear(batch, a) - rows).max() < 1e-14 * np.abs(rows).max()
     # sharp fixes hermitian matrices
     H = random_hermitian(rng, 3)
     ch = alg.complexify(H)

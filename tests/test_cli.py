@@ -11,7 +11,7 @@ import pytest
 from qpquant import cli
 
 
-def run_cli(args, env_extra=None):
+def subprocess_env(env_extra=None):
     env = dict(os.environ)
     env["SOURCE_DATE_EPOCH"] = "1700000000"
     # the subprocess imports the same qpquant as these tests, installed or not
@@ -19,8 +19,12 @@ def run_cli(args, env_extra=None):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
+    return env
+
+
+def run_cli(args, env_extra=None):
     return subprocess.run([sys.executable, "-m", "qpquant.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=subprocess_env(env_extra))
 
 
 def test_spectral_suite_dims_and_schema():
@@ -48,6 +52,11 @@ def test_exit_codes():
         inverted = run_cli([*cmd, "--l-range", "3..1"])
         assert inverted.returncode == 2 and inverted.stdout == ""
         assert "'3..1' is not a range A..B" in inverted.stderr
+    # b_l leaves the double range at l = 79 for n = 1; l = 78 is the last row
+    overflow = run_cli(["constants", "--n", "1", "--l-range", "79..79"])
+    assert overflow.returncode == 2 and overflow.stdout == ""
+    assert "configuration error:" in overflow.stderr and "l=79" in overflow.stderr
+    assert run_cli(["constants", "--n", "1", "--l-range", "78..78"]).returncode == 0
     bad_env = run_cli(["verify", "--suite", "algebra"], env_extra={"QPQUANT_SEED": "abc"})
     assert bad_env.returncode == 2
     assert "configuration error: QPQUANT_SEED='abc' is not a valid int" in bad_env.stderr

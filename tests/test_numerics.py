@@ -79,6 +79,10 @@ def test_radial_quad_requires_growth_bound():
     val, err = num.radial_quad(lambda r: r ** 2, 2 * math.pi, power=2, growth_bound=2)
     exact = num.gamma_radial(4, 2 * math.pi)
     assert abs(val - exact) <= max(err, 1e-12 * exact)
+    # r^150 alone leaves the double range; the weight is one exponential
+    val, _ = num.radial_quad(lambda r: 1.0, 2 * math.pi, power=150, growth_bound=0, tol=1e-12)
+    exact = num.gamma_radial(150, 2 * math.pi)
+    assert abs(val - exact) <= 1e-12 * exact
 
 
 def test_quadrature_convergence_under_tightening():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qpquant import spaces as sp
-from qpquant.algebra import fro_norm, hinner, qmat_mul
+from qpquant.algebra import fro_norm, hinner, qmat_mul, rho
 
 
 def canonical_point(n=1):
@@ -149,6 +149,11 @@ def test_tau_s_inverse_round_trip(rng):
         assert np.abs(rec.q - src.q).max() < 1e-12
     with pytest.raises(ValueError):
         sp.tau_s_inv(sp.BTuple(np.zeros((2, 2, 2), dtype=complex)))
+    # a small real tuple passes the B-model membership but has q = 0
+    real = rho(np.array([[1e-6, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
+    assert sp.in_btuple_space(sp.BTuple(real))
+    with pytest.raises(ValueError, match="vanishing covector part"):
+        sp.tau_s_inv(sp.BTuple(real))
 
 
 def test_tau_h_inverse_round_trip(rng):
