@@ -13,18 +13,16 @@ implemented directly so that conventions cannot drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 __all__ = [
-    "Quaternion",
     "cbilinear",
     "complexify",
     "complexify_inv",
     "einner",
     "fro_norm",
-    "fro_norm_tuple",
     "hinner",
     "inner_r",
     "jmat",
@@ -37,7 +35,6 @@ __all__ = [
     "quat_split",
     "rho",
     "rho_inv",
-    "rho_inv_real",
     "sharp",
     "theta_transpose",
     "qtrace",
@@ -94,43 +91,6 @@ def hinner(h, k):
     return qmul(qconj(h), k).sum(axis=-2)
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """Real quaternion x0 e0 + x1 e1 + x2 e2 + x3 e3."""
-
-    x0: float
-    x1: float
-    x2: float
-    x3: float
-
-    @classmethod
-    def from_array(cls, a):
-        a = np.asarray(a, dtype=float)
-        return cls(*a.tolist())
-
-    def to_array(self):
-        return np.array([self.x0, self.x1, self.x2, self.x3])
-
-    def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            return Quaternion.from_array(qmul(self.to_array(), other.to_array()))
-        return Quaternion(self.x0 * other, self.x1 * other, self.x2 * other, self.x3 * other)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        return Quaternion.from_array(self.to_array() + other.to_array())
-
-    def __sub__(self, other):
-        return Quaternion.from_array(self.to_array() - other.to_array())
-
-    def conj(self):
-        return Quaternion(self.x0, -self.x1, -self.x2, -self.x3)
-
-    def norm(self):
-        return float(np.linalg.norm(self.to_array()))
-
-
 def rho(h):
     """2x2 complex matrix of a (complexified) quaternion; trailing axis 4."""
     return np.einsum("...a,aij->...ij", np.asarray(h, dtype=complex), RHO_BASIS)
@@ -144,14 +104,6 @@ def rho_inv(mat):
     c2 = (m[..., 0, 1] - m[..., 1, 0]) / 2.0
     c3 = (m[..., 0, 1] + m[..., 1, 0]) / 2j
     return np.stack([c0, c1, c2, c3], axis=-1)
-
-
-def rho_inv_real(mat, tol=1e-10):
-    """Inverse of rho expecting a real quaternion; rejects other matrices."""
-    c = rho_inv(mat)
-    if np.max(np.abs(c.imag)) > tol * max(1.0, np.max(np.abs(c))):
-        raise ValueError("matrix is not in the image of the real quaternions")
-    return c.real
 
 
 def qmat_mul(x, y):
@@ -197,10 +149,14 @@ def complexify_inv(a):
     return rho_inv(blocks)
 
 
+@cache
 def jmat(m):
-    """Block-diagonal matrix of m copies of J = [[0, 1], [-1, 0]]."""
+    """Block-diagonal matrix of m copies of J = [[0, 1], [-1, 0]], built once
+    per size and read-only."""
     j = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    return np.kron(np.eye(m), j)
+    out = np.kron(np.eye(m), j)
+    out.flags.writeable = False
+    return out
 
 
 def sharp(a):
@@ -240,8 +196,3 @@ def cbilinear(a, b):
 def fro_norm(a):
     """Frobenius norm ||A|| = sqrt(tr(A A*))."""
     return float(np.sqrt(np.sum(np.abs(a) ** 2)))
-
-
-def fro_norm_tuple(bs):
-    """Norm of a tuple of 2x2 blocks: sqrt(sum ||B_i||^2)."""
-    return float(np.sqrt(np.sum(np.abs(bs) ** 2)))

@@ -29,7 +29,7 @@ from . import quantization as qz
 from . import spaces as sp
 from . import spectral as spl
 from .algebra import fro_norm, qconj, qmul, qnorm, rho
-from .numerics import MCConfig, sphere_uniform
+from .numerics import MCConfig
 
 SCHEMA_VERSION = "1"
 SUITES = ("algebra", "spaces", "geometry", "spectral", "constants",
@@ -129,8 +129,8 @@ def _check(checks, cid, ref, value, expected, tol, stderr=None):
     return ok
 
 
-def _check_upper(checks, cid, ref, value, tol, stderr=None):
-    return _check(checks, cid, ref, value, 0.0, tol, stderr)
+def _check_upper(checks, cid, ref, value, tol):
+    return _check(checks, cid, ref, value, 0.0, tol)
 
 
 @dataclass
@@ -320,25 +320,23 @@ def suite_constants(cfg):
     rng = cfg.rng(5)
     cons = geo.recover_constants(1, rng, npoints=5, det_points=100)
     _check_upper(checks, "a-sphere", "holomorphic volume ratio, sphere side",
-                 abs(cons["a_S"] - (-1j)), 1e-6 * t)
+                 abs(cons["a_S"] - qz.A_S_CONST), 1e-6 * t)
     _check_upper(checks, "b-sphere", "pullback volume ratio, sphere side",
-                 abs(cons["b_S"] - 1j), 1e-6 * t)
+                 abs(cons["b_S"] - qz.B_S_CONST), 1e-6 * t)
     _check_upper(checks, "a-proj-n1", "holomorphic volume ratio, projective side",
-                 abs(cons["a_H"] - 0.5), 1e-6 * t)
+                 abs(cons["a_H"] - qz.A_H_CONST(1)), 1e-6 * t)
     _check_upper(checks, "det-dual-frame", "determinant of the dual frame parts",
-                 abs(cons["det_theta"] - 0.125), 1e-6 * t)
+                 abs(cons["det_theta"] - qz.DET_THETA_CONST), 1e-6 * t)
     _check_upper(checks, "det-spread", "dual frame determinant constant on the locus",
                  cons["det_theta_spread"], 1e-8 * t)
     _check_upper(checks, "b-proj", "substituted constant, projective side",
-                 abs(cons["b_H"] - (-1.0 / (math.sqrt(2.0) * math.pi ** 2))), 1e-6 * t)
+                 abs(cons["b_H"] - qz.B_H_CONST), 1e-6 * t)
     if cfg.n >= 2:
         cons2 = geo.recover_constants(2, rng, npoints=4, det_points=10)
         _check_upper(checks, "a-proj-n2", "holomorphic volume ratio at n = 2",
-                     abs(cons2["a_H"] - 1.0), 1e-6 * t)
-    a_s, b_s, det = -1j, 1j, 0.125
-    lhs = 2 * math.pi ** 2 * (a_s / b_s) * det
-    rhs = (1.0 / math.sqrt(2.0)) ** (2 * cfg.n + 1) * 2.0 ** (cfg.n - 2) \
-        / (-1.0 / (math.sqrt(2.0) * math.pi ** 2))
+                     abs(cons2["a_H"] - qz.A_H_CONST(2)), 1e-6 * t)
+    lhs = 2 * math.pi ** 2 * (qz.A_S_CONST / qz.B_S_CONST) * qz.DET_THETA_CONST
+    rhs = (1.0 / math.sqrt(2.0)) ** (2 * cfg.n + 1) * qz.A_H_CONST(cfg.n) / qz.B_H_CONST
     _check_upper(checks, "corollary-substitution", "five-constant substitution identity",
                  abs(lhs - rhs) + abs(lhs - (-math.pi ** 2 / 4)), 1e-12 * t)
     return checks

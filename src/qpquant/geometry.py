@@ -276,12 +276,13 @@ def _hessian_pair(z, v, w, mode):
 
 _MODEL = {"S": ("norm", 1.0), "H": ("sqrt_norm", 2.0 ** 0.25)}
 
+# step of the central differences in dtheta_fd and omega_closed_fd
+FD_STEP = 1e-5
+
 
 def _model_coords(model, point):
-    if model == "S":
-        return point.coords if isinstance(point, BTuple) else np.asarray(point, dtype=complex).ravel()
-    a = point.A if isinstance(point, AMatrix) else np.asarray(point, dtype=complex)
-    return a.ravel()
+    """Ambient coordinates of a BTuple ("S") or an AMatrix ("H")."""
+    return point.coords if model == "S" else point.A.ravel()
 
 
 def omega_eval(model, point, v, w):
@@ -328,8 +329,8 @@ def _theta_h(P, Q, w_mat):
 
 
 def theta_h(am, w_mat):
-    """Canonical one-form of the projective-space cotangent bundle."""
-    cp = tau_h_inv(am if isinstance(am, AMatrix) else AMatrix(am))
+    """Canonical one-form of the projective-space cotangent bundle at an AMatrix."""
+    cp = tau_h_inv(am)
     return _theta_h(cp.P, cp.Q, w_mat)
 
 
@@ -345,24 +346,25 @@ def canonical_oneform_check(model, point, w):
 
 
 def hamilton_check(am, y_mat):
-    """Residual of omega(Y, X) = Y(h) for the flow generator X = -2iA."""
-    a = am.A if isinstance(am, AMatrix) else np.asarray(am, dtype=complex)
-    x_flow = -2j * a
-    lhs = omega_eval("H", AMatrix(a), y_mat, x_flow)
-    z = a.ravel()
+    """Residual of omega(Y, X) = Y(h) for the flow generator X = -2iA at an AMatrix."""
+    x_flow = -2j * am.A
+    lhs = omega_eval("H", am, y_mat, x_flow)
+    z = am.A.ravel()
     r = np.linalg.norm(z)
     w = np.asarray(y_mat, dtype=complex).ravel()
     dh = 2.0 ** -0.75 * 2.0 * np.real(np.sum(w * np.conj(z)) / (4 * r ** 1.5))
     return abs(lhs - dh)
 
 
-def dtheta_fd(model, point, v, w, h=1e-5):
-    """Finite-difference exterior derivative of the canonical one-form."""
+def dtheta_fd(model, point, v, w):
+    """Finite-difference exterior derivative of the canonical one-form at a
+    BTuple ("S") or an AMatrix ("H")."""
+    h = FD_STEP
     if model == "S":
-        x0 = point.coords if isinstance(point, BTuple) else np.asarray(point)
+        x0 = point.coords
         theta = theta_s
     else:
-        x0 = point.A if isinstance(point, AMatrix) else np.asarray(point)
+        x0 = point.A
         # the displaced points leave the A-model: no membership test
         theta = lambda a, t: _theta_h(*_tau_h_inv_core(a)[:2], t)
     v = np.asarray(v, dtype=complex).reshape(x0.shape)
@@ -372,14 +374,16 @@ def dtheta_fd(model, point, v, w, h=1e-5):
     return tv - tw
 
 
-def omega_closed_fd(model, point, v, w, x, h=1e-5):
-    """Finite-difference exterior derivative of omega on a tangent triple."""
+def omega_closed_fd(model, point, v, w, x):
+    """Finite-difference exterior derivative of omega on a tangent triple at a
+    BTuple ("S") or an AMatrix ("H")."""
+    h = FD_STEP
     if model == "S":
-        x0 = point.coords if isinstance(point, BTuple) else np.asarray(point)
+        x0 = point.coords
         mk = lambda c: BTuple(coords_to_blocks(c))
     else:
-        x0 = point.A if isinstance(point, AMatrix) else np.asarray(point)
-        mk = lambda c: AMatrix(c)
+        x0 = point.A
+        mk = AMatrix
     vecs = [np.asarray(t, dtype=complex).reshape(x0.shape) for t in (v, w, x)]
     total = 0.0
     for sign, (a, b, c) in zip((1.0, -1.0, 1.0), ((0, 1, 2), (1, 0, 2), (2, 0, 1))):
@@ -422,8 +426,8 @@ def sigma_eval(bt, cols):
 
 
 def beta_preimage(am):
-    """A B-model point over a given A-model point (an SL(2,C) gauge choice)."""
-    cp = tau_h_inv(am if isinstance(am, AMatrix) else AMatrix(am))
+    """A B-model point over a given AMatrix (an SL(2,C) gauge choice)."""
+    cp = tau_h_inv(am)
     P, Q = cp.P, cp.Q
     j = int(np.argmax(P[np.arange(P.shape[0]), np.arange(P.shape[0]), 0]))
     pj = math.sqrt(max(P[j, j, 0], 0.0))
@@ -433,8 +437,8 @@ def beta_preimage(am):
     q = qmat_vec(Q, p)
     pt = SphereCovector(p, q)
     bt = tau_s(pt)
-    resid = fro_norm(beta_blocks(bt.B) - (am.A if isinstance(am, AMatrix) else am))
-    if resid > 1e-8 * max(1.0, fro_norm(am.A if isinstance(am, AMatrix) else am)):
+    resid = fro_norm(beta_blocks(bt.B) - am.A)
+    if resid > 1e-8 * max(1.0, am.norm):
         raise ArithmeticError("preimage reconstruction failed")
     return bt
 
@@ -450,12 +454,11 @@ def d_beta_blocks(b, v):
 
 
 def sigma_h_eval(am, cols, bt=None):
-    """The descended holomorphic 4n-form on matrix tangents at an A-point.
+    """The descended holomorphic 4n-form on matrix tangents at an AMatrix.
 
     Solves d(beta) v = w on the B-model tangent space for each column and
     evaluates the basic form there; the result is gauge independent.
     """
-    am = am if isinstance(am, AMatrix) else AMatrix(am)
     if bt is None:
         bt = beta_preimage(am)
     ubasis = tangent_basis_et_s(bt)
@@ -668,10 +671,6 @@ def geodesic_flow_pair(pt, t):
     return a_t, np.exp(-2j * t) * a_0
 
 
-def hopf_vertical_fields(p):
-    """V_j(p) = p e_j for j = 1, 2, 3: unit tangents along the fiber."""
-    return list(sp1_orbit_frame(p)[1:])
-
 def hopf_pushforward_check(n, nsamples, rng):
     """Pointwise eta/V duality and the volume ratio of the fibration."""
     from .numerics import sphere_uniform
@@ -680,7 +679,7 @@ def hopf_pushforward_check(n, nsamples, rng):
     worst = 0.0
     for _ in range(nsamples):
         p = sphere_uniform(4 * m - 1, rng).reshape(m, 4)
-        vs = hopf_vertical_fields(p)
+        vs = sp1_orbit_frame(p)[1:]  # V_j(p) = p e_j, unit tangents along the fiber
         for i, vi in enumerate(vs):
             if abs(float(np.sum(vi * p))) > worst:
                 worst = abs(float(np.sum(vi * p)))

@@ -10,6 +10,7 @@ execute the chunks.
 from __future__ import annotations
 
 import math
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -31,6 +32,8 @@ __all__ = [
 ]
 
 DEFAULT_CHUNK = 1 << 16
+# an adaptive run stops once its sample count reaches this multiple of the budget
+MAX_EXTENSION = 64
 
 
 @dataclass(frozen=True)
@@ -46,12 +49,6 @@ class MCConfig:
     workers: int = 1
     target_rel_stderr: float | None = None
     chunk: int = DEFAULT_CHUNK
-
-    def scaled(self, factor):
-        return MCConfig(samples=int(self.samples * factor), seed=self.seed,
-                        workers=self.workers,
-                        target_rel_stderr=self.target_rel_stderr,
-                        chunk=self.chunk)
 
 
 @dataclass(frozen=True)
@@ -102,7 +99,7 @@ def _combine(jobs, stats):
     return mean, math.sqrt(var / n), n
 
 
-def mc_mean(batch_fn, config, max_extension=64):
+def mc_mean(batch_fn, config):
     """Mean of ``batch_fn(rng, m) -> (m,) array`` over ``config.samples`` draws.
 
     Chunks are keyed by index, partial sums are combined in index order with
@@ -110,7 +107,7 @@ def mc_mean(batch_fn, config, max_extension=64):
     With ``target_rel_stderr`` set, whole rounds of further chunks are drawn
     (continuing the index sequence, hence still deterministic) until the
     relative standard error reaches the target or the sample budget has
-    grown by ``max_extension``.
+    grown by ``MAX_EXTENSION``; stopping there above the target warns.
     """
     n = int(config.samples)
     chunk = int(config.chunk)
@@ -132,12 +129,17 @@ def mc_mean(batch_fn, config, max_extension=64):
     mean, stderr, total_n = _combine(jobs, stats)
     target = config.target_rel_stderr
     while (target is not None and stderr > target * abs(mean)
-           and total_n < max_extension * n):
+           and total_n < MAX_EXTENSION * n):
         start = jobs[-1][0] + 1
         extra = [(start + k, chunk) for k in range(max(total_n // chunk, 1))]
         jobs.extend(extra)
         stats.extend(run(extra))
         mean, stderr, total_n = _combine(jobs, stats)
+    if target is not None and stderr > target * abs(mean):
+        warnings.warn(f"mc_mean stopped at its {MAX_EXTENSION}x sample cap after {total_n} "
+                      f"samples with stderr {stderr:.3e}, above the target "
+                      f"{target:g} x |mean| = {target * abs(mean):.3e}",
+                      RuntimeWarning, stacklevel=2)
     if np.iscomplexobj(np.asarray(mean)) and abs(mean.imag) == 0.0:
         mean = mean.real
     return MCEstimate(value=mean, stderr=stderr, samples=total_n, seed=config.seed)
@@ -188,20 +190,17 @@ def vol_sphere(m):
     return math.exp(math.log(2.0) + 0.5 * (m + 1) * math.log(math.pi) - log_gamma(0.5 * (m + 1)))
 
 
-def radial_quad(fn, c, power=0.0, growth_bound=None, tol=1e-11):
-    """Adaptive integral_0^inf fn(r) r^power e^(-c r) dr.
+def radial_quad(c, power, tol):
+    """Adaptive integral_0^inf r^power e^(-c r) dr to relative tolerance ``tol``,
+    the quadrature oracle of :func:`gamma_radial`.
 
-    ``growth_bound`` declares a polynomial bound on ``fn``; integrands
-    without one are rejected since e^(-c r) cannot be assumed to win.  The
-    weight is evaluated as one exponential: r^power alone overflows for
-    large powers.
+    The integrand is evaluated as one exponential: r^power alone overflows
+    for large powers.
     """
-    if growth_bound is None:
-        raise ValueError("declare a polynomial growth bound for the radial integrand")
     if c <= 0:
         raise ValueError("decay rate must be positive")
     val, err = integrate.quad(
-        lambda r: fn(r) * math.exp(power * math.log(r) - c * r) if r > 0 else 0.0,
+        lambda r: math.exp(power * math.log(r) - c * r) if r > 0 else 0.0,
         0.0, np.inf, epsabs=0.0, epsrel=tol, limit=200)
     return val, err
 

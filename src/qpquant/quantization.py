@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .algebra import cbilinear, rho
+from .algebra import cbilinear, fro_norm, rho
 from .numerics import (
     gamma_radial,
     log_gamma,
@@ -269,10 +269,9 @@ def a_coeff_semianalytic(n, l):
     return math.exp(logv)
 
 
-def a_coeff_quadrature(n, l, tol=1e-12):
+def a_coeff_quadrature(n, l):
     """a_l with the radial factor done by adaptive quadrature, as an oracle."""
-    val, _ = radial_quad(lambda r: 1.0, 2 * math.pi, power=2 * l + 4 * n, growth_bound=0,
-                         tol=tol)
+    val, _ = radial_quad(2 * math.pi, 2 * l + 4 * n, 1e-12)
     return (2.0 * math.sqrt(2.0)) ** 0.5 * val * vol_sphere(4 * n - 1) * vol_pnh(n) \
         * math.sqrt(abs(B_H_CONST)) / dim_eigenspace(n, l)
 
@@ -292,7 +291,7 @@ def c_coeff(n, l):
     return math.exp(log_c_coeff(n, l))
 
 
-def c_coeff_quadrature(n, l, tol=1e-11):
+def c_coeff_quadrature(n, l):
     """c_l via adaptive quadrature of the cotangent-fiber integral.
 
     Radius x polar-angle reduction of the R^(4n+3) integral of
@@ -300,8 +299,8 @@ def c_coeff_quadrature(n, l, tol=1e-11):
     r^(2l+4n+2) e^(-2 pi r) (2r)^(-1/2) times sin(phi)^(2l+4n-1) cos(phi)^2,
     so each factor is one 1-D adaptive quadrature.
     """
-    radial, _ = radial_quad(lambda r: 1.0, 2 * math.pi, power=2 * l + 4 * n + 1.5,
-                            growth_bound=0, tol=tol)
+    tol = 1e-11
+    radial, _ = radial_quad(2 * math.pi, 2 * l + 4 * n + 1.5, tol)
     radial /= math.sqrt(2.0)
     angular, _ = integrate.quad(
         lambda phi: math.sin(phi) ** (2 * l + 4 * n - 1) * math.cos(phi) ** 2,
@@ -359,9 +358,10 @@ def t_norm_prefactor(n, quarter_power_shift=3):
             * 2.0 ** ((n + quarter_power_shift) / 4.0))
 
 
-def t_norm_limit(n, l=10 ** 6):
-    """Numerical l -> infinity limit of the operator norm (log-gamma route)."""
-    return t_norm(n, l)
+def t_norm_limit(n):
+    """Numerical l -> infinity limit of the operator norm: t_norm at l = 10^6
+    (log-gamma route)."""
+    return t_norm(n, 10 ** 6)
 
 
 # ------------------------------------------------------- operators T, T~
@@ -372,42 +372,20 @@ def _t_apply_scale(n, degree):
             * gamma_radial(2 * degree + 4 * n, 2 * math.pi))
 
 
-def t_apply(g, p_prime, n, config, homogeneous_degree=None, growth_bound=None,
-            radial_tol=1e-10):
+def t_apply(g, p_prime, n, config, homogeneous_degree):
     """Quantization operator T applied to a function g of the matrix model,
     evaluated over the cotangent fiber of the base point with lift p_prime.
 
-    ``g`` takes a batch (N, 2n+2, 2n+2) of matrices and returns (N,) values.
-    Declare either polynomial fiber homogeneity (degree in A) or a growth
-    bound for the adaptive radial quadrature.
+    ``g`` takes a batch (N, 2n+2, 2n+2) of matrices and returns (N,) values;
+    it is homogeneous of ``homogeneous_degree`` in A, so the radial integral
+    is a Gamma integral and only the unit fiber is sampled.
     """
     p_prime = np.asarray(p_prime, dtype=float)
 
-    if homogeneous_degree is not None:
-        def batch(rng, size):
-            return g(_unit_fiber_amatrices(p_prime, rng, size))
-
-        return mc_mean(batch, config).scaled(_t_apply_scale(n, homogeneous_degree))
-
-    if growth_bound is None:
-        raise ValueError("declare homogeneous_degree or a polynomial growth_bound")
-
     def batch(rng, size):
-        ahat = _unit_fiber_amatrices(p_prime, rng, size)
-        out = np.empty(size, dtype=complex)
-        for k in range(size):
-            fn = lambda r: complex(g((r ** 2 * ahat[k])[None])[0])
-            re, _ = integrate.quad(lambda r: (fn(r) * r ** (4 * n)
-                                              * math.exp(-2 * math.pi * r)).real,
-                                   0.0, np.inf, epsabs=1e-14, epsrel=radial_tol, limit=200)
-            im, _ = integrate.quad(lambda r: (fn(r) * r ** (4 * n)
-                                              * math.exp(-2 * math.pi * r)).imag,
-                                   0.0, np.inf, epsabs=1e-14, epsrel=radial_tol, limit=200)
-            out[k] = re + 1j * im
-        return out
+        return g(_unit_fiber_amatrices(p_prime, rng, size))
 
-    return mc_mean(batch, config).scaled(
-        vol_sphere(4 * n - 1) * 2.0 ** 0.75 * math.sqrt(abs(B_H_CONST)))
+    return mc_mean(batch, config).scaled(_t_apply_scale(n, homogeneous_degree))
 
 
 def t_apply_eigenfunction(phi, p_prime, config, flow_t=None):
@@ -483,11 +461,11 @@ def log_kernel_term(n, l, norm_a):
     return log_i_coeff(n, l) + 2 * l * math.log(norm_a) - log_b_coeff(n, l)
 
 
-def kernel_diag(n, norm_a, lmax, tail_tol=1e-12):
+def kernel_diag(n, norm_a, lmax):
     """Diagonal of the reproducing kernel with a certified tail bound.
 
-    Returns (value, tail_bound); raises if the truncation is too small for
-    the requested tolerance.
+    Returns (value, tail_bound); raises if the truncation leaves a tail
+    above 1e-12 of the value.
     """
     if norm_a <= 0:
         raise ValueError("need a positive matrix norm")
@@ -499,7 +477,7 @@ def kernel_diag(n, norm_a, lmax, tail_tol=1e-12):
         raise ValueError("truncation too small: term ratios not yet contracting")
     tail = nxt / (1.0 - ratio)
     value = math.fsum(terms)
-    if tail > tail_tol * value:
+    if tail > 1e-12 * value:
         raise ValueError(f"truncation {lmax} leaves tail {tail:.3e} above tolerance")
     return value, tail
 
@@ -526,17 +504,8 @@ def orthogonality_check(n, l, lp, config, rng):
     from .spaces import random_eh, tau_h
     a1 = tau_h(random_eh(n, math.sqrt(2.0), rng)).A
     a2 = tau_h(random_eh(n, math.sqrt(2.0), rng)).A
-    m = n + 1
-
-    def batch(rng_, size):
-        base = sphere_uniform(4 * m - 1, rng_, size=size).reshape(size, m, 4)
-        ahat = _unit_fiber_amatrices(base, rng_, size)
-        za = cbilinear(ahat, a1)
-        zb = cbilinear(ahat, a2)
-        return za ** l * np.conj(zb ** lp)
-
-    scale = math.exp(log_radial_gg(n, l + lp)) * vol_pnh(n) * vol_sphere(4 * n - 1)
-    return mc_mean(batch, config).scaled(scale)
+    return pairing_gg_mc(lambda a: cbilinear(a, a1) ** l, lambda a: cbilinear(a, a2) ** lp,
+                         l + lp, n, config)
 
 
 def _test_function(c0, amats, coeffs):
@@ -584,8 +553,7 @@ def kernel_norm_bound_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
     a_prime = np.asarray(a_prime, dtype=complex)
     f1_hat = _test_function(0.0, phi1_amats, phi1_coeffs)   # the linear part of f
     f_at_aprime = complex(c0) + f1_hat(a_prime)
-    norm_a = float(np.sqrt(np.sum(np.abs(a_prime) ** 2)))
-    diag, _ = kernel_diag(n, norm_a, lmax=30)
+    diag, _ = kernel_diag(n, fro_norm(a_prime), lmax=30)
 
     norm1_sq = pairing_gg_mc(f1_hat, f1_hat, 2, n, config)
     norm0_sq = abs(c0) ** 2 * b_coeff(n, 0) / vol_pnh(n)

@@ -26,7 +26,6 @@ from .algebra import (
     complexify,
     einner,
     fro_norm,
-    fro_norm_tuple,
     hinner,
     jmat,
     jordan,
@@ -51,7 +50,6 @@ __all__ = [
     "beta_blocks",
     "blocks_to_coords",
     "coords_to_blocks",
-    "hopf_project",
     "in_amatrix_space",
     "in_btuple_space",
     "in_btuple_space0",
@@ -65,7 +63,6 @@ __all__ = [
     "random_es0",
     "random_es_generic",
     "random_sl2",
-    "random_sphere",
     "sp1_orbit_frame",
     "tau_h",
     "tau_h_inv",
@@ -75,6 +72,10 @@ __all__ = [
 
 EQ_TOL = 1e-10
 RANK_TOL = 1e-8
+# tau_s_inv rejects a recovered covector within this of the degenerate boundary
+BOUNDARY_TOL = 1e-8
+# attempts of a rejection sampler before it gives up
+MAX_TRIES = 64
 
 
 def _freeze(a):
@@ -157,7 +158,7 @@ class BTuple:
 
     @property
     def norm(self):
-        return fro_norm_tuple(self.B)
+        return fro_norm(self.B)
 
 
 @dataclass(frozen=True)
@@ -190,89 +191,83 @@ def in_sphere_covector(pt, tol=EQ_TOL):
     return qnorm(shifted).max() > tol
 
 
-def in_sphere_covector0(pt, tol=EQ_TOL):
+def in_sphere_covector0(pt):
     """(p,p)_E = 1, q != 0, (q,p)_H = 0 componentwise."""
     p, q = pt.p, pt.q
-    if abs(einner(p, p) - 1.0) > tol:
+    if abs(einner(p, p) - 1.0) > EQ_TOL:
         return False
-    if np.sqrt(np.sum(q ** 2)) <= tol:
+    if np.sqrt(np.sum(q ** 2)) <= EQ_TOL:
         return False
-    return np.max(np.abs(hinner(q, p))) <= tol
+    return np.max(np.abs(hinner(q, p))) <= EQ_TOL
 
 
-def in_cotangent_h(pt, tol=EQ_TOL):
+def in_cotangent_h(pt):
     """tr P = 1, P o P = P, P o Q = Q/2, Q != 0, Q^3 = ||Q||^2 Q / 2."""
     P, Q = pt.P, pt.Q
     scale = max(1.0, float(np.max(np.abs(Q))) ** 3)
-    if abs(qtrace(P)[0] - 1.0) > tol:
+    if abs(qtrace(P)[0] - 1.0) > EQ_TOL:
         return False
-    if np.max(np.abs(jordan(P, P) - P)) > tol:
+    if np.max(np.abs(jordan(P, P) - P)) > EQ_TOL:
         return False
-    if np.max(np.abs(jordan(P, Q) - 0.5 * Q)) > tol * max(1.0, np.max(np.abs(Q))):
+    if np.max(np.abs(jordan(P, Q) - 0.5 * Q)) > EQ_TOL * max(1.0, np.max(np.abs(Q))):
         return False
     nq2 = np.sum(Q ** 2)
-    if nq2 <= tol:
+    if nq2 <= EQ_TOL:
         return False
     q3 = qmat_mul(qmat_mul(Q, Q), Q)
-    return bool(np.max(np.abs(q3 - 0.5 * nq2 * Q)) <= tol * scale)
+    return bool(np.max(np.abs(q3 - 0.5 * nq2 * Q)) <= EQ_TOL * scale)
 
 
-def in_btuple_space(pt, tol=EQ_TOL):
+def in_btuple_space(pt):
     """sum(det B_i) = 0 and z, w linearly independent."""
     z, w = pt.zw
     d = np.sum(np.linalg.det(pt.B))
-    if abs(d) > tol * max(1.0, pt.norm ** 2):
+    if abs(d) > EQ_TOL * max(1.0, pt.norm ** 2):
         return False
     s = np.linalg.svd(np.stack([z, w], axis=1), compute_uv=False)
     return s[-1] > RANK_TOL * max(s[0], 1e-300)
 
 
-def in_btuple_space0(pt, tol=EQ_TOL):
+def in_btuple_space0(pt):
     """Horizontal locus: sum B_i^* B_i is a multiple of the identity.
 
     Equivalently conj(z).w = 0 and ||z|| = ||w||, three real conditions;
     this is the image of the horizontal covectors under the B-model map and
     it is invariant under the right SU(2) action.
     """
-    if not in_btuple_space(pt, tol):
+    if not in_btuple_space(pt):
         return False
     z, w = pt.zw
     cross = np.sum(np.conj(z) * w)
     balance = np.sum(np.abs(z) ** 2) - np.sum(np.abs(w) ** 2)
     scale = max(1.0, pt.norm ** 2)
-    return abs(cross) <= tol * scale and abs(balance) <= tol * scale
+    return abs(cross) <= EQ_TOL * scale and abs(balance) <= EQ_TOL * scale
 
 
-def in_amatrix_space(pt, tol=EQ_TOL, rank_tol=RANK_TOL):
+def in_amatrix_space(pt):
     """J A = A^t J, numerical rank 2, A^2 = 0."""
     a = pt.A
     m = a.shape[0] // 2
     jj = jmat(m)
     scale = max(1.0, fro_norm(a))
-    if np.max(np.abs(jj @ a - a.T @ jj)) > tol * scale:
+    if np.max(np.abs(jj @ a - a.T @ jj)) > EQ_TOL * scale:
         return False
-    if np.max(np.abs(a @ a)) > tol * scale ** 2:
+    if np.max(np.abs(a @ a)) > EQ_TOL * scale ** 2:
         return False
     s = np.linalg.svd(a, compute_uv=False)
-    return (s[1] > rank_tol * s[0]) and (s[2] <= rank_tol * s[0] if len(s) > 2 else True)
+    return (s[1] > RANK_TOL * s[0]) and (s[2] <= RANK_TOL * s[0] if len(s) > 2 else True)
 
 
 # --------------------------------------------------------------------- maps
-
-def hopf_project(p):
-    """P = (p_i theta(p_j)), the rank-one projector of a unit vector."""
-    p = np.asarray(p, dtype=float)
-    return qmul(p[:, None, :], qconj(p)[None, :, :])
-
 
 def metric_g_h(q1, q2):
     """Riemannian pairing of two tangents at a common projector: tr(Q1 o Q2)/2."""
     return 0.5 * float(np.sum(np.asarray(q1) * np.asarray(q2)))
 
 
-def alpha(pt, tol=EQ_TOL):
+def alpha(pt):
     """(p, q) -> (P, Q) with P = (p_i theta(p_j)), Q = (p_i theta(q_j) + q_i theta(p_j))."""
-    if not in_sphere_covector(pt, tol):
+    if not in_sphere_covector(pt):
         raise ValueError("point is not in the sphere covector space")
     p, q = pt.p, pt.q
     tp, tq = qconj(p), qconj(q)
@@ -281,18 +276,18 @@ def alpha(pt, tol=EQ_TOL):
     return CotangentPointH(P, Q)
 
 
-def tau_s(pt, tol=EQ_TOL):
+def tau_s(pt):
     """(p, q) -> B_i = rho(|q| p_i + q_i i); ||B||^2 = 4 |q|^2."""
-    if not in_sphere_covector(pt, tol):
+    if not in_sphere_covector(pt):
         raise ValueError("point is not in the sphere covector space")
     nq = float(np.sqrt(np.sum(pt.q ** 2)))
     h = nq * pt.p.astype(complex) + 1j * pt.q
     return BTuple(rho(h))
 
 
-def tau_h(pt, tol=EQ_TOL):
+def tau_h(pt):
     """(P, Q) -> A = ||Q||^2 rho(P) - rho(Q)^2 + i ||Q|| rho(Q) / sqrt(2)."""
-    if not in_cotangent_h(pt, tol):
+    if not in_cotangent_h(pt):
         raise ValueError("point is not in the cotangent-bundle model")
     nq = pt.qnorm_j
     rp = complexify(pt.P)
@@ -330,9 +325,9 @@ def beta_blocks(b, c=None):
     return rows @ cols
 
 
-def beta(pt, tol=EQ_TOL):
+def beta(pt):
     """B -> A with blocks A_ij = -B_i J B_j^t J = B_i adj(B_j)."""
-    if not in_btuple_space(pt, tol):
+    if not in_btuple_space(pt):
         raise ValueError("tuple is not in the B-model space")
     return AMatrix(beta_blocks(pt.B))
 
@@ -344,26 +339,27 @@ def _tau_s_inv_core(b):
     return c.real / float(np.linalg.norm(c.imag)), c.imag
 
 
-def tau_s_inv(pt, tol=EQ_TOL, boundary_tol=1e-8):
+def tau_s_inv(pt):
     """Recover (p, q) from B via the real/imaginary quaternion split.
 
-    Rejects tuples whose recovered point sits within ``boundary_tol`` of the
+    Rejects tuples whose recovered point sits within ``BOUNDARY_TOL`` of the
     boundary where the sphere-covector membership degenerates.
     """
-    if not in_btuple_space(pt, tol):
+    if not in_btuple_space(pt):
         raise ValueError("tuple is not in the B-model space")
     # p is undefined where q vanishes; that tuple is rejected next
     with np.errstate(divide="ignore", invalid="ignore"):
         p, q = _tau_s_inv_core(pt.B)
     nq = float(np.linalg.norm(q))
-    if nq <= boundary_tol:
+    if nq <= BOUNDARY_TOL:
         raise ValueError("tuple has vanishing covector part")
     out = SphereCovector(p, q)
     qp = hinner(q, p)
     shifted = q + qmul(p, qp[None, :])
-    if qnorm(shifted).max() <= boundary_tol * nq:
+    if qnorm(shifted).max() <= BOUNDARY_TOL * nq:
         raise ValueError("recovered point is too close to the degenerate boundary")
-    if not in_sphere_covector(out, max(tol, 1e-9)):
+    # the split carries round-off of the tuple's scale, so test at 1e-9
+    if not in_sphere_covector(out, 1e-9):
         raise ValueError("recovered point fails sphere-covector membership")
     return out
 
@@ -380,9 +376,9 @@ def _tau_h_inv_core(a):
     return P, Q, max(np.max(np.abs(x.imag)), np.max(np.abs(y.imag)))
 
 
-def tau_h_inv(pt, tol=EQ_TOL):
+def tau_h_inv(pt):
     """Recover (P, Q) from A using the quaternionic real/imaginary parts."""
-    if not in_amatrix_space(pt, tol):
+    if not in_amatrix_space(pt):
         raise ValueError("matrix is not in the A-model space")
     P, Q, imag = _tau_h_inv_core(pt.A)
     if imag > 1e-9 * max(1.0, fro_norm(pt.A)):
@@ -391,11 +387,6 @@ def tau_h_inv(pt, tol=EQ_TOL):
 
 
 # ------------------------------------------------------------------ samplers
-
-def random_sphere(dim, rng):
-    """One uniform point on S^dim."""
-    return sphere_uniform(dim, rng)
-
 
 # p e_k is a signed permutation of the coefficients of p: entry c of p e_k
 # is _FRAME_SIGN[k, c] * p[_FRAME_INDEX[k, c]]
@@ -413,10 +404,10 @@ def sp1_orbit_frame(p):
     return np.moveaxis(p[..., _FRAME_INDEX] * _FRAME_SIGN, -2, 0)
 
 
-def random_es0(n, qnorm_val, rng, max_tries=64):
+def random_es0(n, qnorm_val, rng):
     """Horizontal covector sample: (q, p)_H = 0 exactly, |q| = qnorm_val."""
     m = n + 1
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         p = sphere_uniform(4 * m - 1, rng).reshape(m, 4)
         q = rng.standard_normal((m, 4))
         for d in sp1_orbit_frame(p):
@@ -427,17 +418,18 @@ def random_es0(n, qnorm_val, rng, max_tries=64):
     raise RuntimeError("degenerate draws while sampling the horizontal space")
 
 
-def random_es_generic(n, rng, vertical_mix=0.7, max_tries=64):
-    """Sample of the full covector space with (q, p)_H genuinely nonzero."""
+def random_es_generic(n, rng):
+    """Sample of the full covector space with (q, p)_H genuinely nonzero:
+    a horizontal draw plus 0.7 times a random vertical direction."""
     m = n + 1
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         base = random_es0(n, 1.0, rng)
         p = base.p
         vert = np.zeros((m, 4))
         coeffs = rng.standard_normal(3)
         for c, d in zip(coeffs, sp1_orbit_frame(p)[1:]):
             vert += c * d
-        q = base.q + vertical_mix * vert
+        q = base.q + 0.7 * vert
         q -= np.sum(q * p) * p  # keep (p, q)_E = 0
         pt = SphereCovector(p, q)
         if in_sphere_covector(pt) and np.max(np.abs(hinner(q, p))) > 1e-3:

@@ -99,7 +99,7 @@ def quad_form_matrix(a):
     return mat
 
 
-def harmonicity_certificate(a, tol=None):
+def harmonicity_certificate(a):
     """Trace and null-gradient residuals of the invariant quadratic form.
 
     Both vanish iff every power of the form is annihilated by the flat
@@ -176,11 +176,11 @@ class HlFunction:
         return vals
 
 
-def random_hl_function(n, l, k, rng, qnorm=1.0):
+def random_hl_function(n, l, k, rng):
     """Random element of the l-th eigenspace as a k-term generator span."""
     from .spaces import random_eh, tau_h
     amats = []
     for _ in range(k):
-        amats.append(tau_h(random_eh(n, np.sqrt(2.0) * qnorm, rng)).A)
+        amats.append(tau_h(random_eh(n, np.sqrt(2.0), rng)).A)
     coeffs = rng.standard_normal(k) if l > 0 else np.abs(rng.standard_normal(k))
     return HlFunction(n=n, l=l, amats=tuple(amats), coeffs=tuple(coeffs.tolist()))

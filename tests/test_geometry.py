@@ -82,7 +82,7 @@ def test_oneform_zero_and_fiber_tangent(rng):
     cp = sp.alpha(pt)
     pdot = np.zeros_like(pt.p)
     import qpquant.geometry as g
-    qd = qdot - sum(np.sum(qdot * d) * d for d in ([pt.p] + geo.hopf_vertical_fields(pt.p)))
+    qd = qdot - sum(np.sum(qdot * d) * d for d in sp.sp1_orbit_frame(pt.p))
     P_dot, Q_dot = g.d_alpha(pt.p, pt.q, pdot, qd)
     w = g.d_tau_h(cp.P, cp.Q, P_dot, Q_dot)
     assert np.abs(P_dot).max() < 1e-15

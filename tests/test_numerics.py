@@ -1,6 +1,7 @@
 """RNG streams, Monte Carlo plumbing, quadrature, volumes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,24 +74,37 @@ def test_vol_sphere_values():
     assert abs(num.vol_sphere(7) - math.pi ** 4 / 3) < 1e-13
 
 
-def test_radial_quad_requires_growth_bound():
-    with pytest.raises(ValueError):
-        num.radial_quad(lambda r: 1.0, 2 * math.pi)
-    val, err = num.radial_quad(lambda r: r ** 2, 2 * math.pi, power=2, growth_bound=2)
+def test_radial_quad_matches_gamma_integral():
+    val, err = num.radial_quad(2 * math.pi, 4, 1e-11)
     exact = num.gamma_radial(4, 2 * math.pi)
     assert abs(val - exact) <= max(err, 1e-12 * exact)
     # r^150 alone leaves the double range; the weight is one exponential
-    val, _ = num.radial_quad(lambda r: 1.0, 2 * math.pi, power=150, growth_bound=0, tol=1e-12)
+    val, _ = num.radial_quad(2 * math.pi, 150, 1e-12)
     exact = num.gamma_radial(150, 2 * math.pi)
     assert abs(val - exact) <= 1e-12 * exact
+    with pytest.raises(ValueError):
+        num.radial_quad(0.0, 4, 1e-11)
 
 
 def test_quadrature_convergence_under_tightening():
-    v1, e1 = num.radial_quad(lambda r: np.sin(r) ** 2 + 1.0, 1.0, power=3,
-                             growth_bound=0, tol=1e-8)
-    v2, e2 = num.radial_quad(lambda r: np.sin(r) ** 2 + 1.0, 1.0, power=3,
-                             growth_bound=0, tol=1e-12)
+    v1, e1 = num.radial_quad(1.0, 3, 1e-8)
+    v2, e2 = num.radial_quad(1.0, 3, 1e-12)
     assert abs(v1 - v2) <= max(e1, 1e-8 * abs(v1))
+
+
+def test_mc_mean_warns_at_its_cap():
+    def batch(rng, m):
+        return rng.standard_normal(m)
+
+    cfg = num.MCConfig(samples=1000, chunk=1000, target_rel_stderr=0.05)
+    with pytest.warns(RuntimeWarning, match="64000 samples"):
+        est = num.mc_mean(batch, cfg)
+    assert est.samples == 64 * 1000 == num.MAX_EXTENSION * 1000
+    # a run that meets its target stops early and does not warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = num.mc_mean(lambda rng, m: 1.0 + rng.standard_normal(m), cfg)
+    assert est.samples < 64 * 1000 and est.stderr <= 0.05 * abs(est.value)
 
 
 def test_log_gamma_domain():

@@ -5,6 +5,7 @@ import pytest
 
 from qpquant import spaces as sp
 from qpquant.algebra import fro_norm, hinner, qmat_mul, rho
+from qpquant.numerics import sphere_uniform
 
 
 def canonical_point(n=1):
@@ -71,7 +72,7 @@ def test_beta_and_tau_h_alpha_differ_off_horizontal(rng):
 
 def test_tau_s_equivariance_under_sp1(rng):
     pt = sp.random_es0(1, 1.3, rng)
-    r = sp.random_sphere(3, rng)  # unit quaternion
+    r = sphere_uniform(3, rng)  # unit quaternion
     from qpquant.algebra import qmul
     pr = qmul(pt.p, np.broadcast_to(r, pt.p.shape))
     qr = qmul(pt.q, np.broadcast_to(r, pt.q.shape))

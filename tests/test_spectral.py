@@ -5,6 +5,7 @@ import pytest
 
 from qpquant import spectral as spec
 from qpquant import spaces as sp
+from qpquant.numerics import sphere_uniform
 
 
 def test_dimensions_match_degree_2l_sphere_harmonics():
@@ -135,7 +136,7 @@ def test_sp1_invariance(rng):
     assert np.all(qmul(p, np.broadcast_to(e0, p.shape)) == p)
     # the mixed (p_i theta(q_j)) comparator is genuinely not invariant
     pt = sp.random_es0(1, 1.0, rng)
-    r = sp.random_sphere(3, rng)
+    r = sphere_uniform(3, rng)
     assert spec.mixed_term_noninvariance(pt.p, pt.q, am.A, r) > 1e-3
 
 
