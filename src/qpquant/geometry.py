@@ -16,7 +16,6 @@ provides
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -24,8 +23,10 @@ import numpy as np
 from .algebra import (
     complexify,
     fro_norm,
+    hinner,
     jordan,
     qconj,
+    qmat_mul,
     qmul,
     quat_split,
     rho_inv,
@@ -91,20 +92,10 @@ def tangent_basis_es0(pt):
     p, q = pt.p, pt.q
     m = p.shape[0]
     dim = 8 * m
-    rows = [np.concatenate([p.ravel(), np.zeros(4 * m)])]
-
-    def hmix(pdot, qdot):
-        from .algebra import hinner
-        return hinner(q, pdot) + hinner(qdot, p)
-
-    eye = np.eye(dim)
-    grad = np.empty((4, dim))
-    for j in range(dim):
-        pd = eye[j, :4 * m].reshape(m, 4)
-        qd = eye[j, 4 * m:].reshape(m, 4)
-        grad[:, j] = hmix(pd, qd)
-    rows.extend(list(grad))
-    cmat = np.array(rows)
+    # constraint differentials on the unit vectors: d|p|^2 (the row p) and d<q, p>_H
+    pdots, qdots = split_pq(np.eye(dim), m)
+    grad = (hinner(q, pdots) + hinner(qdots, p)).T
+    cmat = np.vstack([np.concatenate([p.ravel(), np.zeros(4 * m)]), grad])
     _, s, vt = np.linalg.svd(cmat)
     rank = int(np.sum(s > 1e-12 * s[0]))
     basis = vt[rank:]
@@ -218,22 +209,39 @@ def real_basis_from_complex(ubasis):
 
 # ------------------------------------------------- potentials and 2-forms
 
+# f = |z|^(2a): "norm" (a = 1/2) on the sphere side, "sqrt_norm" (a = 1/4) on
+# the projective side
+_EXPONENT = {"norm": 0.5, "sqrt_norm": 0.25}
+
+
+def _radial(u, mode):
+    """(z, a, |z|^2) for the potential |z|^(2a) named by mode."""
+    if mode not in _EXPONENT:
+        raise ValueError(f"unknown mode {mode!r}")
+    z = np.asarray(u, dtype=complex).ravel()
+    r2 = float(np.vdot(z, z).real)
+    if r2 == 0:
+        raise ZeroDivisionError("radial potential is singular at the origin")
+    return z, _EXPONENT[mode], r2
+
+
 def complex_hessian_radial(u, mode):
     """Full matrix of d^2 f / d conj(z_k) d z_j for radial potentials.
 
     mode 'norm':       f = (sum |z|^2)^(1/2)
     mode 'sqrt_norm':  f = (sum |z|^2)^(1/4)
+
+    For f = |z|^(2a) this is a |z|^(2a-2) (delta_jk + (a-1) conj(z_j) z_k / |z|^2).
     """
-    z = np.asarray(u, dtype=complex).ravel()
-    r = np.linalg.norm(z)
-    if r == 0:
-        raise ZeroDivisionError("radial potential is singular at the origin")
+    z, a, r2 = _radial(u, mode)
     outer = np.conj(z)[:, None] * z[None, :]
-    if mode == "norm":
-        return np.eye(z.size) / (2 * r) - outer / (4 * r ** 3)
-    if mode == "sqrt_norm":
-        return np.eye(z.size) / (4 * r ** 1.5) - 3.0 * outer / (16 * r ** 3.5)
-    raise ValueError(f"unknown mode {mode!r}")
+    return a * r2 ** (a - 1) * (np.eye(z.size) + (a - 1) / r2 * outer)
+
+
+def _del_f(mode, u, w):
+    """del f on a complex tangent w: sum_j w_j df/dz_j = a |z|^(2a-2) sum_j w_j conj(z_j)."""
+    z, a, r2 = _radial(u, mode)
+    return a * r2 ** (a - 1) * np.sum(np.asarray(w, dtype=complex).ravel() * np.conj(z))
 
 
 def fd_complex_hessian(u, mode, h=1e-5):
@@ -263,17 +271,6 @@ def fd_complex_hessian(u, mode, h=1e-5):
     return out
 
 
-def _hessian_pair(z, v, w, mode):
-    """s = sum_jk H_jk conj(v_k) w_j for the radial Hessians, in O(N)."""
-    r = np.linalg.norm(z)
-    wv = np.sum(w * np.conj(v))
-    wz = np.sum(w * np.conj(z))
-    zv = np.sum(z * np.conj(v))
-    if mode == "norm":
-        return wv / (2 * r) - wz * zv / (4 * r ** 3)
-    return wv / (4 * r ** 1.5) - 3.0 * wz * zv / (16 * r ** 3.5)
-
-
 _MODEL = {"S": ("norm", 1.0), "H": ("sqrt_norm", 2.0 ** 0.25)}
 
 # step of the central differences in dtheta_fd and omega_closed_fd
@@ -286,28 +283,27 @@ def _model_coords(model, point):
 
 
 def omega_eval(model, point, v, w):
-    """Symplectic form on two (real) ambient tangents at a model point.
+    """Symplectic form -2 pref Im(w^t H conj(v)) on real ambient tangents at a
+    model point, H the complex Hessian of the model potential.
 
     Tangents are given in ambient coordinates (tuple coordinates for the
-    sphere model, matrix entries for the cotangent model).
+    sphere model, matrix entries for the cotangent model).  v and w are one
+    tangent each, which gives a float, or stacks of a and b tangents, which
+    give the (a, b) matrix of values.
     """
     mode, pref = _MODEL[model]
     z = _model_coords(model, point)
-    v = np.asarray(v, dtype=complex).ravel()
-    w = np.asarray(w, dtype=complex).ravel()
-    s = _hessian_pair(z, v, w, mode)
-    return -2.0 * pref * float(np.imag(s))
+    hess = complex_hessian_radial(z, mode)
+    vs = np.asarray(v, dtype=complex).reshape(-1, z.size)
+    ws = np.asarray(w, dtype=complex).reshape(-1, z.size)
+    om = -2.0 * pref * np.imag(np.conj(vs) @ hess.T @ ws.T)
+    return float(om[0, 0]) if np.size(v) == np.size(w) == z.size else om
 
 
 def oneform_potential(model, point, w):
     """i (del - delbar) of the model potential, evaluated on a real tangent."""
     mode, _ = _MODEL[model]
-    z = _model_coords(model, point)
-    w = np.asarray(w, dtype=complex).ravel()
-    r = np.linalg.norm(z)
-    wz = np.sum(w * np.conj(z))
-    d = wz / (2 * r) if mode == "norm" else wz / (4 * r ** 1.5)
-    return -2.0 * float(np.imag(d))
+    return -2.0 * float(np.imag(_del_f(mode, _model_coords(model, point), w)))
 
 
 def theta_s(bt, w_coords):
@@ -349,10 +345,7 @@ def hamilton_check(am, y_mat):
     """Residual of omega(Y, X) = Y(h) for the flow generator X = -2iA at an AMatrix."""
     x_flow = -2j * am.A
     lhs = omega_eval("H", am, y_mat, x_flow)
-    z = am.A.ravel()
-    r = np.linalg.norm(z)
-    w = np.asarray(y_mat, dtype=complex).ravel()
-    dh = 2.0 ** -0.75 * 2.0 * np.real(np.sum(w * np.conj(z)) / (4 * r ** 1.5))
+    dh = 2.0 ** -0.75 * 2.0 * float(np.real(_del_f("sqrt_norm", am.A, y_mat)))
     return abs(lhs - dh)
 
 
@@ -434,18 +427,13 @@ def beta_preimage(am):
     if pj < 1e-8:
         raise ArithmeticError("projector has no dominant diagonal entry")
     p = P[:, j] / pj
-    q = qmat_vec(Q, p)
+    q = qmat_mul(Q, p[:, None, :])[:, 0]
     pt = SphereCovector(p, q)
     bt = tau_s(pt)
     resid = fro_norm(beta_blocks(bt.B) - am.A)
     if resid > 1e-8 * max(1.0, am.norm):
         raise ArithmeticError("preimage reconstruction failed")
     return bt
-
-
-def qmat_vec(X, v):
-    """Quaternion matrix times quaternion vector: (X v)_i = sum_j X_ij v_j."""
-    return qmul(X, v[None, :, :]).sum(axis=1)
 
 
 def d_beta_blocks(b, v):
@@ -493,7 +481,7 @@ def det_theta_prime(bt):
     return np.linalg.det(mat)
 
 
-# ------------------------------------------------------ pfaffian and wedges
+# -------------------------------------------------------------- pfaffian
 
 def pfaffian(mat):
     """Pfaffian of an even skew-symmetric matrix by elimination with pivoting."""
@@ -521,18 +509,6 @@ def pfaffian(mat):
     return val
 
 
-def _subset_signs(mdim, k):
-    subs, signs, comps = [], [], []
-    for s in itertools.combinations(range(mdim), k):
-        comp = tuple(i for i in range(mdim) if i not in s)
-        perm = list(s) + list(comp)
-        inv = sum(1 for i in range(mdim) for j in range(i + 1, mdim) if perm[i] > perm[j])
-        subs.append(s)
-        comps.append(comp)
-        signs.append(-1.0 if inv % 2 else 1.0)
-    return subs, comps, signs
-
-
 # ----------------------------------------------------- constants recovery
 
 # Relates the implemented sphere orientation (outward normal first in the
@@ -542,16 +518,6 @@ def _subset_signs(mdim, k):
 # this one global flip is determined once from the n = 1 evaluation and
 # applies to b_S and (through the corollary) b_H together.
 VS_ORIENTATION_SIGN = -1.0
-
-
-def _omega_gram(model, point, basis):
-    mdim = len(basis)
-    w = np.zeros((mdim, mdim))
-    for i in range(mdim):
-        for j in range(i + 1, mdim):
-            w[i, j] = omega_eval(model, point, basis[i], basis[j])
-            w[j, i] = -w[i, j]
-    return w
 
 
 def _pair_matrix_det(ubasis, rbasis):
@@ -568,39 +534,32 @@ def recover_a_s(bt):
     rbasis = real_basis_from_complex(ubasis)
     c_sigma = sigma_s_eval(bt, list(ubasis))
     lhs = c_sigma * np.conj(c_sigma) * _pair_matrix_det(ubasis, rbasis)
-    w = _omega_gram("S", bt, list(rbasis))
-    omega_top = -pfaffian(w)  # Liouville sign convention of the sphere side
+    w = omega_eval("S", bt, rbasis, rbasis)
+    omega_top = -pfaffian(0.5 * (w - w.T))  # Liouville sign convention of the sphere side
     return complex(lhs / omega_top / bt.norm ** (4 * bt.n + 1))
 
 
 def recover_b_s(bt):
     """pullback(v_S) wedge conj(sigma_S) / Liouville, times |B|.
 
-    Both factor forms are precomputed on each basis vector and the wedge is
-    expanded over complementary index subsets with batched determinants.
+    On the real basis of 2k = 8n + 6 tangents the wedge is one 8m x 8m
+    determinant, (-1)^k det [[p, 0, Pdot], [0, conj(Z), conj(C)]] /
+    conj((2i)^(2n+2)): Pdot holds the p-parts of d tau_S^-1 on the basis, C
+    the basis as ambient coordinates and Z is :func:`z_field`.  Its Laplace
+    expansion along the first 4m rows is the sum over complementary index
+    subsets of v_S times conj(sigma_S).
     """
     ubasis = tangent_basis_et_s(bt)
-    rbasis = list(real_basis_from_complex(ubasis))
-    mdim = len(rbasis)
-    k = mdim // 2
-    n = bt.n
+    rbasis = real_basis_from_complex(ubasis)
+    k, dim = ubasis.shape
     p, q = _tau_s_inv_core(bt.B)
-    pdots = np.array([d_tau_s_inv(p, q, v)[0].ravel() for v in rbasis])  # (mdim, 4m) real
-    zvec = z_field(bt)
-    cols_c = np.array([np.asarray(v, dtype=complex).ravel() for v in rbasis])
-
-    subs, comps, signs = _subset_signs(mdim, k)
-    nsub = len(subs)
-    vol_mats = np.empty((nsub, k + 1, k + 1))
-    sig_mats = np.empty((nsub, k + 1, k + 1), dtype=complex)
-    for idx, (s, comp) in enumerate(zip(subs, comps)):
-        vol_mats[idx] = np.column_stack([p.ravel()] + [pdots[i] for i in s])
-        sig_mats[idx] = np.column_stack([zvec] + [cols_c[i] for i in comp])
-    vol_vals = np.linalg.det(vol_mats)
-    sig_vals = np.conj(np.linalg.det(sig_mats) / (2j) ** (2 * n + 2))
-    lhs = np.sum(np.asarray(signs) * vol_vals * sig_vals)
-    w = _omega_gram("S", bt, rbasis)
-    omega_top = -pfaffian(w)
+    pdots = np.array([d_tau_s_inv(p, q, v)[0].ravel() for v in rbasis])
+    zero = np.zeros((dim, 1))
+    mat = np.block([[p.reshape(dim, 1), zero, pdots.T],
+                    [zero, np.conj(z_field(bt))[:, None], np.conj(rbasis).T]])
+    lhs = (-1) ** k * np.linalg.det(mat) / np.conj((2j) ** (2 * bt.n + 2))
+    w = omega_eval("S", bt, rbasis, rbasis)
+    omega_top = -pfaffian(0.5 * (w - w.T))
     return complex(lhs / omega_top * bt.norm)
 
 
@@ -612,17 +571,19 @@ def recover_a_h(seed_pt):
     rbasis = real_basis_from_complex(ubasis)
     c_sigma = sigma_h_eval(am, list(ubasis), bt=bt)
     lhs = c_sigma * np.conj(c_sigma) * _pair_matrix_det(ubasis, rbasis)
-    w = _omega_gram("H", am, [b.ravel() for b in rbasis])
-    omega_top = pfaffian(w)
+    w = omega_eval("H", am, rbasis, rbasis)
+    omega_top = pfaffian(0.5 * (w - w.T))
     return complex(lhs / omega_top / am.norm ** (2 * am.n + 2))
 
 
 def recover_constants(n, rng, npoints=6, det_points=100):
     """Numerically recover the five pairing constants.
 
-    a_S, b_S, det(theta'(Y)) at n = 1 only (top-degree wedge economics);
-    a_H for the requested n; b_H by the corollary substitution.  Returns a
-    dict with values and observed spreads.
+    det(theta'(Y)) and a_H at the requested n; a_S, b_S and, by the
+    corollary substitution, b_H at n = 1 only: their points are drawn from
+    the caller's generator, so recovering them at other n too would move
+    every later draw of a fixed-seed caller.  Returns a dict with values and
+    observed spreads.
     """
     out = {}
     if n == 1:
@@ -678,14 +639,10 @@ def hopf_pushforward_check(n, nsamples, rng):
     m = n + 1
     worst = 0.0
     for _ in range(nsamples):
-        p = sphere_uniform(4 * m - 1, rng).reshape(m, 4)
-        vs = sp1_orbit_frame(p)[1:]  # V_j(p) = p e_j, unit tangents along the fiber
-        for i, vi in enumerate(vs):
-            if abs(float(np.sum(vi * p))) > worst:
-                worst = abs(float(np.sum(vi * p)))
-            for j, vj in enumerate(vs):
-                target = 1.0 if i == j else 0.0
-                resid = abs(float(np.sum(vi * vj)) - target)
-                worst = max(worst, resid)
+        p = sphere_uniform(4 * m - 1, rng)
+        # rows V_j(p) = p e_j, the unit tangents along the fiber
+        frame = sp1_orbit_frame(p.reshape(m, 4))[1:].reshape(3, -1)
+        worst = max(worst, float(np.abs(frame @ p).max()),
+                    float(np.abs(frame @ frame.T - np.eye(3)).max()))
     vol_resid = abs(vol_sphere(4 * n + 3) - 2.0 * math.pi ** 2 * vol_pnh(n))
     return {"duality_residual": worst, "volume_residual": vol_resid}

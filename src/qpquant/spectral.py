@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import qconj, qmul, rho
+from .algebra import qmul, rho
 from .numerics import sphere_uniform
 from .spaces import AMatrix, _block_factors, in_amatrix_space
 
@@ -65,38 +65,35 @@ def sphere_descent_residual(n, l):
     return eigenvalue(n, l) - k * (k + 4 * n + 2)
 
 
-def pair_projector_amatrix(p, a):
-    """<(p_i theta(p_j)), A>_C for sphere points p, one or a batch (N, m, 4).
+def pair_projector_amatrix(p, a, q=None):
+    """<(p_i theta(q_j)), A>_C for points p and q (q = p by default), one or a
+    batch (N, m, 4) of the same shape.
 
     A is either one fixed matrix or a batch (N, 2m, 2m) paired row by row
     with the batch of p.  Uses the factorization rho(P) = Phat Qhat with
-    Phat the stacked 2x2 blocks rho(p_i) and Qhat their adjugates, so the
-    pairing is the 2x2 trace tr(Qhat A Phat)/2 -- O(m^2) per point.
+    Phat the stacked 2x2 blocks rho(p_i) and Qhat the adjugates of rho(q_j),
+    so the pairing is the 2x2 trace tr(Qhat A Phat)/2 -- O(m^2) per point.
+    With q = p it is <P(p), A>, P(p) the projector of p.
     """
     p = np.asarray(p, dtype=float)
     batched = p.ndim == 3
     if not batched:
         p = p[None]
-    phat, qhat = _block_factors(rho(p))
+    rq = None if q is None else rho(np.reshape(q, p.shape))
+    phat, qhat = _block_factors(rho(p), rq)
     out = 0.5 * np.einsum("nab,nba->n", qhat @ np.asarray(a), phat)
     return out if batched else out[0]
 
 
 def quad_form_matrix(a):
-    """Complex symmetric M with <(p_i theta(p_j)), A>_C = p^t M p, p in R^(4m)."""
+    """Complex symmetric M with <(p_i theta(p_j)), A>_C = p^t M p, p in R^(4m):
+    the symmetrised pairing <(e_a theta(e_b)), A>_C of all basis pairs."""
     a = np.asarray(a, dtype=complex)
-    m = a.shape[0] // 2
-    dim = 4 * m
-    basis = np.eye(dim).reshape(dim, m, 4)
-    diag = pair_projector_amatrix(basis, a)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim):
-        mat[i, i] = diag[i]
-    for i in range(dim):
-        sums = pair_projector_amatrix(basis[i][None] + basis[i + 1:], a)
-        for k, j in enumerate(range(i + 1, dim)):
-            mat[i, j] = mat[j, i] = 0.5 * (sums[k] - diag[i] - diag[j])
-    return mat
+    dim = 2 * a.shape[0]
+    basis = np.eye(dim).reshape(dim, dim // 4, 4)
+    pairs = pair_projector_amatrix(np.repeat(basis, dim, axis=0), a,
+                                   np.tile(basis, (dim, 1, 1))).reshape(dim, dim)
+    return 0.5 * (pairs + pairs.T)
 
 
 def harmonicity_certificate(a):
@@ -148,15 +145,8 @@ def sp1_invariance_residual(a, nsamples, rng):
 
 def mixed_term_noninvariance(p, q, a, r):
     """Comparator: <(p_i theta(q_j)), A> with only p rotated is not invariant."""
-    a = np.asarray(a, dtype=complex)
-
-    def mixed(pv, qv):
-        from .algebra import complexify
-        mat = qmul(pv[:, None, :].astype(complex), qconj(qv)[None, :, :].astype(complex))
-        return 0.5 * np.trace(complexify(mat) @ a)
-
     pr = qmul(p, np.broadcast_to(r, p.shape))
-    return abs(mixed(pr, q) - mixed(p, q))
+    return abs(pair_projector_amatrix(pr, a, q) - pair_projector_amatrix(p, a, q))
 
 
 @dataclass(frozen=True)

@@ -57,9 +57,23 @@ def test_exit_codes():
     assert overflow.returncode == 2 and overflow.stdout == ""
     assert "configuration error:" in overflow.stderr and "l=79" in overflow.stderr
     assert run_cli(["constants", "--n", "1", "--l-range", "78..78"]).returncode == 0
+    # constants and kernel take only the options they read
+    for cmd in (["constants", "--samples", "5"], ["kernel", "--format", "csv"]):
+        unread = run_cli(cmd)
+        assert unread.returncode == 2 and "unrecognized arguments" in unread.stderr
     bad_env = run_cli(["verify", "--suite", "algebra"], env_extra={"QPQUANT_SEED": "abc"})
     assert bad_env.returncode == 2
     assert "configuration error: QPQUANT_SEED='abc' is not a valid int" in bad_env.stderr
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_quantization_suite_passes_beyond_n2(n):
+    # the exactly constant l = 0 moment meets its closed form at a few ulps
+    res = run_cli(["verify", "--suite", "quantization", "--seed", "42", "--n", str(n)])
+    assert res.returncode == 0
+    rep = json.loads(res.stdout)
+    l0 = next(c for c in rep["checks"] if c["id"] == "moment-mc-l0")
+    assert l0["stderr"] == 0.0 and l0["tolerance"] == 1e-14 * abs(l0["expected"])
 
 
 def test_deterministic_reports(tmp_path):

@@ -1,5 +1,6 @@
 """Forms, potentials, flows, and the volume-ratio constants."""
 
+import itertools
 import math
 
 import numpy as np
@@ -100,6 +101,18 @@ def test_omega_antisymmetry_and_hamilton(rng):
         assert abs(geo.omega_eval("H", am, v, w) + geo.omega_eval("H", am, w, v)) <= 1e-12
         for y in basis:
             assert geo.hamilton_check(am, y) <= 1e-8
+    # stacked tangents give the matrix of the pairwise values
+    bt = sp.tau_s(pt)
+    for model, point, basis in (
+            ("H", am, basis),
+            ("S", bt, geo.real_basis_from_complex(geo.tangent_basis_et_s(bt)))):
+        gram = geo.omega_eval(model, point, basis, basis)
+        pairwise = [[geo.omega_eval(model, point, v, w) for w in basis] for v in basis]
+        assert gram.shape == (len(basis), len(basis))
+        assert np.abs(gram - pairwise).max() <= 1e-14
+        assert np.abs(gram + gram.T).max() <= 1e-14
+        assert np.abs(geo.omega_eval(model, point, basis[:3], basis[2]).ravel()
+                      - gram[:3, 2]).max() <= 1e-14
 
 
 def test_dtheta_matches_omega_fd(rng):
@@ -203,6 +216,34 @@ def test_recovered_constants(rng):
     assert abs(cons["b_H"] - (-1.0 / (math.sqrt(2.0) * math.pi ** 2))) <= 1e-6
     cons2 = geo.recover_constants(2, rng, npoints=3, det_points=8)
     assert abs(cons2["a_H"] - 1.0) <= 1e-6
+
+
+def test_recover_b_s_is_the_subset_laplace_expansion(rng):
+    # reference: v_S wedge conj(sigma_S) expanded over all C(14, 7) pairs of
+    # complementary index subsets of the real basis, Liouville from pairwise omega
+    bt = sp.tau_s(horizontal_point(rng))
+    rbasis = geo.real_basis_from_complex(geo.tangent_basis_et_s(bt))
+    mdim = len(rbasis)
+    k = mdim // 2
+    pq = sp.tau_s_inv(bt)
+    p = pq.p
+    pdots = [geo.d_tau_s_inv(pq.p, pq.q, v)[0].ravel() for v in rbasis]
+    zvec = geo.z_field(bt)
+    lhs = 0.0
+    for s in itertools.combinations(range(mdim), k):
+        comp = [i for i in range(mdim) if i not in s]
+        perm = list(s) + comp
+        inv = sum(1 for i in range(mdim) for j in range(i + 1, mdim) if perm[i] > perm[j])
+        vol = np.linalg.det(np.column_stack([p.ravel()] + [pdots[i] for i in s]))
+        sig = np.linalg.det(np.column_stack([zvec] + [rbasis[i] for i in comp])) / (2j) ** 4
+        lhs += (-1) ** inv * vol * np.conj(sig)
+    w = np.array([[geo.omega_eval("S", bt, v, u) for u in rbasis] for v in rbasis])
+    ref = lhs / -geo.pfaffian(np.triu(w, 1) - np.triu(w, 1).T) * bt.norm
+    assert abs(geo.recover_b_s(bt) - ref) <= 1e-12 * abs(ref)
+    assert abs(abs(ref) - 1.0) <= 1e-10
+    # at n = 2 the expansion would take C(22, 11) = 705,432 determinants
+    bt2 = sp.tau_s(horizontal_point(rng, n=2))
+    assert abs(abs(geo.recover_b_s(bt2)) - 1.0) <= 1e-10
 
 
 def test_corollary_substitution_identity():

@@ -76,6 +76,7 @@ def test_quad_form_matches_pairing(rng):
     direct = spec.pair_projector_amatrix(pts, a)
     via_m = np.einsum("ni,ij,nj->n", pts.reshape(1000, 8), m, pts.reshape(1000, 8))
     assert np.abs(direct - via_m).max() < 1e-12 * max(1.0, np.abs(direct).max())
+    assert np.array_equal(m, m.T)
     # the canonical pairing: <P, A0> = (|p0|^2 - |p1|^2) + 2i (p0, p1)_E
     p = rng.standard_normal((2, 4))
     val = spec.pair_projector_amatrix(p, a)
@@ -93,6 +94,22 @@ def test_pairing_batched_amatrix_matches_fixed(rng):
     rep = spec.pair_projector_amatrix(pts, np.broadcast_to(amats[0], amats.shape))
     assert np.abs(rep - spec.pair_projector_amatrix(pts, amats[0])).max() \
         <= 1e-14 * np.abs(rep).max()
+
+
+def test_polarized_pairing_matches_complexified_product(rng):
+    from qpquant.algebra import complexify, qconj, qmul
+    amats = np.stack([sp.tau_h(sp.random_eh(2, 1.3, rng)).A for _ in range(20)])
+    pts, qts = rng.standard_normal((2, 20, 3, 4))
+    batched = spec.pair_projector_amatrix(pts, amats, qts)
+    for p, q, a, val in zip(pts, qts, amats, batched):
+        # complexify(p_i theta(q_j)) has the blocks rho(p_i) adj(rho(q_j))
+        mixed = complexify(qmul(p[:, None, :], qconj(q)[None, :, :]))
+        direct = 0.5 * np.trace(mixed @ a)
+        assert abs(val - direct) <= 1e-13 * max(1.0, abs(direct))
+        assert spec.pair_projector_amatrix(p, a, q) == val
+    # q = p is the projector pairing
+    assert np.array_equal(spec.pair_projector_amatrix(pts, amats, pts),
+                          spec.pair_projector_amatrix(pts, amats))
 
 
 def test_harmonicity_certificate_canonical_and_random(rng):
@@ -120,6 +137,7 @@ def test_negative_control_violating_membership(rng):
     bad = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     bad = bad + bad.T  # symmetric but no quaternionic structure
     m = spec.quad_form_matrix(bad)
+    assert np.array_equal(m, m.T)
     resid = float(np.sqrt(np.sum(np.abs(m @ m) ** 2))) / max(1.0, np.abs(m).max()) ** 2
     assert abs(np.trace(m)) > 1e-2 or resid > 1e-2
     with pytest.raises(ValueError):
