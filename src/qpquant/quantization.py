@@ -29,7 +29,7 @@ from .numerics import (
     vol_sphere,
 )
 from .spaces import beta_blocks, sp1_orbit_frame
-from .spectral import dim_eigenspace, pair_projector_amatrix
+from .spectral import _pair_projector_fiber, _quad_values, dim_eigenspace, quad_form_matrix
 
 __all__ = [
     "A_H_CONST",
@@ -219,18 +219,24 @@ def _unit_covectors(dirs, rng):
 
 
 def _beta_tau_s_unit(p, q):
-    """beta(tau_s(p, q)) for batched unit covectors q at base points p.
+    """beta(tau_s(p, q)) = beta(rho(z)), z = p + i q, for batched unit
+    covectors q at base points p.
 
     On horizontal covectors this is tau_h(alpha(p, q)), the commuting
-    square, so it is the one fiber-matrix sampler of every oracle.
+    square.  It is the one place that forms the fiber matrix A-hat, for
+    integrands given as functions of a matrix (t_apply's g); every other
+    oracle pairs the fiber point z directly, through
+    <P(p), beta(rho(z))>_C = sum_a <p, z>_H,a^2 and
+    <beta(rho(z)), A_k>_C = z^t M_k z.
     """
     return beta_blocks(rho(p + 1j * q))  # |q| = 1
 
 
-def _unit_fiber_amatrices(p, rng, size):
-    """tau_h(alpha(p, q)) for uniform unit horizontal covectors q at p."""
+def _unit_fiber_points(p, rng, size):
+    """z = p + i q for uniform unit horizontal covectors q at p, so that
+    beta(rho(z)) = tau_h(alpha(p, q))."""
     p = np.broadcast_to(p, (size,) + p.shape[-2:])
-    return _beta_tau_s_unit(p, _unit_covectors(sp1_orbit_frame(p), rng))
+    return p + 1j * _unit_covectors(sp1_orbit_frame(p), rng)
 
 
 def b_coeff_mc(n, l, config):
@@ -241,8 +247,8 @@ def b_coeff_mc(n, l, config):
     def batch(rng, size):
         pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
         base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        ahat = _unit_fiber_amatrices(base, rng, size)
-        return np.abs(pair_projector_amatrix(pts, ahat)) ** (2 * l)
+        z = _unit_fiber_points(base, rng, size)
+        return np.abs(_pair_projector_fiber(pts, z)) ** (2 * l)
 
     scale = math.exp(log_radial_gg(n, 2 * l)) * vol_pnh(n) ** 2 * vol_sphere(4 * n - 1) / dim
     return mc_mean(batch, config).scaled(scale)
@@ -383,7 +389,8 @@ def t_apply(g, p_prime, n, config, homogeneous_degree):
     p_prime = np.asarray(p_prime, dtype=float)
 
     def batch(rng, size):
-        return g(_unit_fiber_amatrices(p_prime, rng, size))
+        z = _unit_fiber_points(p_prime, rng, size)
+        return g(_beta_tau_s_unit(z.real, z.imag))
 
     return mc_mean(batch, config).scaled(_t_apply_scale(n, homogeneous_degree))
 
@@ -393,8 +400,8 @@ def t_apply_eigenfunction(phi, p_prime, config, flow_t=None):
 
     Evaluates the double integral (base x fiber) as a single joint MC with
     the radial direction exact.  With ``flow_t`` the integrand is composed
-    with the classical flow A -> e^(-2it) A and the half-density phase
-    e^(-it(2n+1)) is attached.
+    with the classical flow A -> e^(-2it) A, which multiplies the pairing
+    by e^(-2it), and the half-density phase e^(-it(2n+1)) is attached.
     """
     n, l = phi.n, phi.l
     m = n + 1
@@ -405,11 +412,10 @@ def t_apply_eigenfunction(phi, p_prime, config, flow_t=None):
 
     def batch(rng, size):
         pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        ahat = _unit_fiber_amatrices(p_prime, rng, size)
+        pair = _pair_projector_fiber(pts, _unit_fiber_points(p_prime, rng, size))
         if flow_t is not None:
-            ahat = np.exp(-2j * flow_t) * ahat
-        pair = pair_projector_amatrix(pts, ahat) ** l
-        return phi.eval_sphere(pts) * pair
+            pair = np.exp(-2j * flow_t) * pair
+        return phi.eval_sphere(pts) * pair ** l
 
     return mc_mean(batch, config).scaled(_t_apply_scale(n, l) * vol_pnh(n) * phase)
 
@@ -423,9 +429,8 @@ def t_tilde_apply_eigenfunction(phi, p_prime, config):
     def batch(rng, size):
         pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
         base = np.broadcast_to(p_prime, (size, m, 4))
-        amats = _beta_tau_s_unit(base, _unit_covectors(base[None], rng))
-        pair = pair_projector_amatrix(pts, amats) ** l
-        return phi.eval_sphere(pts) * pair
+        z = base + 1j * _unit_covectors(base[None], rng)
+        return phi.eval_sphere(pts) * _pair_projector_fiber(pts, z) ** l
 
     scale = (vol_pnh(n) * vol_sphere(4 * n + 2) * math.sqrt(abs(B_S_CONST))
              * 2.0 ** -0.5 * gamma_radial(2 * l + 4 * n + 1.5, 2 * math.pi))
@@ -482,18 +487,19 @@ def kernel_diag(n, norm_a, lmax):
     return value, tail
 
 
-def pairing_gg_mc(fa_hat, fb_hat, homogeneity, n, config):
+def pairing_gg_mc(fa_z, fb_z, homogeneity, n, config):
     """MC of the weighted holomorphic pairing <f, g> for fiber-homogeneous
     integrand fa(A) conj(fb(A)) of total flat-coordinate homogeneity 2k.
 
-    ``fa_hat``/``fb_hat`` take batched unit-fiber matrices.
+    ``fa_z``/``fb_z`` take batched unit-fiber points z, (N, n+1, 4) complex,
+    standing for A-hat = beta(rho(z)); <A-hat, A_k>_C = z^t M_k z.
     """
     m = n + 1
 
     def batch(rng, size):
         base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        ahat = _unit_fiber_amatrices(base, rng, size)
-        return fa_hat(ahat) * np.conj(fb_hat(ahat))
+        z = _unit_fiber_points(base, rng, size)
+        return fa_z(z) * np.conj(fb_z(z))
 
     scale = math.exp(log_radial_gg(n, homogeneity)) * vol_pnh(n) * vol_sphere(4 * n - 1)
     return mc_mean(batch, config).scaled(scale)
@@ -504,14 +510,29 @@ def orthogonality_check(n, l, lp, config, rng):
     from .spaces import random_eh, tau_h
     a1 = tau_h(random_eh(n, math.sqrt(2.0), rng)).A
     a2 = tau_h(random_eh(n, math.sqrt(2.0), rng)).A
-    return pairing_gg_mc(lambda a: cbilinear(a, a1) ** l, lambda a: cbilinear(a, a2) ** lp,
+    form1, form2 = quad_form_matrix(a1)[None], quad_form_matrix(a2)[None]
+    return pairing_gg_mc(lambda z: _quad_values(z, form1)[:, 0] ** l,
+                         lambda z: _quad_values(z, form2)[:, 0] ** lp,
                          l + lp, n, config)
 
 
 def _test_function(c0, amats, coeffs):
-    """f = c0 + sum_k c_k <., A_k>_C, evaluated at one matrix or a batch."""
+    """f = c0 + sum_k c_k <., A_k>_C, the one evaluator of the kernel test function.
+
+    f takes one matrix of the cotangent model, or a batch of fiber points z
+    (N, n+1, 4) standing for beta(rho(z)), where it is c0 + sum_k c_k
+    z^t M_k z with M_k = quad_form_matrix(A_k).
+    """
     terms = list(zip(coeffs, amats))
-    return lambda a: c0 + sum(c * cbilinear(a, amat) for c, amat in terms)
+    forms = np.stack([quad_form_matrix(a) for a in amats])
+    c = np.asarray(coeffs)
+
+    def f(x):
+        if np.shape(x)[-2:] == np.shape(amats[0]):
+            return c0 + sum(ck * cbilinear(x, amat) for ck, amat in terms)
+        return c0 + _quad_values(x, forms) @ c
+
+    return f
 
 
 def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
@@ -523,16 +544,17 @@ def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
     m = n + 1
     f = _test_function(complex(c0), phi1_amats, phi1_coeffs)
     f_at_aprime = f(a_prime)
+    form_pr = quad_form_matrix(a_prime)[None]
 
     logb = [log_b_coeff(n, 0), log_b_coeff(n, 1)]
 
     def batch(rng, size):
         pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
         base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        ahat = _unit_fiber_amatrices(base, rng, size)
-        pair_hat = pair_projector_amatrix(pts, ahat)     # <P, Ahat>
-        pair_pr = pair_projector_amatrix(pts, a_prime)   # <P, A'>
-        f_hat = f(ahat)                             # f on the unit fiber
+        z = _unit_fiber_points(base, rng, size)
+        pair_hat = _pair_projector_fiber(pts, z)        # <P, Ahat>
+        pair_pr = _quad_values(pts, form_pr)[:, 0]      # <P, A'>
+        f_hat = f(z)                                # f on the unit fiber
         fconst = complex(c0)
         fquad = f_hat - fconst                      # the homogeneity-2 part
         out = 0.0
@@ -551,11 +573,11 @@ def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
 def kernel_norm_bound_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
     """Check |f(A')| <= sqrt(R(A', A')) ||f|| for f = c0 + linear part."""
     a_prime = np.asarray(a_prime, dtype=complex)
-    f1_hat = _test_function(0.0, phi1_amats, phi1_coeffs)   # the linear part of f
-    f_at_aprime = complex(c0) + f1_hat(a_prime)
+    f1 = _test_function(0.0, phi1_amats, phi1_coeffs)   # the linear part of f
+    f_at_aprime = complex(c0) + f1(a_prime)
     diag, _ = kernel_diag(n, fro_norm(a_prime), lmax=30)
 
-    norm1_sq = pairing_gg_mc(f1_hat, f1_hat, 2, n, config)
+    norm1_sq = pairing_gg_mc(f1, f1, 2, n, config)
     norm0_sq = abs(c0) ** 2 * b_coeff(n, 0) / vol_pnh(n)
     fnorm_sq = norm0_sq + norm1_sq.value.real
     bound = math.sqrt(diag) * math.sqrt(max(fnorm_sq, 0.0))

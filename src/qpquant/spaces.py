@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -402,6 +403,17 @@ def sp1_orbit_frame(p):
     """
     p = np.asarray(p)
     return np.moveaxis(p[..., _FRAME_INDEX] * _FRAME_SIGN, -2, 0)
+
+
+@cache
+def _orbit_frame_matrix(m):
+    """The orbit frame as one real (4m, 4 * 4m) matrix: row k of
+    ``(p.reshape(-1, 4m) @ F).reshape(-1, 4, 4m)`` is p e_k.  Built once per
+    size and read-only."""
+    frame = sp1_orbit_frame(np.eye(4 * m).reshape(4 * m, m, 4))
+    out = np.ascontiguousarray(np.moveaxis(frame, 0, 1).reshape(4 * m, 16 * m))
+    out.flags.writeable = False
+    return out
 
 
 def random_es0(n, qnorm_val, rng):

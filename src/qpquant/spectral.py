@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import qmul, rho
 from .numerics import sphere_uniform
-from .spaces import AMatrix, _block_factors, in_amatrix_space
+from .spaces import AMatrix, _block_factors, _orbit_frame_matrix, in_amatrix_space
 
 __all__ = [
     "HlFunction",
@@ -73,9 +74,10 @@ def pair_projector_amatrix(p, a, q=None):
     with the batch of p.  Uses the factorization rho(P) = Phat Qhat with
     Phat the stacked 2x2 blocks rho(p_i) and Qhat the adjugates of rho(q_j),
     so the pairing is the 2x2 trace tr(Qhat A Phat)/2 -- O(m^2) per point.
-    With q = p it is <P(p), A>, P(p) the projector of p.
+    With q = p it is <P(p), A>, P(p) the projector of p.  Complex points
+    give the complex-bilinear extension, p^t M p with M = quad_form_matrix(A).
     """
-    p = np.asarray(p, dtype=float)
+    p = np.asarray(p)
     batched = p.ndim == 3
     if not batched:
         p = p[None]
@@ -83,6 +85,28 @@ def pair_projector_amatrix(p, a, q=None):
     phat, qhat = _block_factors(rho(p), rq)
     out = 0.5 * np.einsum("nab,nba->n", qhat @ np.asarray(a), phat)
     return out if batched else out[0]
+
+
+def _pair_projector_fiber(p, z):
+    """<P(p), beta(rho(z))>_C for points p and fiber points z, both (N, m, 4),
+    without forming either matrix.
+
+    beta(rho(z)) has the blocks rho(z_i theta(z_j)), so the pairing is
+    sum_a w_a^2 with w = <p, z>_H = sum_i theta(p_i) z_i in H (x) C, whose
+    components are w_k = (p e_k).z up to sign: one product with the cached
+    orbit-frame matrix and two row contractions.
+    """
+    size, m = p.shape[0], p.shape[-2]
+    frames = (p.reshape(size, 4 * m) @ _orbit_frame_matrix(m)).reshape(size, 4, 4 * m)
+    w = np.einsum("nkj,nj->nk", frames, z.reshape(size, 4 * m))
+    return np.einsum("nk,nk->n", w, w)
+
+
+def _quad_values(x, forms):
+    """x^t M_k x for one point x (m, 4) or a batch (N, m, 4), real or complex,
+    and stacked forms M_k (K, 4m, 4m): shape (K,) or (N, K)."""
+    flat = np.reshape(x, np.shape(x)[:-2] + (-1,))
+    return np.einsum("k...j,...j->...k", flat @ forms, flat)
 
 
 def quad_form_matrix(a):
@@ -158,12 +182,16 @@ class HlFunction:
     amats: tuple
     coeffs: tuple
 
+    @cached_property
+    def _forms(self):
+        # the stacked quad_form_matrix(A_k), built on first use; not a field,
+        # so equality and repr see only the generators
+        return np.stack([quad_form_matrix(a) for a in self.amats])
+
     def eval_sphere(self, p):
-        """Evaluate at sphere points p of shape (..., n+1, 4)."""
-        vals = 0.0
-        for c, a in zip(self.coeffs, self.amats):
-            vals = vals + c * pair_projector_amatrix(p, a) ** self.l
-        return vals
+        """sum_k c_k (p^t M_k p)^l at one sphere point p (n+1, 4), a scalar,
+        or a batch (N, n+1, 4)."""
+        return _quad_values(p, self._forms) ** self.l @ np.asarray(self.coeffs)
 
 
 def random_hl_function(n, l, k, rng):

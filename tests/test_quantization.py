@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from qpquant import algebra as alg
 from qpquant import quantization as qz
 from qpquant import spaces as sp
 from qpquant import spectral as spl
-from qpquant.numerics import MCConfig, sphere_uniform
+from qpquant.numerics import MCConfig, gamma_radial, mc_mean, sphere_uniform, vol_sphere
 
 
 def test_weights_reduce_on_the_fiber():
@@ -140,6 +141,101 @@ def test_fiber_sampler_is_the_commuting_square(rng):
             assert sp.in_sphere_covector0(pt) and abs(np.sum(q_k ** 2) - 1.0) < 1e-14
             ref = sp.tau_h(sp.alpha(pt)).A
             assert np.abs(a_k - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_matrix_free_pairing_is_the_matrix_pairing(rng):
+    # <P(p), beta(rho(z))>_C = sum_a <p, z>_H,a^2 without forming beta(rho(z)):
+    # horizontal q (T), full-sphere q (T~) and arbitrary complex z
+    size = 256
+    for n in (1, 2, 3):
+        m = n + 1
+        pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
+        base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
+        horizontal = qz._unit_covectors(sp.sp1_orbit_frame(base), rng)
+        full = qz._unit_covectors(base[None], rng)
+        generic = rng.standard_normal((2, size, m, 4))
+        for z in (base + 1j * horizontal, base + 1j * full, generic[0] + 1j * generic[1]):
+            ref = spl.pair_projector_amatrix(pts, sp.beta_blocks(alg.rho(z)))
+            got = spl._pair_projector_fiber(pts, z)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _matrix_route_fiber(p, rng, size):
+    """A-hat = beta(rho(p + i q)) at uniform unit horizontal q, as a matrix."""
+    p = np.broadcast_to(p, (size,) + p.shape[-2:])
+    q = qz._unit_covectors(sp.sp1_orbit_frame(p), rng)
+    return sp.beta_blocks(alg.rho(p + 1j * q))
+
+
+def _matrix_route_phi(phi, pts):
+    return sum(c * spl.pair_projector_amatrix(pts, a) ** phi.l
+               for c, a in zip(phi.coeffs, phi.amats))
+
+
+def test_matrix_free_oracles_keep_the_matrix_route_draws(rng):
+    # the fiber oracles pair fiber points z directly; the matrix route they
+    # replaced, written out here, gives the same estimate from the same draws
+    n, m, l = 1, 2, 1
+    cfg = MCConfig(samples=8192, seed=4242)
+    phi = spl.random_hl_function(n, l, 2, rng)
+    pprime = sp.random_es0(n, 1.0, rng).p
+    a1 = sp.tau_h(sp.random_eh(n, math.sqrt(2.0), rng)).A
+    aprime = sp.tau_h(sp.random_eh(n, math.sqrt(2.0), rng)).A
+    c0, c1 = 0.7, 0.4 - 0.3j
+
+    def b_batch(rng, size):
+        pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
+        base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
+        ahat = _matrix_route_fiber(base, rng, size)
+        return np.abs(spl.pair_projector_amatrix(pts, ahat)) ** (2 * l)
+
+    def t_batch(flow_t):
+        def batch(rng, size):
+            pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
+            ahat = _matrix_route_fiber(pprime, rng, size)
+            if flow_t is not None:
+                ahat = np.exp(-2j * flow_t) * ahat
+            return _matrix_route_phi(phi, pts) * spl.pair_projector_amatrix(pts, ahat) ** l
+        return batch
+
+    def t_tilde_batch(rng, size):
+        pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
+        base = np.broadcast_to(pprime, (size, m, 4))
+        ahat = sp.beta_blocks(alg.rho(base + 1j * qz._unit_covectors(base[None], rng)))
+        return _matrix_route_phi(phi, pts) * spl.pair_projector_amatrix(pts, ahat) ** l
+
+    def kernel_batch(rng, size):
+        pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
+        base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
+        ahat = _matrix_route_fiber(base, rng, size)
+        core = np.conj(spl.pair_projector_amatrix(pts, ahat)) \
+            * spl.pair_projector_amatrix(pts, aprime)
+        fquad = c1 * alg.cbilinear(ahat, a1)
+        radial = [math.exp(qz.log_radial_gg(n, k)) for k in range(3)]
+        return (math.exp(-qz.log_b_coeff(n, 0)) * (c0 * radial[0] + fquad * radial[1])
+                + math.exp(-qz.log_b_coeff(n, 1)) * (c0 * core * radial[1]
+                                                    + fquad * core * radial[2]))
+
+    t_scale = qz._t_apply_scale(n, l) * qz.vol_pnh(n)
+    flow_phase = np.exp(-1j * 0.7 * (2 * n + 1))
+    tilde_scale = (qz.vol_pnh(n) * vol_sphere(4 * n + 2) * math.sqrt(abs(qz.B_S_CONST))
+                   * 2.0 ** -0.5 * gamma_radial(2 * l + 4 * n + 1.5, 2.0 * math.pi))
+    cases = [
+        (qz.b_coeff_mc(n, l, cfg), b_batch,
+         math.exp(qz.log_radial_gg(n, 2 * l)) * qz.vol_pnh(n) ** 2 * vol_sphere(4 * n - 1)
+         / spl.dim_eigenspace(n, l)),
+        (qz.t_apply_eigenfunction(phi, pprime, cfg), t_batch(None), t_scale),
+        (qz.t_apply_eigenfunction(phi, pprime, cfg, flow_t=0.7), t_batch(0.7),
+         t_scale * flow_phase),
+        (qz.t_tilde_apply_eigenfunction(phi, pprime, cfg), t_tilde_batch, tilde_scale),
+        (qz.kernel_reproduce_check(c0, [a1], [c1], aprime, n, cfg)[1], kernel_batch,
+         qz.vol_pnh(n) ** 2 * vol_sphere(4 * n - 1)),
+    ]
+    for got, batch, scale in cases:
+        ref = mc_mean(batch, cfg).scaled(scale)
+        assert got.samples == ref.samples
+        assert abs(got.value - ref.value) <= 1e-12 * abs(ref.value)
+        assert abs(got.stderr - ref.stderr) <= 1e-12 * ref.stderr
 
 
 def test_operator_identity_t(rng):

@@ -1,5 +1,7 @@
 """Eigenspace dimensions, eigenvalues, harmonicity and invariance certificates."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -165,3 +167,42 @@ def test_random_hl_functions_evaluate(rng):
     vals = f.eval_sphere(pts)
     assert vals.shape == (50,)
     assert np.all(np.isfinite(vals))
+
+
+def test_pairing_of_complex_points_is_the_bilinear_extension(rng):
+    from qpquant.algebra import cbilinear, rho
+    for n in (1, 2):
+        m = n + 1
+        a = sp.tau_h(sp.random_eh(n, 1.3, rng)).A
+        form = spec.quad_form_matrix(a)
+        z = rng.standard_normal((20, m, 4)) + 1j * rng.standard_normal((20, m, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = spec.pair_projector_amatrix(z, a)
+            single = spec.pair_projector_amatrix(z[0], a)
+        flat = z.reshape(20, 4 * m)
+        via_form = np.einsum("ni,ij,nj->n", flat, form, flat)
+        via_matrix = cbilinear(sp.beta_blocks(rho(z)), a)
+        scale = np.abs(via_form).max()
+        assert np.abs(got - via_form).max() <= 1e-13 * scale
+        assert np.abs(got - via_matrix).max() <= 1e-13 * scale
+        assert single == got[0]
+
+
+def test_eval_sphere_is_the_sum_of_powered_pairings(rng):
+    for n in (1, 2):
+        m = n + 1
+        pts = sphere_uniform(4 * m - 1, rng, size=100).reshape(100, m, 4)
+        for l in range(4):
+            f = spec.random_hl_function(n, l, 3, rng)
+            text = repr(f)
+            ref = sum(c * spec.pair_projector_amatrix(pts, a) ** l
+                      for c, a in zip(f.coeffs, f.amats))
+            vals = f.eval_sphere(pts)
+            assert vals.shape == (100,)
+            assert np.abs(vals - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+            one = f.eval_sphere(pts[0])
+            assert np.ndim(one) == 0 and abs(one - ref[0]) <= 1e-13 * max(1.0, abs(ref[0]))
+            # the stored quadratic forms are not a field
+            assert repr(f) == text
+            assert f == spec.HlFunction(n=f.n, l=f.l, amats=f.amats, coeffs=f.coeffs)
