@@ -28,13 +28,15 @@ for l in (0, 1):
     print(f"      descended operator   = {est2.value:.6g}")
     print(f"      c_l phi(P')          = {qz.c_coeff(1, l) * base:.6g}")
 
-# the operator applied to a constant is constant (degree-0 case)
+# the operator applied to a constant is constant: the l = 0 embedding of
+# phi = 1 is the constant vol(P^1 H), so T(1) is T of that embedding over vol
 p1 = sp.random_es0(1, 1.0, rng).p
 p2 = sp.random_es0(1, 1.0, rng).p
-ones = lambda a: np.ones(a.shape[0])
-v1 = qz.t_apply(ones, p1, 1, MCConfig(samples=2000, seed=7), homogeneous_degree=0)
-v2 = qz.t_apply(ones, p2, 1, MCConfig(samples=2000, seed=7), homogeneous_degree=0)
-print("\nT(1) at two base points:", v1.value, v2.value)
+one = spl.HlFunction(n=1, l=0, amats=phi.amats[:1], coeffs=(1.0,))
+v1 = qz.t_apply_eigenfunction(one, p1, MCConfig(samples=2000, seed=7))
+v2 = qz.t_apply_eigenfunction(one, p2, MCConfig(samples=2000, seed=7))
+print("\nT(1) at two base points:", (v1.value / qz.vol_pnh(1)).real,
+      (v2.value / qz.vol_pnh(1)).real)
 
 # flow commutation: the scalar phases agree exactly, and the operator-level
 # identity holds pointwise within the Monte Carlo tolerance

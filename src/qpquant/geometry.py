@@ -244,8 +244,9 @@ def _del_f(mode, u, w):
     return a * r2 ** (a - 1) * np.sum(np.asarray(w, dtype=complex).ravel() * np.conj(z))
 
 
-def fd_complex_hessian(u, mode, h=1e-5):
-    """Finite-difference oracle for :func:`complex_hessian_radial`."""
+def fd_complex_hessian(u, mode):
+    """Finite-difference oracle for :func:`complex_hessian_radial`, step FD_STEP."""
+    h = FD_STEP
     z = np.asarray(u, dtype=complex).ravel()
 
     def f(x):
@@ -273,7 +274,7 @@ def fd_complex_hessian(u, mode, h=1e-5):
 
 _MODEL = {"S": ("norm", 1.0), "H": ("sqrt_norm", 2.0 ** 0.25)}
 
-# step of the central differences in dtheta_fd and omega_closed_fd
+# step of the central differences in fd_complex_hessian, dtheta_fd, omega_closed_fd
 FD_STEP = 1e-5
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .algebra import cbilinear, fro_norm, rho
+from .algebra import cbilinear, fro_norm
 from .numerics import (
     gamma_radial,
     log_gamma,
@@ -28,7 +28,7 @@ from .numerics import (
     sphere_uniform,
     vol_sphere,
 )
-from .spaces import beta_blocks, sp1_orbit_frame
+from .spaces import _orbit_frames, _project_out
 from .spectral import _pair_projector_fiber, _quad_values, dim_eigenspace, quad_form_matrix
 
 __all__ = [
@@ -60,7 +60,6 @@ __all__ = [
     "orthogonality_check",
     "pairing_gg_mc",
     "sphere_moment_integrand",
-    "t_apply",
     "t_apply_eigenfunction",
     "t_norm",
     "t_norm_gamma_part",
@@ -205,38 +204,22 @@ def b_coeff_semianalytic(n, l):
     return math.exp(logv)
 
 
-def _unit_covectors(dirs, rng):
-    """Uniform unit vectors orthogonal to the orthonormal rows of dirs, (k, N, m, 4).
+def _unit_covectors(frames, rng):
+    """Uniform unit vectors (N, 4m) orthogonal to the orthonormal rows of
+    frames (N, k, 4m).
 
-    The orbit frame of p gives the horizontal covectors at p; p alone gives
+    The orbit frames of p give the horizontal covectors at p; p alone gives
     the whole cotangent sphere.
     """
-    q = rng.standard_normal(dirs.shape[1:])
-    for d in dirs:
-        q = q - np.sum(q * d, axis=(-2, -1), keepdims=True) * d
-    nrm = np.sqrt((q ** 2).sum(axis=(-2, -1), keepdims=True))
-    return q / nrm
-
-
-def _beta_tau_s_unit(p, q):
-    """beta(tau_s(p, q)) = beta(rho(z)), z = p + i q, for batched unit
-    covectors q at base points p.
-
-    On horizontal covectors this is tau_h(alpha(p, q)), the commuting
-    square.  It is the one place that forms the fiber matrix A-hat, for
-    integrands given as functions of a matrix (t_apply's g); every other
-    oracle pairs the fiber point z directly, through
-    <P(p), beta(rho(z))>_C = sum_a <p, z>_H,a^2 and
-    <beta(rho(z)), A_k>_C = z^t M_k z.
-    """
-    return beta_blocks(rho(p + 1j * q))  # |q| = 1
+    q = _project_out(frames, rng.standard_normal((frames.shape[0], frames.shape[-1])))
+    return q / np.sqrt((q ** 2).sum(axis=-1, keepdims=True))
 
 
 def _unit_fiber_points(p, rng, size):
     """z = p + i q for uniform unit horizontal covectors q at p, so that
-    beta(rho(z)) = tau_h(alpha(p, q))."""
+    beta(rho(z)) = tau_h(alpha(p, q)); the oracles pair z without forming it."""
     p = np.broadcast_to(p, (size,) + p.shape[-2:])
-    return p + 1j * _unit_covectors(sp1_orbit_frame(p), rng)
+    return p + 1j * _unit_covectors(_orbit_frames(p), rng).reshape(p.shape)
 
 
 def b_coeff_mc(n, l, config):
@@ -378,23 +361,6 @@ def _t_apply_scale(n, degree):
             * gamma_radial(2 * degree + 4 * n, 2 * math.pi))
 
 
-def t_apply(g, p_prime, n, config, homogeneous_degree):
-    """Quantization operator T applied to a function g of the matrix model,
-    evaluated over the cotangent fiber of the base point with lift p_prime.
-
-    ``g`` takes a batch (N, 2n+2, 2n+2) of matrices and returns (N,) values;
-    it is homogeneous of ``homogeneous_degree`` in A, so the radial integral
-    is a Gamma integral and only the unit fiber is sampled.
-    """
-    p_prime = np.asarray(p_prime, dtype=float)
-
-    def batch(rng, size):
-        z = _unit_fiber_points(p_prime, rng, size)
-        return g(_beta_tau_s_unit(z.real, z.imag))
-
-    return mc_mean(batch, config).scaled(_t_apply_scale(n, homogeneous_degree))
-
-
 def t_apply_eigenfunction(phi, p_prime, config, flow_t=None):
     """T applied to the eigenspace embedding of phi, at the base point of p_prime.
 
@@ -429,7 +395,7 @@ def t_tilde_apply_eigenfunction(phi, p_prime, config):
     def batch(rng, size):
         pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
         base = np.broadcast_to(p_prime, (size, m, 4))
-        z = base + 1j * _unit_covectors(base[None], rng)
+        z = base + 1j * _unit_covectors(base.reshape(size, 1, -1), rng).reshape(base.shape)
         return phi.eval_sphere(pts) * _pair_projector_fiber(pts, z) ** l
 
     scale = (vol_pnh(n) * vol_sphere(4 * n + 2) * math.sqrt(abs(B_S_CONST))

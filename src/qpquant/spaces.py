@@ -306,23 +306,17 @@ def _adj2(b):
     return out
 
 
-def _block_factors(b, c=None):
-    """The blocks of B stacked, (..., 2m, 2), and the adjugates of C side by
-    side, (..., 2, 2m); their product has the blocks B_i adj(C_j)."""
-    c = b if c is None else c
-    m = b.shape[-3]
-    rows = b.reshape(b.shape[:-3] + (2 * m, 2))
-    cols = np.swapaxes(_adj2(c), -3, -2).reshape(c.shape[:-3] + (2, 2 * m))
-    return rows, cols
-
-
 def beta_blocks(b, c=None):
     """Blocks A_ij = B_i adj(C_j) of (..., m, 2, 2) tuples, one point or a batch.
 
     With C = B (the default) this is beta; the differential of beta is the
-    sum of the two mixed products.
+    sum of the two mixed products.  The blocks of B stacked, (..., 2m, 2),
+    times the adjugates of C side by side, (..., 2, 2m).
     """
-    rows, cols = _block_factors(b, c)
+    c = b if c is None else c
+    m = b.shape[-3]
+    rows = b.reshape(b.shape[:-3] + (2 * m, 2))
+    cols = np.swapaxes(_adj2(c), -3, -2).reshape(c.shape[:-3] + (2, 2 * m))
     return rows @ cols
 
 
@@ -407,13 +401,28 @@ def sp1_orbit_frame(p):
 
 @cache
 def _orbit_frame_matrix(m):
-    """The orbit frame as one real (4m, 4 * 4m) matrix: row k of
-    ``(p.reshape(-1, 4m) @ F).reshape(-1, 4, 4m)`` is p e_k.  Built once per
-    size and read-only."""
+    """The orbit frame as one real (4m, 16m) matrix, the product that
+    :func:`_orbit_frames` takes.  Built once per size and read-only."""
     frame = sp1_orbit_frame(np.eye(4 * m).reshape(4 * m, m, 4))
     out = np.ascontiguousarray(np.moveaxis(frame, 0, 1).reshape(4 * m, 16 * m))
     out.flags.writeable = False
     return out
+
+
+def _orbit_frames(p):
+    """The orbit frames p e_0 .. p e_3 of points p (N, m, 4) as the rows of
+    an (N, 4, 4m) array: one product with the cached orbit-frame matrix."""
+    size, m = p.shape[0], p.shape[-2]
+    return (p.reshape(size, 4 * m) @ _orbit_frame_matrix(m)).reshape(size, 4, 4 * m)
+
+
+def _project_out(frames, q):
+    """q (N, 4m) minus its components along the orthonormal rows of frames
+    (N, k, 4m), all k at once.  The orbit frames of p leave the horizontal
+    part of q at p; p alone, p.reshape(N, 1, 4m), leaves its part tangent
+    to the sphere."""
+    coeffs = np.einsum("nkj,nj->nk", frames, q)
+    return q - np.einsum("nk,nkj->nj", coeffs, frames)
 
 
 def random_es0(n, qnorm_val, rng):
@@ -421,9 +430,7 @@ def random_es0(n, qnorm_val, rng):
     m = n + 1
     for _ in range(MAX_TRIES):
         p = sphere_uniform(4 * m - 1, rng).reshape(m, 4)
-        q = rng.standard_normal((m, 4))
-        for d in sp1_orbit_frame(p):
-            q = q - np.sum(q * d) * d
+        q = _project_out(_orbit_frames(p[None]), rng.standard_normal((1, 4 * m))).reshape(m, 4)
         nq = np.sqrt(np.sum(q ** 2))
         if nq > 1e-8:
             return SphereCovector(p, q * (qnorm_val / nq))

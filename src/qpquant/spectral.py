@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .algebra import qmul, rho
+from .algebra import cbilinear, complexify, qconj, qmul
 from .numerics import sphere_uniform
-from .spaces import AMatrix, _block_factors, _orbit_frame_matrix, in_amatrix_space
+from .spaces import AMatrix, _orbit_frames, in_amatrix_space
 
 __all__ = [
     "HlFunction",
@@ -66,25 +66,45 @@ def sphere_descent_residual(n, l):
     return eigenvalue(n, l) - k * (k + 4 * n + 2)
 
 
+@cache
+def _pairing_tensor(m):
+    """The pairing tensor G, (4m^2, 16m^2) complex: row cd holds
+    cbilinear(complexify(e_a theta(e_b)), E_cd) over the basis products, E_cd
+    the matrix units, so <(p_i theta(q_j)), A>_C = p^t (G.A) q with G.A the
+    (4m, 4m) reshape of A.ravel() @ G.  Built once per size and read-only."""
+    basis = np.eye(4 * m).reshape(4 * m, m, 4)
+    prods = complexify(qmul(basis[:, None, :, None], qconj(basis)[:, None]))
+    units = np.eye(4 * m * m).reshape(-1, 1, 1, 2 * m, 2 * m)
+    out = cbilinear(prods, units).reshape(4 * m * m, -1)
+    out.flags.writeable = False
+    return out
+
+
+def _pairing_forms(a):
+    """G.A, (4m, 4m), for one matrix A (2m, 2m), or (N, 4m, 4m) for a batch.
+    Each is one (1, 4m^2) row times G, so a batch row is bitwise the form of
+    its matrix alone."""
+    a = np.asarray(a)
+    m = a.shape[-1] // 2
+    forms = np.reshape(a, a.shape[:-2] + (1, -1)) @ _pairing_tensor(m)
+    return forms.reshape(a.shape[:-2] + (4 * m, 4 * m))
+
+
 def pair_projector_amatrix(p, a, q=None):
     """<(p_i theta(q_j)), A>_C for points p and q (q = p by default), one or a
     batch (N, m, 4) of the same shape.
 
     A is either one fixed matrix or a batch (N, 2m, 2m) paired row by row
-    with the batch of p.  Uses the factorization rho(P) = Phat Qhat with
-    Phat the stacked 2x2 blocks rho(p_i) and Qhat the adjugates of rho(q_j),
-    so the pairing is the 2x2 trace tr(Qhat A Phat)/2 -- O(m^2) per point.
-    With q = p it is <P(p), A>, P(p) the projector of p.  Complex points
-    give the complex-bilinear extension, p^t M p with M = quad_form_matrix(A).
+    with the batch of p.  The pairing is p^t (G.A) q with G the cached
+    pairing tensor; with q = p it is <P(p), A>, P(p) the projector of p.
+    Complex points give the complex-bilinear extension, p^t M p with
+    M = quad_form_matrix(A).
     """
     p = np.asarray(p)
-    batched = p.ndim == 3
-    if not batched:
-        p = p[None]
-    rq = None if q is None else rho(np.reshape(q, p.shape))
-    phat, qhat = _block_factors(rho(p), rq)
-    out = 0.5 * np.einsum("nab,nba->n", qhat @ np.asarray(a), phat)
-    return out if batched else out[0]
+    rows = np.reshape(p, (-1, 1, p.shape[-2] * 4))
+    cols = rows if q is None else np.reshape(q, rows.shape)
+    out = (rows @ _pairing_forms(a) @ np.swapaxes(cols, -1, -2))[:, 0, 0]
+    return out if p.ndim == 3 else out[0]
 
 
 def _pair_projector_fiber(p, z):
@@ -93,12 +113,10 @@ def _pair_projector_fiber(p, z):
 
     beta(rho(z)) has the blocks rho(z_i theta(z_j)), so the pairing is
     sum_a w_a^2 with w = <p, z>_H = sum_i theta(p_i) z_i in H (x) C, whose
-    components are w_k = (p e_k).z up to sign: one product with the cached
-    orbit-frame matrix and two row contractions.
+    components are w_k = (p e_k).z up to sign: the orbit frames of p and
+    two row contractions.
     """
-    size, m = p.shape[0], p.shape[-2]
-    frames = (p.reshape(size, 4 * m) @ _orbit_frame_matrix(m)).reshape(size, 4, 4 * m)
-    w = np.einsum("nkj,nj->nk", frames, z.reshape(size, 4 * m))
+    w = np.einsum("nkj,nj->nk", _orbit_frames(p), z.reshape(p.shape[0], -1))
     return np.einsum("nk,nk->n", w, w)
 
 
@@ -111,13 +129,9 @@ def _quad_values(x, forms):
 
 def quad_form_matrix(a):
     """Complex symmetric M with <(p_i theta(p_j)), A>_C = p^t M p, p in R^(4m):
-    the symmetrised pairing <(e_a theta(e_b)), A>_C of all basis pairs."""
-    a = np.asarray(a, dtype=complex)
-    dim = 2 * a.shape[0]
-    basis = np.eye(dim).reshape(dim, dim // 4, 4)
-    pairs = pair_projector_amatrix(np.repeat(basis, dim, axis=0), a,
-                                   np.tile(basis, (dim, 1, 1))).reshape(dim, dim)
-    return 0.5 * (pairs + pairs.T)
+    the tensor contraction G.A, symmetrised."""
+    forms = _pairing_forms(np.asarray(a, dtype=complex))
+    return 0.5 * (forms + forms.T)
 
 
 def harmonicity_certificate(a):
@@ -137,8 +151,9 @@ def harmonicity_certificate(a):
             "null_gradient_residual": 4.0 * grad_residual}
 
 
-def laplacian_fd(a, l, p, h=1e-4):
-    """Finite-difference flat Laplacian of <P(p), A>^l at the point p."""
+def laplacian_fd(a, l, p):
+    """Finite-difference flat Laplacian of <P(p), A>^l at the point p, step 1e-4."""
+    h = 1e-4
     a = np.asarray(a, dtype=complex)
     p = np.asarray(p, dtype=float).ravel()
     m = a.shape[0] // 2

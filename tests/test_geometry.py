@@ -48,7 +48,7 @@ def test_complex_hessian_exact_values_and_fd(rng):
     u = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     for mode in ("norm", "sqrt_norm"):
         exact = geo.complex_hessian_radial(u, mode)
-        fd = geo.fd_complex_hessian(u, mode, h=1e-5)
+        fd = geo.fd_complex_hessian(u, mode)
         assert np.abs(exact - fd).max() < 1e-6
     # degree-1 homogeneity of the norm potential
     h1 = geo.complex_hessian_radial(u, "norm")

@@ -1,5 +1,6 @@
 """Closed-form constants vs oracles, operators, flow identity, kernel."""
 
+import copy
 import math
 
 import numpy as np
@@ -130,17 +131,72 @@ def test_constants_positive_and_monotone_ratios():
 
 
 def test_fiber_sampler_is_the_commuting_square(rng):
-    # the oracles' batched beta(tau_s(p, q)) is tau_h(alpha(p, q)) row by row
-    for n in (1, 2):
+    # the oracles' fiber points z = p + i q stand for beta(tau_s(p, q)), which
+    # is tau_h(alpha(p, q)) row by row
+    for n in (1, 2, 3):
         m = n + 1
         base = np.stack([sphere_uniform(4 * m - 1, rng).reshape(m, 4) for _ in range(64)])
-        q = qz._unit_covectors(sp.sp1_orbit_frame(base), rng)
-        amats = qz._beta_tau_s_unit(base, q)
+        q = qz._unit_fiber_points(base, rng, 64).imag
+        amats = sp.beta_blocks(alg.rho(base + 1j * q))
         for p_k, q_k, a_k in zip(base, q, amats):
             pt = sp.SphereCovector(p_k, q_k)
             assert sp.in_sphere_covector0(pt) and abs(np.sum(q_k ** 2) - 1.0) < 1e-14
             ref = sp.tau_h(sp.alpha(pt)).A
             assert np.abs(a_k - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _loop_unit_covectors(dirs, rng):
+    """Uniform unit vectors orthogonal to the orthonormal rows of dirs,
+    (k, N, m, 4), projected out one direction at a time: the reference for
+    the samplers' batched projection."""
+    q = rng.standard_normal(dirs.shape[1:])
+    for d in dirs:
+        q = q - np.sum(q * d, axis=(-2, -1), keepdims=True) * d
+    nrm = np.sqrt((q ** 2).sum(axis=(-2, -1), keepdims=True))
+    return q / nrm
+
+
+def _loop_random_es0(n, qnorm_val, rng):
+    """random_es0 with the horizontal projection taken one orbit-frame
+    direction at a time: the reference for the batched projector."""
+    m = n + 1
+    while True:
+        p = sphere_uniform(4 * m - 1, rng).reshape(m, 4)
+        q = rng.standard_normal((m, 4))
+        for d in sp.sp1_orbit_frame(p):
+            q = q - np.sum(q * d) * d
+        nq = np.sqrt(np.sum(q ** 2))
+        if nq > 1e-8:
+            return p, q * (qnorm_val / nq)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_batched_projector_is_the_per_direction_loop(n, rng):
+    m, size = n + 1, 500
+    base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
+    # the orbit frame leaves the horizontal part, p alone the part tangent to
+    # the sphere
+    for frames, dirs in ((sp._orbit_frames(base), sp.sp1_orbit_frame(base)),
+                         (base.reshape(size, 1, 4 * m), base[None])):
+        ref_rng = copy.deepcopy(rng)
+        q = qz._unit_covectors(frames, rng).reshape(size, m, 4)
+        ref = _loop_unit_covectors(dirs, ref_rng)
+        assert np.abs(q - ref).max() <= 1e-14
+        assert rng.random() == ref_rng.random()
+        assert np.abs(np.sqrt((q ** 2).sum(axis=(-2, -1))) - 1.0).max() <= 1e-14
+        assert np.abs(np.einsum("nkj,nj->nk", frames, q.reshape(size, -1))).max() <= 1e-14
+        if len(dirs) == 4:
+            assert np.abs(alg.hinner(q, base)).max() <= 1e-14
+    # random_es0 draws what the loop drew, and leaves the generator where the
+    # loop left it
+    for qn in (0.3, 1.0, 2.5):
+        ref_rng = copy.deepcopy(rng)
+        pt = sp.random_es0(n, qn, rng)
+        p_ref, q_ref = _loop_random_es0(n, qn, ref_rng)
+        assert np.array_equal(pt.p, p_ref)
+        assert np.abs(pt.q - q_ref).max() <= 1e-14 * qn
+        assert np.abs(alg.hinner(pt.q, pt.p)).max() <= 1e-14 * qn
+        assert rng.standard_normal() == ref_rng.standard_normal()
 
 
 def test_matrix_free_pairing_is_the_matrix_pairing(rng):
@@ -151,8 +207,8 @@ def test_matrix_free_pairing_is_the_matrix_pairing(rng):
         m = n + 1
         pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
         base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        horizontal = qz._unit_covectors(sp.sp1_orbit_frame(base), rng)
-        full = qz._unit_covectors(base[None], rng)
+        horizontal = _loop_unit_covectors(sp.sp1_orbit_frame(base), rng)
+        full = _loop_unit_covectors(base[None], rng)
         generic = rng.standard_normal((2, size, m, 4))
         for z in (base + 1j * horizontal, base + 1j * full, generic[0] + 1j * generic[1]):
             ref = spl.pair_projector_amatrix(pts, sp.beta_blocks(alg.rho(z)))
@@ -163,7 +219,7 @@ def test_matrix_free_pairing_is_the_matrix_pairing(rng):
 def _matrix_route_fiber(p, rng, size):
     """A-hat = beta(rho(p + i q)) at uniform unit horizontal q, as a matrix."""
     p = np.broadcast_to(p, (size,) + p.shape[-2:])
-    q = qz._unit_covectors(sp.sp1_orbit_frame(p), rng)
+    q = _loop_unit_covectors(sp.sp1_orbit_frame(p), rng)
     return sp.beta_blocks(alg.rho(p + 1j * q))
 
 
@@ -201,7 +257,7 @@ def test_matrix_free_oracles_keep_the_matrix_route_draws(rng):
     def t_tilde_batch(rng, size):
         pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
         base = np.broadcast_to(pprime, (size, m, 4))
-        ahat = sp.beta_blocks(alg.rho(base + 1j * qz._unit_covectors(base[None], rng)))
+        ahat = sp.beta_blocks(alg.rho(base + 1j * _loop_unit_covectors(base[None], rng)))
         return _matrix_route_phi(phi, pts) * spl.pair_projector_amatrix(pts, ahat) ** l
 
     def kernel_batch(rng, size):
@@ -257,15 +313,17 @@ def test_operator_identity_t_tilde(rng):
 
 
 def test_t_apply_generic_constant(rng):
-    # T(1) is independent of the base point and equals a_0/vol
+    # T applied to the l = 0 eigenfunction phi = 1 is independent of the base
+    # point and equals a_0
+    one = spl.HlFunction(n=1, l=0, amats=(sp.tau_h(sp.random_eh(1, 1.0, rng)).A,),
+                         coeffs=(1.0,))
     cfg = MCConfig(samples=2000, seed=3)
     vals = []
     for _ in range(2):
         p = sp.random_es0(1, 1.0, rng).p
-        vals.append(qz.t_apply(lambda a: np.ones(a.shape[0]), p, 1, cfg,
-                               homogeneous_degree=0).value)
+        vals.append(qz.t_apply_eigenfunction(one, p, cfg).value)
     assert abs(vals[0] - vals[1]) < 1e-12
-    assert abs(vals[0] - qz.a_coeff(1, 0) / qz.vol_pnh(1)) < 1e-12
+    assert abs(vals[0] - qz.a_coeff(1, 0)) < 1e-12
 
 
 def test_flow_commutation(rng):

@@ -99,19 +99,28 @@ def test_pairing_batched_amatrix_matches_fixed(rng):
 
 
 def test_polarized_pairing_matches_complexified_product(rng):
-    from qpquant.algebra import complexify, qconj, qmul
-    amats = np.stack([sp.tau_h(sp.random_eh(2, 1.3, rng)).A for _ in range(20)])
-    pts, qts = rng.standard_normal((2, 20, 3, 4))
-    batched = spec.pair_projector_amatrix(pts, amats, qts)
-    for p, q, a, val in zip(pts, qts, amats, batched):
-        # complexify(p_i theta(q_j)) has the blocks rho(p_i) adj(rho(q_j))
-        mixed = complexify(qmul(p[:, None, :], qconj(q)[None, :, :]))
-        direct = 0.5 * np.trace(mixed @ a)
-        assert abs(val - direct) <= 1e-13 * max(1.0, abs(direct))
-        assert spec.pair_projector_amatrix(p, a, q) == val
-    # q = p is the projector pairing
-    assert np.array_equal(spec.pair_projector_amatrix(pts, amats, pts),
-                          spec.pair_projector_amatrix(pts, amats))
+    from qpquant.algebra import cbilinear, complexify, qconj, qmul
+    for n in (1, 2, 3):
+        amats = np.stack([sp.tau_h(sp.random_eh(n, 1.3, rng)).A for _ in range(20)])
+        pts, qts = rng.standard_normal((2, 20, n + 1, 4))
+        # a matrix off the A-model (A^sharp != A) is paired by the same definition
+        d = 2 * n + 2
+        generic = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        batched = spec.pair_projector_amatrix(pts, amats, qts)
+        for p, q, a, val in zip(pts, qts, amats, batched):
+            # complexify(p_i theta(q_j)) has the blocks rho(p_i) adj(rho(q_j))
+            mixed = complexify(qmul(p[:, None, :], qconj(q)[None, :, :]))
+            direct = 0.5 * np.trace(mixed @ a)
+            assert abs(val - direct) <= 1e-13 * max(1.0, abs(direct))
+            assert spec.pair_projector_amatrix(p, a, q) == val
+            off = cbilinear(mixed, generic)
+            assert abs(spec.pair_projector_amatrix(p, generic, q) - off) <= 1e-13 * max(1.0, abs(off))
+        # q = p is the projector pairing
+        assert np.array_equal(spec.pair_projector_amatrix(pts, amats, pts),
+                              spec.pair_projector_amatrix(pts, amats))
+        # the pairing tensor is built once per size and read-only
+        g = spec._pairing_tensor(n + 1)
+        assert g is spec._pairing_tensor(n + 1) and not g.flags.writeable
 
 
 def test_harmonicity_certificate_canonical_and_random(rng):
@@ -130,7 +139,7 @@ def test_laplacian_fd_spot_check(rng):
     a = canonical_amatrix()
     for l in (1, 2, 3):
         p = rng.standard_normal(8)
-        lap = spec.laplacian_fd(a, l, p, h=1e-4)
+        lap = spec.laplacian_fd(a, l, p)
         scale = max(1.0, abs(spec.pair_projector_amatrix(p.reshape(2, 4), a)) ** l)
         assert abs(lap) < 5e-5 * scale * (1 + np.linalg.norm(p)) ** (2 * l)
 
