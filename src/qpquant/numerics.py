@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 DEFAULT_CHUNK = 1 << 16
+# rows of one integrand block (see _blockwise): at n = 1 a block's
+# intermediates take about 1 MiB and stay in a 2 MiB L2 cache, where a whole
+# chunk's do not.  2048 to 8192 rows time alike; whole chunks are slower
+# (b_l at n = 2: 235 against 180 ms for 131,072 samples on 2 cores)
+_BLOCK_ROWS = 1 << 12
 # an adaptive run stops once its sample count reaches this multiple of the budget
 MAX_EXTENSION = 64
 
@@ -145,19 +150,34 @@ def mc_mean(batch_fn, config):
     return MCEstimate(value=mean, stderr=stderr, samples=total_n, seed=config.seed)
 
 
+def _blockwise(integrand, *rows):
+    """``integrand(*rows)`` evaluated on consecutive blocks of ``_BLOCK_ROWS``
+    rows of the arrays ``rows`` and concatenated.
+
+    A Monte Carlo batch draws its whole chunk first and hands the draws
+    here, so the integrand's intermediates stay cache-sized.  The integrand
+    must treat rows independently and must not write to its arguments,
+    which are views of the draws.
+    """
+    size = len(rows[0])
+    return np.concatenate([integrand(*(r[i:i + _BLOCK_ROWS] for r in rows))
+                           for i in range(0, size, _BLOCK_ROWS)])
+
+
 def sphere_uniform(dim, rng, size=None):
     """Uniform samples on the unit sphere S^dim in R^(dim+1)."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     shape = (dim + 1,) if size is None else (size, dim + 1)
     v = rng.standard_normal(shape)
-    nrm = np.linalg.norm(v, axis=-1, keepdims=True)
+    nrm2 = np.einsum("...i,...i->...", v, v)
     # resample the (measure-zero) degenerate draws
-    while np.any(nrm < 1e-12):
-        bad = nrm[..., 0] < 1e-12
+    while np.any(nrm2 < 1e-24):
+        bad = nrm2 < 1e-24
         v[bad] = rng.standard_normal((int(bad.sum()), dim + 1))
-        nrm = np.linalg.norm(v, axis=-1, keepdims=True)
-    return v / nrm
+        nrm2 = np.einsum("...i,...i->...", v, v)
+    v /= np.sqrt(nrm2)[..., None]
+    return v
 
 
 def log_gamma(x):

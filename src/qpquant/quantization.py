@@ -20,6 +20,7 @@ from scipy import integrate
 
 from .algebra import cbilinear, fro_norm
 from .numerics import (
+    _blockwise,
     gamma_radial,
     log_gamma,
     log_gamma_radial,
@@ -29,7 +30,7 @@ from .numerics import (
     vol_sphere,
 )
 from .spaces import _orbit_frames, _project_out
-from .spectral import _pair_projector_fiber, _quad_values, dim_eigenspace, quad_form_matrix
+from .spectral import _pair_projector_fiber, _quad_values, _real_forms, dim_eigenspace
 
 __all__ = [
     "A_H_CONST",
@@ -143,8 +144,8 @@ def sphere_moment_integrand(pts):
     """((|p0|^2 - |p1|^2)^2 + 4 (p0, p1)_E^2) for flat sphere samples."""
     p0 = pts[:, 0:4]
     p1 = pts[:, 4:8]
-    a = (p0 ** 2).sum(1) - (p1 ** 2).sum(1)
-    b = (p0 * p1).sum(1)
+    a = np.einsum("ni,ni->n", p0, p0) - np.einsum("ni,ni->n", p1, p1)
+    b = np.einsum("ni,ni->n", p0, p1)
     return a * a + 4.0 * b * b
 
 
@@ -153,8 +154,8 @@ def i_coeff_mc(n, l, config):
     m = n + 1
 
     def batch(rng, size):
-        pts = sphere_uniform(4 * m - 1, rng, size=size)
-        return sphere_moment_integrand(pts) ** l
+        return _blockwise(lambda pts: sphere_moment_integrand(pts) ** l,
+                          sphere_uniform(4 * m - 1, rng, size=size))
 
     return mc_mean(batch, config).scaled(vol_pnh(n) * (2.0 * math.sqrt(2.0)) ** (-2 * l))
 
@@ -162,8 +163,8 @@ def i_coeff_mc(n, l, config):
 def moment_s7_mc(l, config):
     """MC oracle for the S^7 moment itself."""
     def batch(rng, size):
-        pts = sphere_uniform(7, rng, size=size)
-        return sphere_moment_integrand(pts) ** l
+        return _blockwise(lambda pts: sphere_moment_integrand(pts) ** l,
+                          sphere_uniform(7, rng, size=size))
 
     return mc_mean(batch, config).scaled(vol_sphere(7))
 
@@ -204,22 +205,19 @@ def b_coeff_semianalytic(n, l):
     return math.exp(logv)
 
 
-def _unit_covectors(frames, rng):
+def _unit_covectors(frames, g):
     """Uniform unit vectors (N, 4m) orthogonal to the orthonormal rows of
-    frames (N, k, 4m).
+    frames, (N, k, 4m) row by row or (k, 4m) for every row, made from the
+    normal draws g (N, 4m).
 
-    The orbit frames of p give the horizontal covectors at p; p alone gives
-    the whole cotangent sphere.
+    The orbit frames of p give the horizontal covectors q at p, and the unit
+    fiber point z = p + i q with beta(rho(z)) = tau_h(alpha(p, q)), which
+    the oracles pair as the real pair (p, q); p alone gives the whole
+    cotangent sphere.
     """
-    q = _project_out(frames, rng.standard_normal((frames.shape[0], frames.shape[-1])))
-    return q / np.sqrt((q ** 2).sum(axis=-1, keepdims=True))
-
-
-def _unit_fiber_points(p, rng, size):
-    """z = p + i q for uniform unit horizontal covectors q at p, so that
-    beta(rho(z)) = tau_h(alpha(p, q)); the oracles pair z without forming it."""
-    p = np.broadcast_to(p, (size,) + p.shape[-2:])
-    return p + 1j * _unit_covectors(_orbit_frames(p), rng).reshape(p.shape)
+    q = _project_out(frames, g)
+    q /= np.sqrt(np.einsum("nj,nj->n", q, q))[:, None]
+    return q
 
 
 def b_coeff_mc(n, l, config):
@@ -227,11 +225,15 @@ def b_coeff_mc(n, l, config):
     m = n + 1
     dim = dim_eigenspace(n, l)
 
+    def integrand(pts, base, g):
+        # |<P, A-hat>|^(2l) from the real and imaginary parts
+        re, im = _pair_projector_fiber(pts, base, _unit_covectors(_orbit_frames(base), g))
+        return (re * re + im * im) ** l
+
     def batch(rng, size):
-        pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        z = _unit_fiber_points(base, rng, size)
-        return np.abs(_pair_projector_fiber(pts, z)) ** (2 * l)
+        pts = sphere_uniform(4 * m - 1, rng, size=size)
+        base = sphere_uniform(4 * m - 1, rng, size=size)
+        return _blockwise(integrand, pts, base, rng.standard_normal((size, 4 * m)))
 
     scale = math.exp(log_radial_gg(n, 2 * l)) * vol_pnh(n) ** 2 * vol_sphere(4 * n - 1) / dim
     return mc_mean(batch, config).scaled(scale)
@@ -371,17 +373,22 @@ def t_apply_eigenfunction(phi, p_prime, config, flow_t=None):
     """
     n, l = phi.n, phi.l
     m = n + 1
-    p_prime = np.asarray(p_prime, dtype=float)
+    x = np.asarray(p_prime, dtype=float).ravel()
+    frame = _orbit_frames(x[None])[0]
     phase = 1.0 + 0.0j
     if flow_t is not None:
         phase = np.exp(-1j * flow_t * (2 * n + 1))
 
-    def batch(rng, size):
-        pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        pair = _pair_projector_fiber(pts, _unit_fiber_points(p_prime, rng, size))
+    def integrand(pts, g):
+        re, im = _pair_projector_fiber(pts, x, _unit_covectors(frame, g))
+        pair = re + 1j * im
         if flow_t is not None:
             pair = np.exp(-2j * flow_t) * pair
-        return phi.eval_sphere(pts) * pair ** l
+        return phi.eval_sphere(pts.reshape(-1, m, 4)) * pair ** l
+
+    def batch(rng, size):
+        pts = sphere_uniform(4 * m - 1, rng, size=size)
+        return _blockwise(integrand, pts, rng.standard_normal((size, 4 * m)))
 
     return mc_mean(batch, config).scaled(_t_apply_scale(n, l) * vol_pnh(n) * phase)
 
@@ -390,13 +397,15 @@ def t_tilde_apply_eigenfunction(phi, p_prime, config):
     """The sphere-descended operator applied to the eigenspace embedding."""
     n, l = phi.n, phi.l
     m = n + 1
-    p_prime = np.asarray(p_prime, dtype=float)
+    x = np.asarray(p_prime, dtype=float).ravel()
+
+    def integrand(pts, g):
+        re, im = _pair_projector_fiber(pts, x, _unit_covectors(x[None], g))
+        return phi.eval_sphere(pts.reshape(-1, m, 4)) * (re + 1j * im) ** l
 
     def batch(rng, size):
-        pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        base = np.broadcast_to(p_prime, (size, m, 4))
-        z = base + 1j * _unit_covectors(base.reshape(size, 1, -1), rng).reshape(base.shape)
-        return phi.eval_sphere(pts) * _pair_projector_fiber(pts, z) ** l
+        pts = sphere_uniform(4 * m - 1, rng, size=size)
+        return _blockwise(integrand, pts, rng.standard_normal((size, 4 * m)))
 
     scale = (vol_pnh(n) * vol_sphere(4 * n + 2) * math.sqrt(abs(B_S_CONST))
              * 2.0 ** -0.5 * gamma_radial(2 * l + 4 * n + 1.5, 2 * math.pi))
@@ -453,19 +462,23 @@ def kernel_diag(n, norm_a, lmax):
     return value, tail
 
 
-def pairing_gg_mc(fa_z, fb_z, homogeneity, n, config):
+def pairing_gg_mc(fa, fb, homogeneity, n, config):
     """MC of the weighted holomorphic pairing <f, g> for fiber-homogeneous
     integrand fa(A) conj(fb(A)) of total flat-coordinate homogeneity 2k.
 
-    ``fa_z``/``fb_z`` take batched unit-fiber points z, (N, n+1, 4) complex,
-    standing for A-hat = beta(rho(z)); <A-hat, A_k>_C = z^t M_k z.
+    ``fa``/``fb`` take the real and imaginary parts x, y (N, 4n+4) of
+    unit fiber points z = x + i y standing for A-hat = beta(rho(z));
+    <A-hat, A_k>_C = z^t M_k z.
     """
     m = n + 1
 
+    def integrand(base, g):
+        y = _unit_covectors(_orbit_frames(base), g)
+        return fa(base, y) * np.conj(fb(base, y))
+
     def batch(rng, size):
-        base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        z = _unit_fiber_points(base, rng, size)
-        return fa_z(z) * np.conj(fb_z(z))
+        base = sphere_uniform(4 * m - 1, rng, size=size)
+        return _blockwise(integrand, base, rng.standard_normal((size, 4 * m)))
 
     scale = math.exp(log_radial_gg(n, homogeneity)) * vol_pnh(n) * vol_sphere(4 * n - 1)
     return mc_mean(batch, config).scaled(scale)
@@ -476,27 +489,28 @@ def orthogonality_check(n, l, lp, config, rng):
     from .spaces import random_eh, tau_h
     a1 = tau_h(random_eh(n, math.sqrt(2.0), rng)).A
     a2 = tau_h(random_eh(n, math.sqrt(2.0), rng)).A
-    form1, form2 = quad_form_matrix(a1)[None], quad_form_matrix(a2)[None]
-    return pairing_gg_mc(lambda z: _quad_values(z, form1)[:, 0] ** l,
-                         lambda z: _quad_values(z, form2)[:, 0] ** lp,
+    form1, form2 = _real_forms([a1]), _real_forms([a2])
+    return pairing_gg_mc(lambda x, y: _quad_values(form1, x, y)[:, 0] ** l,
+                         lambda x, y: _quad_values(form2, x, y)[:, 0] ** lp,
                          l + lp, n, config)
 
 
 def _test_function(c0, amats, coeffs):
     """f = c0 + sum_k c_k <., A_k>_C, the one evaluator of the kernel test function.
 
-    f takes one matrix of the cotangent model, or a batch of fiber points z
-    (N, n+1, 4) standing for beta(rho(z)), where it is c0 + sum_k c_k
-    z^t M_k z with M_k = quad_form_matrix(A_k).
+    f takes one matrix of the cotangent model, or the real and imaginary
+    parts x, y (N, 4n+4) of fiber points z = x + i y standing for
+    beta(rho(z)), where it is c0 + sum_k c_k z^t M_k z with
+    M_k = quad_form_matrix(A_k).
     """
     terms = list(zip(coeffs, amats))
-    forms = np.stack([quad_form_matrix(a) for a in amats])
+    forms = _real_forms(amats)
     c = np.asarray(coeffs)
 
-    def f(x):
-        if np.shape(x)[-2:] == np.shape(amats[0]):
+    def f(x, y=None):
+        if y is None:
             return c0 + sum(ck * cbilinear(x, amat) for ck, amat in terms)
-        return c0 + _quad_values(x, forms) @ c
+        return c0 + _quad_values(forms, x, y) @ c
 
     return f
 
@@ -510,28 +524,28 @@ def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
     m = n + 1
     f = _test_function(complex(c0), phi1_amats, phi1_coeffs)
     f_at_aprime = f(a_prime)
-    form_pr = quad_form_matrix(a_prime)[None]
+    form_pr = _real_forms([a_prime])
 
-    logb = [log_b_coeff(n, 0), log_b_coeff(n, 1)]
+    fconst = complex(c0)
+    inv_b = [math.exp(-log_b_coeff(n, 0)), math.exp(-log_b_coeff(n, 1))]
+    radial = [math.exp(log_radial_gg(n, k)) for k in range(3)]
 
-    def batch(rng, size):
-        pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        z = _unit_fiber_points(base, rng, size)
-        pair_hat = _pair_projector_fiber(pts, z)        # <P, Ahat>
-        pair_pr = _quad_values(pts, form_pr)[:, 0]      # <P, A'>
-        f_hat = f(z)                                # f on the unit fiber
-        fconst = complex(c0)
-        fquad = f_hat - fconst                      # the homogeneity-2 part
-        out = 0.0
+    def integrand(pts, base, g):
+        y = _unit_covectors(_orbit_frames(base), g)
+        re, im = _pair_projector_fiber(pts, base, y)
+        pair_hat = re + 1j * im                     # <P, Ahat>
+        pair_pr = _quad_values(form_pr, pts)[:, 0]  # <P, A'>
+        fquad = f(base, y) - fconst                 # the homogeneity-2 part of f
         # l = 0 term: (1/b_0) [ const part at homog 0 + linear part at homog 2 ]
-        out = out + math.exp(-logb[0]) * (fconst * math.exp(log_radial_gg(n, 0))
-                                          + fquad * math.exp(log_radial_gg(n, 1)))
+        out = inv_b[0] * (fconst * radial[0] + fquad * radial[1])
         # l = 1 term: conj<P, A> <P, A'> against both parts of f
         core = np.conj(pair_hat) * pair_pr
-        out = out + math.exp(-logb[1]) * (fconst * core * math.exp(log_radial_gg(n, 1))
-                                          + fquad * core * math.exp(log_radial_gg(n, 2)))
-        return out
+        return out + inv_b[1] * (fconst * core * radial[1] + fquad * core * radial[2])
+
+    def batch(rng, size):
+        pts = sphere_uniform(4 * m - 1, rng, size=size)
+        base = sphere_uniform(4 * m - 1, rng, size=size)
+        return _blockwise(integrand, pts, base, rng.standard_normal((size, 4 * m)))
 
     return f_at_aprime, mc_mean(batch, config).scaled(vol_pnh(n) ** 2 * vol_sphere(4 * n - 1))
 

@@ -410,17 +410,22 @@ def _orbit_frame_matrix(m):
 
 
 def _orbit_frames(p):
-    """The orbit frames p e_0 .. p e_3 of points p (N, m, 4) as the rows of
-    an (N, 4, 4m) array: one product with the cached orbit-frame matrix."""
-    size, m = p.shape[0], p.shape[-2]
-    return (p.reshape(size, 4 * m) @ _orbit_frame_matrix(m)).reshape(size, 4, 4 * m)
+    """The orbit frames p e_0 .. p e_3 of points p, (N, m, 4) or flat
+    (N, 4m), as the rows of an (N, 4, 4m) array: one product with the
+    cached orbit-frame matrix."""
+    flat = p.reshape(p.shape[0], -1)
+    size, dim = flat.shape
+    return (flat @ _orbit_frame_matrix(dim // 4)).reshape(size, 4, dim)
 
 
 def _project_out(frames, q):
-    """q (N, 4m) minus its components along the orthonormal rows of frames
-    (N, k, 4m), all k at once.  The orbit frames of p leave the horizontal
-    part of q at p; p alone, p.reshape(N, 1, 4m), leaves its part tangent
-    to the sphere."""
+    """q (N, 4m) minus its components along the orthonormal rows of frames,
+    all k at once: (N, k, 4m) row by row, or (k, 4m) the same for every row,
+    two matrix products.  The orbit frames of p leave the horizontal part of
+    q at p; p alone, p.reshape(N, 1, 4m), leaves its part tangent to the
+    sphere."""
+    if frames.ndim == 2:
+        return q - (q @ frames.T) @ frames
     coeffs = np.einsum("nkj,nj->nk", frames, q)
     return q - np.einsum("nk,nkj->nj", coeffs, frames)
 

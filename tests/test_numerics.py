@@ -54,6 +54,39 @@ def test_sphere_uniform_moments(rng):
     assert abs(m2 - 0.2) < 3.5 * se
 
 
+class _ZeroFirstDraw:
+    """Generator stub: standard_normal comes from a seeded generator, except
+    that row ``row`` of the first draw is zero."""
+
+    def __init__(self, row):
+        self.rng = np.random.default_rng(5)
+        self.row = row
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        out = self.rng.standard_normal(shape)
+        if not self.shapes:
+            out[self.row] = 0.0
+        self.shapes.append(shape)
+        return out
+
+
+@pytest.mark.parametrize("size", [None, 6])
+def test_sphere_uniform_redraws_degenerate_rows(size):
+    # the zero row is redrawn from the generator's next draw, and nothing
+    # else is drawn
+    stub = _ZeroFirstDraw(row=... if size is None else 3)
+    pts = num.sphere_uniform(4, stub, size=size)
+    ref = np.random.default_rng(5)
+    expect = ref.standard_normal((5,) if size is None else (size, 5))
+    expect[... if size is None else 3] = ref.standard_normal((1, 5))
+    assert stub.shapes == [expect.shape, (1, 5)]
+    assert np.abs(np.linalg.norm(pts, axis=-1) - 1.0).max() <= 1e-15
+    expect /= np.linalg.norm(expect, axis=-1, keepdims=True)
+    assert np.abs(pts - expect).max() <= 1e-15
+    assert stub.standard_normal(3).tolist() == ref.standard_normal(3).tolist()
+
+
 def test_gamma_radial():
     assert abs(num.gamma_radial(0, 1.0) - 1.0) < 1e-15
     val = num.gamma_radial(4, 2 * math.pi)

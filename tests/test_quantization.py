@@ -131,12 +131,13 @@ def test_constants_positive_and_monotone_ratios():
 
 
 def test_fiber_sampler_is_the_commuting_square(rng):
-    # the oracles' fiber points z = p + i q stand for beta(tau_s(p, q)), which
-    # is tau_h(alpha(p, q)) row by row
+    # the oracles' fiber points, the real pairs (p, q), stand for
+    # beta(tau_s(p, q)), which is tau_h(alpha(p, q)) row by row
     for n in (1, 2, 3):
         m = n + 1
         base = np.stack([sphere_uniform(4 * m - 1, rng).reshape(m, 4) for _ in range(64)])
-        q = qz._unit_fiber_points(base, rng, 64).imag
+        normals = rng.standard_normal((64, 4 * m))
+        q = qz._unit_covectors(sp._orbit_frames(base), normals).reshape(64, m, 4)
         amats = sp.beta_blocks(alg.rho(base + 1j * q))
         for p_k, q_k, a_k in zip(base, q, amats):
             pt = sp.SphereCovector(p_k, q_k)
@@ -179,7 +180,7 @@ def test_batched_projector_is_the_per_direction_loop(n, rng):
     for frames, dirs in ((sp._orbit_frames(base), sp.sp1_orbit_frame(base)),
                          (base.reshape(size, 1, 4 * m), base[None])):
         ref_rng = copy.deepcopy(rng)
-        q = qz._unit_covectors(frames, rng).reshape(size, m, 4)
+        q = qz._unit_covectors(frames, rng.standard_normal((size, 4 * m))).reshape(size, m, 4)
         ref = _loop_unit_covectors(dirs, ref_rng)
         assert np.abs(q - ref).max() <= 1e-14
         assert rng.random() == ref_rng.random()
@@ -212,7 +213,9 @@ def test_matrix_free_pairing_is_the_matrix_pairing(rng):
         generic = rng.standard_normal((2, size, m, 4))
         for z in (base + 1j * horizontal, base + 1j * full, generic[0] + 1j * generic[1]):
             ref = spl.pair_projector_amatrix(pts, sp.beta_blocks(alg.rho(z)))
-            got = spl._pair_projector_fiber(pts, z)
+            re, im = spl._pair_projector_fiber(pts, z.real.reshape(size, -1),
+                                               z.imag.reshape(size, -1))
+            got = re + 1j * im
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -290,6 +293,122 @@ def test_matrix_free_oracles_keep_the_matrix_route_draws(rng):
     for got, batch, scale in cases:
         ref = mc_mean(batch, cfg).scaled(scale)
         assert got.samples == ref.samples
+        assert abs(got.value - ref.value) <= 1e-12 * abs(ref.value)
+        assert abs(got.stderr - ref.stderr) <= 1e-12 * ref.stderr
+
+
+def _complex_fiber_points(p, dirs_of, rng, size):
+    """The complex fiber points z = p + i q, (N, m, 4), that the oracles
+    sampled before they paired real pairs (p, q): q uniform and unit,
+    orthogonal to dirs_of(p), projected one direction at a time."""
+    p = np.broadcast_to(p, (size,) + p.shape[-2:])
+    return p + 1j * _loop_unit_covectors(dirs_of(p), rng)
+
+
+def _complex_pairing(pts, z):
+    """<P(p), beta(rho(z))>_C = sum_k ((p e_k).z)^2 on the complex points."""
+    w = np.einsum("knij,nij->nk", sp.sp1_orbit_frame(pts), z)
+    return np.einsum("nk,nk->n", w, w)
+
+
+def test_blocked_oracles_keep_the_complex_route_draws(rng):
+    # 65,536 + 5,000 samples: the second chunk ends in a partial row block.
+    # Each oracle agrees with its whole-chunk complex-point batch, written
+    # out here, on the same draws.
+    cfg = MCConfig(samples=65_536 + 5_000, seed=9090)
+    c0, c1 = 0.7, 0.4 - 0.3j
+
+    def horizontal(p):
+        return sp.sp1_orbit_frame(p)
+
+    def b_batch(n, l):
+        m = n + 1
+
+        def batch(rng, size):
+            pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
+            base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
+            z = _complex_fiber_points(base, horizontal, rng, size)
+            return np.abs(_complex_pairing(pts, z)) ** (2 * l)
+        return batch
+
+    def b_scale(n, l):
+        return (math.exp(qz.log_radial_gg(n, 2 * l)) * qz.vol_pnh(n) ** 2
+                * vol_sphere(4 * n - 1) / spl.dim_eigenspace(n, l))
+
+    def t_batch(phi, pprime, dirs_of, flow_t=None):
+        m = phi.n + 1
+
+        def batch(rng, size):
+            pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
+            pair = _complex_pairing(pts, _complex_fiber_points(pprime, dirs_of, rng, size))
+            if flow_t is not None:
+                pair = np.exp(-2j * flow_t) * pair
+            return _matrix_route_phi(phi, pts) * pair ** phi.l
+        return batch
+
+    def kernel_batch(n, a1, aprime):
+        m = n + 1
+        radial = [math.exp(qz.log_radial_gg(n, k)) for k in range(3)]
+
+        def batch(rng, size):
+            pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
+            base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
+            z = _complex_fiber_points(base, horizontal, rng, size)
+            core = np.conj(_complex_pairing(pts, z)) * spl.pair_projector_amatrix(pts, aprime)
+            fquad = c1 * spl.pair_projector_amatrix(z, a1)
+            return (math.exp(-qz.log_b_coeff(n, 0)) * (c0 * radial[0] + fquad * radial[1])
+                    + math.exp(-qz.log_b_coeff(n, 1)) * (c0 * core * radial[1]
+                                                        + fquad * core * radial[2]))
+        return batch
+
+    def orthogonality_batch(n, l, lp, a1, a2):
+        m = n + 1
+
+        def batch(rng, size):
+            base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
+            z = _complex_fiber_points(base, horizontal, rng, size)
+            return (spl.pair_projector_amatrix(z, a1) ** l
+                    * np.conj(spl.pair_projector_amatrix(z, a2) ** lp))
+        return batch
+
+    def moment_batch(dim, l):
+        def batch(rng, size):
+            pts = sphere_uniform(dim, rng, size=size)
+            p0, p1 = pts[:, 0:4], pts[:, 4:8]
+            a = (p0 ** 2).sum(1) - (p1 ** 2).sum(1)
+            b = (p0 * p1).sum(1)
+            return (a * a + 4.0 * b * b) ** l
+        return batch
+
+    n, l = 1, 1
+    phi = spl.random_hl_function(n, l, 2, rng)
+    pprime = sp.random_es0(n, 1.0, rng).p
+    a1 = sp.tau_h(sp.random_eh(n, math.sqrt(2.0), rng)).A
+    aprime = sp.tau_h(sp.random_eh(n, math.sqrt(2.0), rng)).A
+    t_scale = qz._t_apply_scale(n, l) * qz.vol_pnh(n)
+    tilde_scale = (qz.vol_pnh(n) * vol_sphere(4 * n + 2) * math.sqrt(abs(qz.B_S_CONST))
+                   * 2.0 ** -0.5 * gamma_radial(2 * l + 4 * n + 1.5, 2.0 * math.pi))
+    orth_rng = copy.deepcopy(rng)
+    orth_a = [sp.tau_h(sp.random_eh(n, math.sqrt(2.0), orth_rng)).A for _ in range(2)]
+    cases = [
+        (qz.b_coeff_mc(1, 1, cfg), b_batch(1, 1), b_scale(1, 1)),
+        (qz.b_coeff_mc(2, 1, cfg), b_batch(2, 1), b_scale(2, 1)),
+        (qz.t_apply_eigenfunction(phi, pprime, cfg), t_batch(phi, pprime, horizontal),
+         t_scale),
+        (qz.t_apply_eigenfunction(phi, pprime, cfg, flow_t=0.7),
+         t_batch(phi, pprime, horizontal, 0.7), t_scale * np.exp(-1j * 0.7 * (2 * n + 1))),
+        (qz.t_tilde_apply_eigenfunction(phi, pprime, cfg),
+         t_batch(phi, pprime, lambda p: p[None]), tilde_scale),
+        (qz.kernel_reproduce_check(c0, [a1], [c1], aprime, n, cfg)[1],
+         kernel_batch(n, a1, aprime), qz.vol_pnh(n) ** 2 * vol_sphere(4 * n - 1)),
+        (qz.orthogonality_check(n, 1, 2, cfg, rng), orthogonality_batch(n, 1, 2, *orth_a),
+         math.exp(qz.log_radial_gg(n, 3)) * qz.vol_pnh(n) * vol_sphere(4 * n - 1)),
+        (qz.i_coeff_mc(2, 2, cfg), moment_batch(11, 2), qz.vol_pnh(2) / 64.0),
+        (qz.moment_s7_mc(1, cfg), moment_batch(7, 1), vol_sphere(7)),
+    ]
+    for got, batch, scale in cases:
+        ref = mc_mean(batch, cfg).scaled(scale)
+        assert got.samples == ref.samples == 70_536
         assert abs(got.value - ref.value) <= 1e-12 * abs(ref.value)
         assert abs(got.stderr - ref.stderr) <= 1e-12 * ref.stderr
 

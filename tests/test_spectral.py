@@ -199,7 +199,7 @@ def test_pairing_of_complex_points_is_the_bilinear_extension(rng):
 
 
 def test_eval_sphere_is_the_sum_of_powered_pairings(rng):
-    for n in (1, 2):
+    for n in (1, 2, 3):
         m = n + 1
         pts = sphere_uniform(4 * m - 1, rng, size=100).reshape(100, m, 4)
         for l in range(4):
