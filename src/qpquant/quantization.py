@@ -30,7 +30,7 @@ from .numerics import (
     vol_sphere,
 )
 from .spaces import _orbit_frames, _project_out
-from .spectral import _pair_projector_fiber, _quad_values, _real_forms, dim_eigenspace
+from .spectral import _pair_projector_fiber, _quad_values, dim_eigenspace, quad_form_matrix
 
 __all__ = [
     "A_H_CONST",
@@ -211,9 +211,8 @@ def _unit_covectors(frames, g):
     normal draws g (N, 4m).
 
     The orbit frames of p give the horizontal covectors q at p, and the unit
-    fiber point z = p + i q with beta(rho(z)) = tau_h(alpha(p, q)), which
-    the oracles pair as the real pair (p, q); p alone gives the whole
-    cotangent sphere.
+    fiber point z = p + i q with beta(rho(z)) = tau_h(alpha(p, q)); p alone
+    gives the whole cotangent sphere.
     """
     q = _project_out(frames, g)
     q /= np.sqrt(np.einsum("nj,nj->n", q, q))[:, None]
@@ -226,9 +225,8 @@ def b_coeff_mc(n, l, config):
     dim = dim_eigenspace(n, l)
 
     def integrand(pts, base, g):
-        # |<P, A-hat>|^(2l) from the real and imaginary parts
-        re, im = _pair_projector_fiber(pts, base, _unit_covectors(_orbit_frames(base), g))
-        return (re * re + im * im) ** l
+        pair = _pair_projector_fiber(pts, base, _unit_covectors(_orbit_frames(base), g))
+        return np.abs(pair) ** (2 * l)
 
     def batch(rng, size):
         pts = sphere_uniform(4 * m - 1, rng, size=size)
@@ -380,8 +378,7 @@ def t_apply_eigenfunction(phi, p_prime, config, flow_t=None):
         phase = np.exp(-1j * flow_t * (2 * n + 1))
 
     def integrand(pts, g):
-        re, im = _pair_projector_fiber(pts, x, _unit_covectors(frame, g))
-        pair = re + 1j * im
+        pair = _pair_projector_fiber(pts, x, _unit_covectors(frame, g))
         if flow_t is not None:
             pair = np.exp(-2j * flow_t) * pair
         return phi.eval_sphere(pts.reshape(-1, m, 4)) * pair ** l
@@ -400,8 +397,8 @@ def t_tilde_apply_eigenfunction(phi, p_prime, config):
     x = np.asarray(p_prime, dtype=float).ravel()
 
     def integrand(pts, g):
-        re, im = _pair_projector_fiber(pts, x, _unit_covectors(x[None], g))
-        return phi.eval_sphere(pts.reshape(-1, m, 4)) * (re + 1j * im) ** l
+        pair = _pair_projector_fiber(pts, x, _unit_covectors(x[None], g))
+        return phi.eval_sphere(pts.reshape(-1, m, 4)) * pair ** l
 
     def batch(rng, size):
         pts = sphere_uniform(4 * m - 1, rng, size=size)
@@ -462,19 +459,19 @@ def kernel_diag(n, norm_a, lmax):
     return value, tail
 
 
-def pairing_gg_mc(fa, fb, homogeneity, n, config):
+def pairing_gg_mc(fa_z, fb_z, homogeneity, n, config):
     """MC of the weighted holomorphic pairing <f, g> for fiber-homogeneous
     integrand fa(A) conj(fb(A)) of total flat-coordinate homogeneity 2k.
 
-    ``fa``/``fb`` take the real and imaginary parts x, y (N, 4n+4) of
-    unit fiber points z = x + i y standing for A-hat = beta(rho(z));
-    <A-hat, A_k>_C = z^t M_k z.
+    ``fa_z``/``fb_z`` take batched unit-fiber points z, (N, n+1, 4) complex,
+    standing for A-hat = beta(rho(z)); <A-hat, A_k>_C = z^t M_k z.  They
+    are called on one row block of a chunk at a time.
     """
     m = n + 1
 
     def integrand(base, g):
-        y = _unit_covectors(_orbit_frames(base), g)
-        return fa(base, y) * np.conj(fb(base, y))
+        z = (base + 1j * _unit_covectors(_orbit_frames(base), g)).reshape(-1, m, 4)
+        return fa_z(z) * np.conj(fb_z(z))
 
     def batch(rng, size):
         base = sphere_uniform(4 * m - 1, rng, size=size)
@@ -489,28 +486,27 @@ def orthogonality_check(n, l, lp, config, rng):
     from .spaces import random_eh, tau_h
     a1 = tau_h(random_eh(n, math.sqrt(2.0), rng)).A
     a2 = tau_h(random_eh(n, math.sqrt(2.0), rng)).A
-    form1, form2 = _real_forms([a1]), _real_forms([a2])
-    return pairing_gg_mc(lambda x, y: _quad_values(form1, x, y)[:, 0] ** l,
-                         lambda x, y: _quad_values(form2, x, y)[:, 0] ** lp,
+    form1, form2 = quad_form_matrix(a1)[None], quad_form_matrix(a2)[None]
+    return pairing_gg_mc(lambda z: _quad_values(z, form1)[:, 0] ** l,
+                         lambda z: _quad_values(z, form2)[:, 0] ** lp,
                          l + lp, n, config)
 
 
 def _test_function(c0, amats, coeffs):
     """f = c0 + sum_k c_k <., A_k>_C, the one evaluator of the kernel test function.
 
-    f takes one matrix of the cotangent model, or the real and imaginary
-    parts x, y (N, 4n+4) of fiber points z = x + i y standing for
-    beta(rho(z)), where it is c0 + sum_k c_k z^t M_k z with
-    M_k = quad_form_matrix(A_k).
+    f takes one matrix of the cotangent model, or a batch of fiber points z
+    (N, n+1, 4) standing for beta(rho(z)), where it is c0 + sum_k c_k
+    z^t M_k z with M_k = quad_form_matrix(A_k).
     """
     terms = list(zip(coeffs, amats))
-    forms = _real_forms(amats)
+    forms = np.stack([quad_form_matrix(a) for a in amats])
     c = np.asarray(coeffs)
 
-    def f(x, y=None):
-        if y is None:
+    def f(x):
+        if np.shape(x)[-2:] == np.shape(amats[0]):
             return c0 + sum(ck * cbilinear(x, amat) for ck, amat in terms)
-        return c0 + _quad_values(forms, x, y) @ c
+        return c0 + _quad_values(x, forms) @ c
 
     return f
 
@@ -524,7 +520,7 @@ def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
     m = n + 1
     f = _test_function(complex(c0), phi1_amats, phi1_coeffs)
     f_at_aprime = f(a_prime)
-    form_pr = _real_forms([a_prime])
+    form_pr = quad_form_matrix(a_prime)[None]
 
     fconst = complex(c0)
     inv_b = [math.exp(-log_b_coeff(n, 0)), math.exp(-log_b_coeff(n, 1))]
@@ -532,10 +528,9 @@ def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
 
     def integrand(pts, base, g):
         y = _unit_covectors(_orbit_frames(base), g)
-        re, im = _pair_projector_fiber(pts, base, y)
-        pair_hat = re + 1j * im                     # <P, Ahat>
-        pair_pr = _quad_values(form_pr, pts)[:, 0]  # <P, A'>
-        fquad = f(base, y) - fconst                 # the homogeneity-2 part of f
+        pair_hat = _pair_projector_fiber(pts, base, y)                # <P, Ahat>
+        pair_pr = _quad_values(pts.reshape(-1, m, 4), form_pr)[:, 0]  # <P, A'>
+        fquad = f((base + 1j * y).reshape(-1, m, 4)) - fconst  # homogeneity-2 part of f
         # l = 0 term: (1/b_0) [ const part at homog 0 + linear part at homog 2 ]
         out = inv_b[0] * (fconst * radial[0] + fquad * radial[1])
         # l = 1 term: conj<P, A> <P, A'> against both parts of f

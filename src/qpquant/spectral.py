@@ -112,56 +112,24 @@ def _pair_projector_fiber(p, x, y):
     at fiber points z = x + i y, without forming either matrix or z.
 
     x and y are real, flat (N, 4m); x may also be one point (4m,) shared by
-    every row.  Returns the real and imaginary parts.  beta(rho(z)) has the
-    blocks rho(z_i theta(z_j)), so the pairing is sum_a w_a^2 with
-    w = <p, z>_H = sum_i theta(p_i) z_i in H (x) C, whose components are
-    w_k = (p e_k).z up to sign.  With F(p) the orbit frame of p, u = F(p) x
-    and v = F(p) y give sum_a w_a^2 = |u|^2 - |v|^2 + 2i u.v.
+    every row.  beta(rho(z)) has the blocks rho(z_i theta(z_j)), so the
+    pairing is sum_a w_a^2 with w = <p, z>_H = sum_i theta(p_i) z_i in
+    H (x) C, whose components are w_k = (p e_k).z up to sign.  With F(p) the
+    orbit frame of p, u = F(p) x and v = F(p) y give
+    sum_a w_a^2 = |u|^2 - |v|^2 + 2i u.v.
     """
     frames = _orbit_frames(p)
-    if x.ndim == 1:
-        # F(p) x is linear in p: for one x, a product with the (4m, 4) matrix
-        # of the F(e_i) x over the basis vectors e_i
-        u = np.reshape(p, (len(p), -1)) @ (_orbit_frames(np.eye(len(x))) @ x)
-    else:
-        u = np.einsum("nkj,nj->nk", frames, x)
+    u = np.einsum("nkj,nj->nk", frames, np.broadcast_to(x, y.shape))
     v = np.einsum("nkj,nj->nk", frames, y)
-    return (np.einsum("nk,nk->n", u, u) - np.einsum("nk,nk->n", v, v),
-            2.0 * np.einsum("nk,nk->n", u, v))
+    return (np.einsum("nk,nk->n", u, u) - np.einsum("nk,nk->n", v, v)
+            + 2j * np.einsum("nk,nk->n", u, v))
 
 
-def _real_forms(amats):
-    """The forms M_k = quad_form_matrix(A_k) of matrices A_k as the one real
-    (4m, 2K 4m) matrix that :func:`_quad_values` takes: Re M_0 .. Re M_(K-1)
-    side by side, then Im M_0 .. Im M_(K-1)."""
-    forms = np.stack([quad_form_matrix(a) for a in amats])
-    parts = np.concatenate([forms.real, forms.imag])
-    return np.ascontiguousarray(np.moveaxis(parts, 0, 1).reshape(forms.shape[-1], -1))
-
-
-def _quad_values(forms, x, y=None):
-    """z^t M_k z at real points z = x, or at fiber points z = x + i y, for
-    the forms stored by :func:`_real_forms`: x and y (..., 4m) real, values
-    (..., K) complex.
-
-    Real products only: with c(a, b) = a^t Re M_k b + i a^t Im M_k b,
-    z^t M_k z = c(x, x) - c(y, y) + 2i c(x, y), as M_k is symmetric.
-    """
-    dim = forms.shape[0]
-    k = forms.shape[1] // (2 * dim)
-    lead = np.shape(x)[:-1]
-    x = np.reshape(x, (-1, dim))
-    # c(a, b) as its real and imaginary parts side by side, (N, 2K), is the
-    # row contraction of a with the rows of b @ forms
-    vals = np.einsum("nkj,nj->nk", (x @ forms).reshape(len(x), 2 * k, dim), x)
-    if y is not None:
-        y = np.reshape(y, (-1, dim))
-        ym = (y @ forms).reshape(len(y), 2 * k, dim)
-        vals -= np.einsum("nkj,nj->nk", ym, y)
-        xy = np.einsum("nkj,nj->nk", ym, x)
-        vals[:, :k] -= 2.0 * xy[:, k:]
-        vals[:, k:] += 2.0 * xy[:, :k]
-    return (vals[:, :k] + 1j * vals[:, k:]).reshape(lead + (k,))
+def _quad_values(x, forms):
+    """x^t M_k x for one point x (m, 4) or a batch (N, m, 4), real or complex,
+    and stacked forms M_k (K, 4m, 4m): shape (K,) or (N, K)."""
+    flat = np.reshape(x, np.shape(x)[:-2] + (-1,))
+    return np.einsum("k...j,...j->...k", flat @ forms, flat)
 
 
 def quad_form_matrix(a):
@@ -236,15 +204,14 @@ class HlFunction:
 
     @cached_property
     def _forms(self):
-        # the forms quad_form_matrix(A_k) as _real_forms stores them, built on
-        # first use; not a field, so equality and repr see only the generators
-        return _real_forms(self.amats)
+        # the stacked quad_form_matrix(A_k), built on first use; not a field,
+        # so equality and repr see only the generators
+        return np.stack([quad_form_matrix(a) for a in self.amats])
 
     def eval_sphere(self, p):
         """sum_k c_k (p^t M_k p)^l at one sphere point p (n+1, 4), a scalar,
         or a batch (N, n+1, 4)."""
-        flat = np.reshape(p, np.shape(p)[:-2] + (-1,))
-        return _quad_values(self._forms, flat) ** self.l @ np.asarray(self.coeffs)
+        return _quad_values(p, self._forms) ** self.l @ np.asarray(self.coeffs)
 
 
 def random_hl_function(n, l, k, rng):

@@ -213,9 +213,8 @@ def test_matrix_free_pairing_is_the_matrix_pairing(rng):
         generic = rng.standard_normal((2, size, m, 4))
         for z in (base + 1j * horizontal, base + 1j * full, generic[0] + 1j * generic[1]):
             ref = spl.pair_projector_amatrix(pts, sp.beta_blocks(alg.rho(z)))
-            re, im = spl._pair_projector_fiber(pts, z.real.reshape(size, -1),
-                                               z.imag.reshape(size, -1))
-            got = re + 1j * im
+            got = spl._pair_projector_fiber(pts, z.real.reshape(size, -1),
+                                            z.imag.reshape(size, -1))
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -298,9 +297,9 @@ def test_matrix_free_oracles_keep_the_matrix_route_draws(rng):
 
 
 def _complex_fiber_points(p, dirs_of, rng, size):
-    """The complex fiber points z = p + i q, (N, m, 4), that the oracles
-    sampled before they paired real pairs (p, q): q uniform and unit,
-    orthogonal to dirs_of(p), projected one direction at a time."""
+    """The complex fiber points z = p + i q, (N, m, 4), of a whole chunk:
+    q uniform and unit, orthogonal to dirs_of(p), projected one direction
+    at a time."""
     p = np.broadcast_to(p, (size,) + p.shape[-2:])
     return p + 1j * _loop_unit_covectors(dirs_of(p), rng)
 
