@@ -28,7 +28,7 @@ from . import geometry as geo
 from . import quantization as qz
 from . import spaces as sp
 from . import spectral as spl
-from .algebra import fro_norm, qconj, qmul, qnorm, rho
+from .algebra import fro_norm, inner_r, jordan, qconj, qmat_mul, qmul, qnorm, rho, theta_transpose
 from .numerics import MCConfig
 
 SCHEMA_VERSION = "1"
@@ -171,7 +171,6 @@ def suite_algebra(cfg):
     hom = np.abs(rho(qmul(cx, cy)) - rho(cx) @ rho(cy)).max()
     hom /= max(1.0, float(np.abs(rho(cx) @ rho(cy)).max()))
     _check_upper(checks, "rho-hom", "2x2 embedding is an algebra map", hom, 1e-12 * t)
-    from .algebra import inner_r, jordan, theta_transpose
     worst = 0.0
     for _ in range(50):
         m = int(rng.integers(2, 4))
@@ -224,7 +223,6 @@ def suite_spaces(cfg, config_echo=None):
             abs(cp.qnorm_j ** 2 - 2 * nq2) / (2 * nq2),
             abs(am.norm ** 2 - 2 * cp.qnorm_j ** 4) / (2 * cp.qnorm_j ** 4),
             abs(am.norm - bt.norm ** 2 / math.sqrt(2.0)) / am.norm)
-        from .algebra import qmat_mul
         q3 = qmat_mul(qmat_mul(cp.Q, cp.Q), cp.Q)
         worst_chain = max(worst_chain, float(
             np.abs(q3 - 0.5 * cp.qnorm_j ** 2 * cp.Q).max() / cp.qnorm_j ** 3))
@@ -356,7 +354,7 @@ def suite_quantization(cfg):
         est = qz.i_coeff_mc(cfg.n, l, cfg.mc(salt=l))
         expected = qz.i_coeff(cfg.n, l)
         _check(checks, f"moment-mc-l{l}", "projective moment closed form vs MC",
-               est.value.real if np.iscomplexobj(est.value) else est.value,
+               est.value,
                expected, _MOMENT_REL_FLOOR * abs(expected), stderr=est.stderr)
     worst_b = max(abs(qz.b_coeff(cfg.n, l) - qz.b_coeff_semianalytic(cfg.n, l))
                   / qz.b_coeff(cfg.n, l) for l in range(lo, hi + 1))
@@ -364,7 +362,7 @@ def suite_quantization(cfg):
                  worst_b, 1e-8 * t)
     est = qz.b_coeff_mc(1, 1, cfg.mc(salt=17))
     _check(checks, "bcoeff-mc", "defining integral of the norm constant",
-           float(np.real(est.value)), qz.b_coeff(1, 1), 1e-12, stderr=est.stderr)
+           est.value, qz.b_coeff(1, 1), 1e-12, stderr=est.stderr)
     worst_a = max(abs(qz.a_coeff(cfg.n, l) - qz.a_coeff_quadrature(cfg.n, l))
                   / qz.a_coeff(cfg.n, l) for l in range(6))
     _check_upper(checks, "acoeff-quadrature", "diagonal fiber integral vs quadrature",
@@ -486,14 +484,15 @@ def build_parser():
                                      description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    cfg = SuiteConfig()
 
     flags = {
-        "--n": dict(type=int, default=_env("N", int, 1)),
-        "--lmax": dict(type=int, default=5),
-        "--l-range": dict(type=_parse_l_range, default=(0, 3), metavar="A..B"),
-        "--samples": dict(type=int, default=_env("SAMPLES", int, 200_000)),
-        "--seed": dict(type=int, default=_env("SEED", int, 0)),
-        "--tol-scale": dict(type=float, default=_env("TOL_SCALE", float, 1.0)),
+        "--n": dict(type=int, default=_env("N", int, cfg.n)),
+        "--lmax": dict(type=int, default=cfg.lmax),
+        "--l-range": dict(type=_parse_l_range, default=cfg.l_range, metavar="A..B"),
+        "--samples": dict(type=int, default=_env("SAMPLES", int, cfg.samples)),
+        "--seed": dict(type=int, default=_env("SEED", int, cfg.seed)),
+        "--tol-scale": dict(type=float, default=_env("TOL_SCALE", float, cfg.tol_scale)),
         "--format": dict(choices=("json", "csv"), default=_env("FORMAT", str, "json")),
         "--out": dict(default=_env("OUT", str, None)),
         "--workers": dict(type=int, default=1,

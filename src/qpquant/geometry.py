@@ -47,7 +47,7 @@ from .spaces import (
     tau_h_inv,
     tau_s,
 )
-from .numerics import vol_sphere
+from .numerics import sphere_uniform, vol_sphere
 
 __all__ = [
     "beta_preimage",
@@ -635,8 +635,7 @@ def geodesic_flow_pair(pt, t):
 
 def hopf_pushforward_check(n, nsamples, rng):
     """Pointwise eta/V duality and the volume ratio of the fibration."""
-    from .numerics import sphere_uniform
-    from .quantization import vol_pnh
+    from .quantization import vol_pnh  # local: geometry sits below quantization
     m = n + 1
     worst = 0.0
     for _ in range(nsamples):

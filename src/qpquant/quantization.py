@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .algebra import cbilinear, fro_norm
+from .algebra import fro_norm
 from .numerics import (
     _blockwise,
     gamma_radial,
@@ -29,8 +29,8 @@ from .numerics import (
     sphere_uniform,
     vol_sphere,
 )
-from .spaces import _orbit_frames, _project_out
-from .spectral import _pair_projector_fiber, _quad_values, dim_eigenspace, quad_form_matrix
+from .spaces import _orbit_frames, _project_out, random_eh, tau_h
+from .spectral import HlFunction, _pair_projector_fiber, dim_eigenspace, eigenvalue
 
 __all__ = [
     "A_H_CONST",
@@ -361,6 +361,25 @@ def _t_apply_scale(n, degree):
             * gamma_radial(2 * degree + 4 * n, 2 * math.pi))
 
 
+def _fiber_apply(phi, x, frame, config, rotation=None):
+    """Unscaled joint MC of phi(p) <P(p), A-hat>^l over sphere points p and
+    unit fiber points z = x + i q at the fixed base point x (4m,), q
+    orthogonal to the rows of ``frame``; ``rotation`` multiplies the pairing."""
+    m = phi.n + 1
+
+    def integrand(pts, g):
+        pair = _pair_projector_fiber(pts, x, _unit_covectors(frame, g))
+        if rotation is not None:
+            pair = rotation * pair
+        return phi.eval_sphere(pts.reshape(-1, m, 4)) * pair ** phi.l
+
+    def batch(rng, size):
+        pts = sphere_uniform(4 * m - 1, rng, size=size)
+        return _blockwise(integrand, pts, rng.standard_normal((size, 4 * m)))
+
+    return mc_mean(batch, config)
+
+
 def t_apply_eigenfunction(phi, p_prime, config, flow_t=None):
     """T applied to the eigenspace embedding of phi, at the base point of p_prime.
 
@@ -369,51 +388,30 @@ def t_apply_eigenfunction(phi, p_prime, config, flow_t=None):
     with the classical flow A -> e^(-2it) A, which multiplies the pairing
     by e^(-2it), and the half-density phase e^(-it(2n+1)) is attached.
     """
-    n, l = phi.n, phi.l
-    m = n + 1
+    n = phi.n
     x = np.asarray(p_prime, dtype=float).ravel()
-    frame = _orbit_frames(x[None])[0]
-    phase = 1.0 + 0.0j
+    rotation, phase = None, 1.0 + 0.0j
     if flow_t is not None:
+        rotation = np.exp(-2j * flow_t)
         phase = np.exp(-1j * flow_t * (2 * n + 1))
-
-    def integrand(pts, g):
-        pair = _pair_projector_fiber(pts, x, _unit_covectors(frame, g))
-        if flow_t is not None:
-            pair = np.exp(-2j * flow_t) * pair
-        return phi.eval_sphere(pts.reshape(-1, m, 4)) * pair ** l
-
-    def batch(rng, size):
-        pts = sphere_uniform(4 * m - 1, rng, size=size)
-        return _blockwise(integrand, pts, rng.standard_normal((size, 4 * m)))
-
-    return mc_mean(batch, config).scaled(_t_apply_scale(n, l) * vol_pnh(n) * phase)
+    est = _fiber_apply(phi, x, _orbit_frames(x[None])[0], config, rotation)
+    return est.scaled(_t_apply_scale(n, phi.l) * vol_pnh(n) * phase)
 
 
 def t_tilde_apply_eigenfunction(phi, p_prime, config):
-    """The sphere-descended operator applied to the eigenspace embedding."""
+    """The sphere-descended operator applied to the eigenspace embedding: the
+    fiber covectors q range over the whole sphere orthogonal to p_prime."""
     n, l = phi.n, phi.l
-    m = n + 1
     x = np.asarray(p_prime, dtype=float).ravel()
-
-    def integrand(pts, g):
-        pair = _pair_projector_fiber(pts, x, _unit_covectors(x[None], g))
-        return phi.eval_sphere(pts.reshape(-1, m, 4)) * pair ** l
-
-    def batch(rng, size):
-        pts = sphere_uniform(4 * m - 1, rng, size=size)
-        return _blockwise(integrand, pts, rng.standard_normal((size, 4 * m)))
-
     scale = (vol_pnh(n) * vol_sphere(4 * n + 2) * math.sqrt(abs(B_S_CONST))
              * 2.0 ** -0.5 * gamma_radial(2 * l + 4 * n + 1.5, 2 * math.pi))
-    return mc_mean(batch, config).scaled(scale)
+    return _fiber_apply(phi, x, x[None], config).scaled(scale)
 
 
 # ----------------------------------------------------------- flow identity
 
 def flow_commutation_scalar(n, l, t):
     """|e^(-it(2l+2n+1)) - e^(-it sqrt(lambda_l + (2n+1)^2))|, exactly zero."""
-    from .spectral import eigenvalue
     lhs = np.exp(-1j * t * (2 * l + 2 * n + 1))
     rhs = np.exp(-1j * t * math.sqrt(eigenvalue(n, l) + (2 * n + 1) ** 2))
     return abs(lhs - rhs)
@@ -459,56 +457,35 @@ def kernel_diag(n, norm_a, lmax):
     return value, tail
 
 
-def pairing_gg_mc(fa_z, fb_z, homogeneity, n, config):
-    """MC of the weighted holomorphic pairing <f, g> for fiber-homogeneous
-    integrand fa(A) conj(fb(A)) of total flat-coordinate homogeneity 2k.
+def pairing_gg_mc(fa, fb, config):
+    """MC of the weighted holomorphic pairing <fa, fb> of two eigenspace
+    functions (HlFunction) on PnH with n = fa.n.
 
-    ``fa_z``/``fb_z`` take batched unit-fiber points z, (N, n+1, 4) complex,
-    standing for A-hat = beta(rho(z)); <A-hat, A_k>_C = z^t M_k z.  They
-    are called on one row block of a chunk at a time.
+    The integrand fa(A) conj(fb(A)) has flat-coordinate homogeneity
+    2 (fa.l + fb.l); both are evaluated at unit fiber points z, standing
+    for A-hat = beta(rho(z)), one row block of a chunk at a time.
     """
+    n = fa.n
     m = n + 1
 
     def integrand(base, g):
         z = (base + 1j * _unit_covectors(_orbit_frames(base), g)).reshape(-1, m, 4)
-        return fa_z(z) * np.conj(fb_z(z))
+        return fa.eval_sphere(z) * np.conj(fb.eval_sphere(z))
 
     def batch(rng, size):
         base = sphere_uniform(4 * m - 1, rng, size=size)
         return _blockwise(integrand, base, rng.standard_normal((size, 4 * m)))
 
-    scale = math.exp(log_radial_gg(n, homogeneity)) * vol_pnh(n) * vol_sphere(4 * n - 1)
+    scale = math.exp(log_radial_gg(n, fa.l + fb.l)) * vol_pnh(n) * vol_sphere(4 * n - 1)
     return mc_mean(batch, config).scaled(scale)
 
 
 def orthogonality_check(n, l, lp, config, rng):
     """Pairing between degree-l and degree-l' generators; -> 0 for l != l'."""
-    from .spaces import random_eh, tau_h
     a1 = tau_h(random_eh(n, math.sqrt(2.0), rng)).A
     a2 = tau_h(random_eh(n, math.sqrt(2.0), rng)).A
-    form1, form2 = quad_form_matrix(a1)[None], quad_form_matrix(a2)[None]
-    return pairing_gg_mc(lambda z: _quad_values(z, form1)[:, 0] ** l,
-                         lambda z: _quad_values(z, form2)[:, 0] ** lp,
-                         l + lp, n, config)
-
-
-def _test_function(c0, amats, coeffs):
-    """f = c0 + sum_k c_k <., A_k>_C, the one evaluator of the kernel test function.
-
-    f takes one matrix of the cotangent model, or a batch of fiber points z
-    (N, n+1, 4) standing for beta(rho(z)), where it is c0 + sum_k c_k
-    z^t M_k z with M_k = quad_form_matrix(A_k).
-    """
-    terms = list(zip(coeffs, amats))
-    forms = np.stack([quad_form_matrix(a) for a in amats])
-    c = np.asarray(coeffs)
-
-    def f(x):
-        if np.shape(x)[-2:] == np.shape(amats[0]):
-            return c0 + sum(ck * cbilinear(x, amat) for ck, amat in terms)
-        return c0 + _quad_values(x, forms) @ c
-
-    return f
+    return pairing_gg_mc(HlFunction(n=n, l=l, amats=(a1,), coeffs=(1.0,)),
+                         HlFunction(n=n, l=lp, amats=(a2,), coeffs=(1.0,)), config)
 
 
 def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
@@ -518,23 +495,22 @@ def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
     """
     a_prime = np.asarray(a_prime, dtype=complex)
     m = n + 1
-    f = _test_function(complex(c0), phi1_amats, phi1_coeffs)
-    f_at_aprime = f(a_prime)
-    form_pr = quad_form_matrix(a_prime)[None]
-
+    f1 = HlFunction(n=n, l=1, amats=tuple(phi1_amats), coeffs=tuple(phi1_coeffs))
+    pair_pr = HlFunction(n=n, l=1, amats=(a_prime,), coeffs=(1.0,))     # <P, A'>
     fconst = complex(c0)
+    f_at_aprime = fconst + f1.eval_amatrix(a_prime)
+
     inv_b = [math.exp(-log_b_coeff(n, 0)), math.exp(-log_b_coeff(n, 1))]
     radial = [math.exp(log_radial_gg(n, k)) for k in range(3)]
 
     def integrand(pts, base, g):
         y = _unit_covectors(_orbit_frames(base), g)
         pair_hat = _pair_projector_fiber(pts, base, y)                # <P, Ahat>
-        pair_pr = _quad_values(pts.reshape(-1, m, 4), form_pr)[:, 0]  # <P, A'>
-        fquad = f((base + 1j * y).reshape(-1, m, 4)) - fconst  # homogeneity-2 part of f
+        fquad = f1.eval_sphere((base + 1j * y).reshape(-1, m, 4))    # homogeneity-2 part of f
         # l = 0 term: (1/b_0) [ const part at homog 0 + linear part at homog 2 ]
         out = inv_b[0] * (fconst * radial[0] + fquad * radial[1])
         # l = 1 term: conj<P, A> <P, A'> against both parts of f
-        core = np.conj(pair_hat) * pair_pr
+        core = np.conj(pair_hat) * pair_pr.eval_sphere(pts.reshape(-1, m, 4))
         return out + inv_b[1] * (fconst * core * radial[1] + fquad * core * radial[2])
 
     def batch(rng, size):
@@ -548,11 +524,11 @@ def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
 def kernel_norm_bound_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
     """Check |f(A')| <= sqrt(R(A', A')) ||f|| for f = c0 + linear part."""
     a_prime = np.asarray(a_prime, dtype=complex)
-    f1 = _test_function(0.0, phi1_amats, phi1_coeffs)   # the linear part of f
-    f_at_aprime = complex(c0) + f1(a_prime)
+    f1 = HlFunction(n=n, l=1, amats=tuple(phi1_amats), coeffs=tuple(phi1_coeffs))
+    f_at_aprime = complex(c0) + f1.eval_amatrix(a_prime)
     diag, _ = kernel_diag(n, fro_norm(a_prime), lmax=30)
 
-    norm1_sq = pairing_gg_mc(f1, f1, 2, n, config)
+    norm1_sq = pairing_gg_mc(f1, f1, config)
     norm0_sq = abs(c0) ** 2 * b_coeff(n, 0) / vol_pnh(n)
     fnorm_sq = norm0_sq + norm1_sq.value.real
     bound = math.sqrt(diag) * math.sqrt(max(fnorm_sq, 0.0))

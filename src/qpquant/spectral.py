@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import cbilinear, complexify, qconj, qmul
 from .numerics import sphere_uniform
-from .spaces import AMatrix, _orbit_frames, in_amatrix_space
+from .spaces import AMatrix, _orbit_frames, in_amatrix_space, random_eh, tau_h
 
 __all__ = [
     "HlFunction",
@@ -125,13 +125,6 @@ def _pair_projector_fiber(p, x, y):
             + 2j * np.einsum("nk,nk->n", u, v))
 
 
-def _quad_values(x, forms):
-    """x^t M_k x for one point x (m, 4) or a batch (N, m, 4), real or complex,
-    and stacked forms M_k (K, 4m, 4m): shape (K,) or (N, K)."""
-    flat = np.reshape(x, np.shape(x)[:-2] + (-1,))
-    return np.einsum("k...j,...j->...k", flat @ forms, flat)
-
-
 def quad_form_matrix(a):
     """Complex symmetric M with <(p_i theta(p_j)), A>_C = p^t M p, p in R^(4m):
     the tensor contraction G.A, symmetrised."""
@@ -195,7 +188,8 @@ def mixed_term_noninvariance(p, q, a, r):
 
 @dataclass(frozen=True)
 class HlFunction:
-    """Eigenspace function represented as sum_k c_k <P, A_k>^l."""
+    """Eigenspace function represented as sum_k c_k <P, A_k>^l, the one
+    evaluator of it and of its holomorphic extension sum_k c_k <A, A_k>_C^l."""
 
     n: int
     l: int
@@ -209,14 +203,23 @@ class HlFunction:
         return np.stack([quad_form_matrix(a) for a in self.amats])
 
     def eval_sphere(self, p):
-        """sum_k c_k (p^t M_k p)^l at one sphere point p (n+1, 4), a scalar,
-        or a batch (N, n+1, 4)."""
-        return _quad_values(p, self._forms) ** self.l @ np.asarray(self.coeffs)
+        """sum_k c_k (p^t M_k p)^l at one point p (n+1, 4), a scalar, or a batch
+        (N, n+1, 4).
+
+        Real p are sphere points.  Complex p are fiber points z, where
+        z^t M_k z = <beta(rho(z)), A_k>_C gives the extension at beta(rho(z)).
+        """
+        flat = np.reshape(p, np.shape(p)[:-2] + (-1,))
+        pairs = np.einsum("k...j,...j->...k", flat @ self._forms, flat)
+        return pairs ** self.l @ np.asarray(self.coeffs)
+
+    def eval_amatrix(self, a):
+        """sum_k c_k <A, A_k>_C^l at one matrix A (2n+2, 2n+2) of the cotangent model."""
+        return sum(c * cbilinear(a, ak) ** self.l for c, ak in zip(self.coeffs, self.amats))
 
 
 def random_hl_function(n, l, k, rng):
     """Random element of the l-th eigenspace as a k-term generator span."""
-    from .spaces import random_eh, tau_h
     amats = []
     for _ in range(k):
         amats.append(tau_h(random_eh(n, np.sqrt(2.0), rng)).A)

@@ -370,6 +370,15 @@ def test_blocked_oracles_keep_the_complex_route_draws(rng):
                     * np.conj(spl.pair_projector_amatrix(z, a2) ** lp))
         return batch
 
+    def pairing_batch(n, f):
+        m = n + 1
+
+        def batch(rng, size):
+            base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
+            fz = _matrix_route_phi(f, _complex_fiber_points(base, horizontal, rng, size))
+            return fz * np.conj(fz)
+        return batch
+
     def moment_batch(dim, l):
         def batch(rng, size):
             pts = sphere_uniform(dim, rng, size=size)
@@ -389,6 +398,9 @@ def test_blocked_oracles_keep_the_complex_route_draws(rng):
                    * 2.0 ** -0.5 * gamma_radial(2 * l + 4 * n + 1.5, 2.0 * math.pi))
     orth_rng = copy.deepcopy(rng)
     orth_a = [sp.tau_h(sp.random_eh(n, math.sqrt(2.0), orth_rng)).A for _ in range(2)]
+    # the linear part of the kernel-bound test function: two terms, complex coefficients
+    phi1 = spl.HlFunction(n=n, l=1, amats=tuple(sp.tau_h(sp.random_eh(
+        n, math.sqrt(2.0), orth_rng)).A for _ in range(2)), coeffs=(0.8j, c1))
     cases = [
         (qz.b_coeff_mc(1, 1, cfg), b_batch(1, 1), b_scale(1, 1)),
         (qz.b_coeff_mc(2, 1, cfg), b_batch(2, 1), b_scale(2, 1)),
@@ -402,6 +414,8 @@ def test_blocked_oracles_keep_the_complex_route_draws(rng):
          kernel_batch(n, a1, aprime), qz.vol_pnh(n) ** 2 * vol_sphere(4 * n - 1)),
         (qz.orthogonality_check(n, 1, 2, cfg, rng), orthogonality_batch(n, 1, 2, *orth_a),
          math.exp(qz.log_radial_gg(n, 3)) * qz.vol_pnh(n) * vol_sphere(4 * n - 1)),
+        (qz.pairing_gg_mc(phi1, phi1, cfg), pairing_batch(n, phi1),
+         math.exp(qz.log_radial_gg(n, 2)) * qz.vol_pnh(n) * vol_sphere(4 * n - 1)),
         (qz.i_coeff_mc(2, 2, cfg), moment_batch(11, 2), qz.vol_pnh(2) / 64.0),
         (qz.moment_s7_mc(1, cfg), moment_batch(7, 1), vol_sphere(7)),
     ]

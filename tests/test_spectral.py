@@ -7,6 +7,7 @@ import pytest
 
 from qpquant import spectral as spec
 from qpquant import spaces as sp
+from qpquant.algebra import rho
 from qpquant.numerics import sphere_uniform
 
 
@@ -199,9 +200,14 @@ def test_pairing_of_complex_points_is_the_bilinear_extension(rng):
 
 
 def test_eval_sphere_is_the_sum_of_powered_pairings(rng):
+    # fiber points z = p + i q, q a horizontal unit covector, from their own
+    # generator so that the sphere points and functions stay as they were
+    zrng = np.random.default_rng(31)
     for n in (1, 2, 3):
         m = n + 1
         pts = sphere_uniform(4 * m - 1, rng, size=100).reshape(100, m, 4)
+        z = np.array([pt.p + 1j * pt.q for pt in (sp.random_es0(n, 1.0, zrng)
+                                                   for _ in range(20))])
         for l in range(4):
             f = spec.random_hl_function(n, l, 3, rng)
             text = repr(f)
@@ -215,3 +221,9 @@ def test_eval_sphere_is_the_sum_of_powered_pairings(rng):
             # the stored quadratic forms are not a field
             assert repr(f) == text
             assert f == spec.HlFunction(n=f.n, l=f.l, amats=f.amats, coeffs=f.coeffs)
+            # at a fiber point z, eval_sphere is the extension at beta(rho(z))
+            coeffs = zrng.standard_normal(3) + 1j * zrng.standard_normal(3)
+            g = spec.HlFunction(n=n, l=l, amats=f.amats, coeffs=tuple(coeffs.tolist()))
+            for zi, val in zip(z, g.eval_sphere(z)):
+                at_a = g.eval_amatrix(sp.beta_blocks(rho(zi)))
+                assert abs(val - at_a) <= 1e-12 * abs(at_a)
