@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -32,37 +32,6 @@ from .algebra import fro_norm, inner_r, jordan, qconj, qmat_mul, qmul, qnorm, rh
 from .numerics import MCConfig
 
 SCHEMA_VERSION = "1"
-SUITES = ("algebra", "spaces", "geometry", "spectral", "constants",
-          "quantization", "kernel", "all")
-
-# bundled report schema (JSON Schema dialect); field names are contractual
-REPORT_SCHEMA = {
-    "type": "object",
-    "required": ["schema_version", "suite", "timestamp", "config", "checks"],
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "suite": {"enum": list(SUITES)},
-        "timestamp": {"type": "string"},
-        "config": {"type": "object"},
-        "checks": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "paper_ref", "status", "value", "expected",
-                             "tolerance"],
-                "properties": {
-                    "id": {"type": "string"},
-                    "paper_ref": {"type": "string"},
-                    "status": {"enum": ["pass", "fail"]},
-                    "value": {"type": "number"},
-                    "expected": {"type": "number"},
-                    "tolerance": {"type": "number"},
-                    "stderr": {"type": "number"},
-                },
-            },
-        },
-    },
-}
 
 
 @dataclass
@@ -73,14 +42,12 @@ class CheckRecord:
     value: float
     expected: float
     tolerance: float
-    stderr: float | None = None
+    stderr: float | None
 
     def as_dict(self):
-        out = {"id": self.id, "paper_ref": self.paper_ref, "status": self.status,
-               "value": self.value, "expected": self.expected,
-               "tolerance": self.tolerance}
-        if self.stderr is not None:
-            out["stderr"] = self.stderr
+        out = asdict(self)
+        if self.stderr is None:
+            del out["stderr"]
         return out
 
 
@@ -121,16 +88,23 @@ def _timestamp():
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(t))
 
 
-def _check(checks, cid, ref, value, expected, tol, stderr=None):
-    ok = abs(value - expected) <= tol + (0.0 if stderr is None else 3.0 * stderr)
-    checks.append(CheckRecord(id=cid, paper_ref=ref, status="pass" if ok else "fail",
-                              value=float(value), expected=float(expected),
-                              tolerance=float(tol), stderr=stderr))
-    return ok
+class Checks:
+    """The one recorder of a suite: its checks in run order, and the entries
+    it adds to the report's config echo."""
 
+    def __init__(self):
+        self.records = []
+        self.config = {}
 
-def _check_upper(checks, cid, ref, value, tol):
-    return _check(checks, cid, ref, value, 0.0, tol)
+    def __call__(self, cid, ref, value, expected, tol, stderr=None, ok=None):
+        """Record a check that passes when |value - expected| <= tol (+ 3 stderr);
+        a one-sided bound passes in its own verdict ``ok`` instead."""
+        value, expected, tol = float(value), float(expected), float(tol)
+        stderr = None if stderr is None else float(stderr)
+        if ok is None:
+            ok = abs(value - expected) <= tol + (0.0 if stderr is None else 3.0 * stderr)
+        self.records.append(CheckRecord(cid, ref, "pass" if ok else "fail",
+                                        value, expected, tol, stderr))
 
 
 @dataclass
@@ -142,7 +116,7 @@ class SuiteConfig:
     seed: int = 0
     tol_scale: float = 1.0
 
-    def rng(self, salt=0):
+    def rng(self, salt):
         return np.random.default_rng(self.seed + salt)
 
     def mc(self, factor=1.0, salt=0):
@@ -152,25 +126,23 @@ class SuiteConfig:
 
 # ------------------------------------------------------------------ suites
 
-def suite_algebra(cfg):
-    checks = []
+def suite_algebra(cfg, rng, check):
     t = cfg.tol_scale
-    rng = cfg.rng(1)
     x = rng.standard_normal((10_000, 4))
     y = rng.standard_normal((10_000, 4))
     z = rng.standard_normal((10_000, 4))
     scale = max(1.0, float(np.abs(qmul(x, qmul(y, z))).max()))
     assoc = np.abs(qmul(qmul(x, y), z) - qmul(x, qmul(y, z))).max() / scale
-    _check_upper(checks, "assoc", "quaternion multiplication table", assoc, 1e-12 * t)
+    check("assoc", "quaternion multiplication table", assoc, 0.0, 1e-12 * t)
     anti = np.abs(qconj(qmul(x, y)) - qmul(qconj(y), qconj(x))).max() / scale
-    _check_upper(checks, "theta-antihom", "conjugation reverses products", anti, 1e-12 * t)
+    check("theta-antihom", "conjugation reverses products", anti, 0.0, 1e-12 * t)
     mult = np.abs(qnorm(qmul(x, y)) - qnorm(x) * qnorm(y)).max() / scale
-    _check_upper(checks, "norm-mult", "norm is multiplicative", mult, 1e-12 * t)
+    check("norm-mult", "norm is multiplicative", mult, 0.0, 1e-12 * t)
     cx = x[:2000] + 1j * rng.standard_normal((2000, 4))
     cy = y[:2000] + 1j * rng.standard_normal((2000, 4))
     hom = np.abs(rho(qmul(cx, cy)) - rho(cx) @ rho(cy)).max()
     hom /= max(1.0, float(np.abs(rho(cx) @ rho(cy)).max()))
-    _check_upper(checks, "rho-hom", "2x2 embedding is an algebra map", hom, 1e-12 * t)
+    check("rho-hom", "2x2 embedding is an algebra map", hom, 0.0, 1e-12 * t)
     worst = 0.0
     for _ in range(50):
         m = int(rng.integers(2, 4))
@@ -183,14 +155,11 @@ def suite_algebra(cfg):
         lhs = inner_r(jordan(X, Y), Z)
         rhs = inner_r(X, jordan(Y, Z))
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    _check_upper(checks, "jordan-trace", "Jordan product trace symmetry", worst, 1e-12 * t)
-    return checks
+    check("jordan-trace", "Jordan product trace symmetry", worst, 0.0, 1e-12 * t)
 
 
-def suite_spaces(cfg, config_echo=None):
-    checks = []
+def suite_spaces(cfg, rng, check):
     t = cfg.tol_scale
-    rng = cfg.rng(2)
     worst = {1: 0.0, 2: 0.0}
     for n in (1, 2):
         for _ in range(100):
@@ -198,18 +167,13 @@ def suite_spaces(cfg, config_echo=None):
             lhs = sp.beta(sp.tau_s(pt)).A
             rhs = sp.tau_h(sp.alpha(pt)).A
             worst[n] = max(worst[n], float(np.abs(lhs - rhs).max() / fro_norm(rhs)))
-        _check_upper(checks, f"diagram-n{n}", "square of model maps commutes",
-                     worst[n], 1e-10 * t)
+        check(f"diagram-n{n}", "square of model maps commutes", worst[n], 0.0, 1e-10 * t)
     ptg = sp.random_es_generic(1, rng)
     dev = float(np.abs(sp.beta(sp.tau_s(ptg)).A - sp.tau_h(sp.alpha(ptg)).A).max()
                 / fro_norm(sp.tau_h(sp.alpha(ptg)).A))
-    ok = dev >= 1e-3
-    checks.append(CheckRecord(id="diagram-counterexample",
-                              paper_ref="maps differ off the horizontal locus",
-                              status="pass" if ok else "fail", value=dev,
-                              expected=1e-3, tolerance=0.0))
-    if config_echo is not None:
-        config_echo["counterexample_point"] = json.loads(sp.point_to_json(ptg))
+    check("diagram-counterexample", "maps differ off the horizontal locus",
+          dev, 1e-3, 0.0, ok=dev >= 1e-3)
+    check.config["counterexample_point"] = json.loads(sp.point_to_json(ptg))
     worst_chain = 0.0
     for _ in range(200):
         n = int(rng.integers(1, 3))
@@ -226,22 +190,18 @@ def suite_spaces(cfg, config_echo=None):
         q3 = qmat_mul(qmat_mul(cp.Q, cp.Q), cp.Q)
         worst_chain = max(worst_chain, float(
             np.abs(q3 - 0.5 * cp.qnorm_j ** 2 * cp.Q).max() / cp.qnorm_j ** 3))
-    _check_upper(checks, "norm-chain", "norm chain across the four models",
-                 worst_chain, 1e-12 * t)
+    check("norm-chain", "norm chain across the four models", worst_chain, 0.0, 1e-12 * t)
     worst_rt = 0.0
     for _ in range(100):
         pt = sp.random_es0(1, float(rng.uniform(0.3, 2.0)), rng)
         rec = sp.tau_s_inv(sp.tau_s(pt))
         worst_rt = max(worst_rt, float(np.abs(rec.p - pt.p).max()),
                        float(np.abs(rec.q - pt.q).max()))
-    _check_upper(checks, "tau-s-roundtrip", "B-model map inverts", worst_rt, 1e-12 * t)
-    return checks
+    check("tau-s-roundtrip", "B-model map inverts", worst_rt, 0.0, 1e-12 * t)
 
 
-def suite_geometry(cfg):
-    checks = []
+def suite_geometry(cfg, rng, check):
     t = cfg.tol_scale
-    rng = cfg.rng(3)
     worst_s = worst_h = 0.0
     for _ in range(100):
         pt = sp.random_es0(1, float(rng.uniform(0.4, 2.0)), rng)
@@ -250,50 +210,44 @@ def suite_geometry(cfg):
             worst_s = max(worst_s, geo.canonical_oneform_check("S", bt, v))
         for v in geo.real_basis_from_complex(geo.tangent_basis_et_h(pt))[:4]:
             worst_h = max(worst_h, geo.canonical_oneform_check("H", am, v))
-    _check_upper(checks, "oneform-sphere", "one-form potential identity, sphere model",
-                 worst_s, 1e-10 * t)
-    _check_upper(checks, "oneform-proj", "one-form potential identity, projective model",
-                 worst_h, 1e-10 * t)
+    check("oneform-sphere", "one-form potential identity, sphere model",
+          worst_s, 0.0, 1e-10 * t)
+    check("oneform-proj", "one-form potential identity, projective model",
+          worst_h, 0.0, 1e-10 * t)
     pt = sp.random_es0(1, 1.2, rng)
     am = sp.tau_h(sp.alpha(pt))
     basis = geo.real_basis_from_complex(geo.tangent_basis_et_h(pt))
     ham = max(geo.hamilton_check(am, y) for y in basis)
-    _check_upper(checks, "hamilton-flow", "flow generator solves the Hamilton equation",
-                 ham, 1e-8 * t)
+    check("hamilton-flow", "flow generator solves the Hamilton equation", ham, 0.0, 1e-8 * t)
     fd = max(abs(geo.dtheta_fd("H", am, basis[0], basis[i])
                  - geo.omega_eval("H", am, basis[0], basis[i])) for i in (1, 2, 3))
-    _check_upper(checks, "dtheta-omega", "exterior derivative of the one-form",
-                 fd, 1e-5 * t)
+    check("dtheta-omega", "exterior derivative of the one-form", fd, 0.0, 1e-5 * t)
     worst_flow = 0.0
     for _ in range(100):
         ptu = sp.random_es0(1, 1.0, rng)
         for tt in np.arange(0.0, 3.15, 0.1):
             a_t, a_f = geo.geodesic_flow_pair(ptu, float(tt))
             worst_flow = max(worst_flow, float(np.abs(a_t - a_f).max()))
-    _check_upper(checks, "geodesic-flow", "geodesic flow equals matrix phase scaling",
-                 worst_flow, 1e-10 * t)
+    check("geodesic-flow", "geodesic flow equals matrix phase scaling",
+          worst_flow, 0.0, 1e-10 * t)
     hp = geo.hopf_pushforward_check(cfg.n, 25, rng)
-    _check_upper(checks, "fibration-duality", "fiber frame and dual one-forms",
-                 hp["duality_residual"], 1e-12 * t)
-    _check_upper(checks, "fibration-volume", "total volume ratio of the fibration",
-                 hp["volume_residual"], 1e-12 * t)
-    return checks
+    check("fibration-duality", "fiber frame and dual one-forms",
+          hp["duality_residual"], 0.0, 1e-12 * t)
+    check("fibration-volume", "total volume ratio of the fibration",
+          hp["volume_residual"], 0.0, 1e-12 * t)
 
 
-def suite_spectral(cfg):
-    checks = []
+def suite_spectral(cfg, rng, check):
     t = cfg.tol_scale
-    rng = cfg.rng(4)
     for l in range(cfg.lmax + 1):
-        _check(checks, f"dim-l{l}", "eigenspace dimension formula",
-               float(spl.dim_eigenspace(1, l)),
-               float((l + 1) * (l + 2) * (2 * l + 3) // 6), 0.0)
+        check(f"dim-l{l}", "eigenspace dimension formula", spl.dim_eigenspace(1, l),
+              (l + 1) * (l + 2) * (2 * l + 3) // 6, 0.0)
     ident = max(abs(spl.eigenvalue_sqrt_shift(n, l) ** 2
                     - (spl.eigenvalue(n, l) + (2 * n + 1) ** 2))
                 for n in (1, 2, 4, 8) for l in (0, 1, 10, 10 ** 6))
-    _check_upper(checks, "eigenvalue-shift", "square-root shift identity", ident, 0.0)
+    check("eigenvalue-shift", "square-root shift identity", ident, 0.0, 0.0)
     desc = max(abs(spl.sphere_descent_residual(n, l)) for n in (1, 2) for l in range(6))
-    _check_upper(checks, "sphere-descent", "eigenvalue matches sphere degree 2l", desc, 0.0)
+    check("sphere-descent", "eigenvalue matches sphere degree 2l", desc, 0.0, 0.0)
     worst_tr = worst_gr = 0.0
     for n in (1, 2):
         for _ in range(20):
@@ -301,43 +255,37 @@ def suite_spectral(cfg):
             cert = spl.harmonicity_certificate(am)
             worst_tr = max(worst_tr, cert["trace_residual"])
             worst_gr = max(worst_gr, cert["null_gradient_residual"])
-    _check_upper(checks, "harmonic-trace", "invariant quadratic form is traceless",
-                 worst_tr, 1e-10 * t)
-    _check_upper(checks, "harmonic-gradient", "gradient square vanishes as polynomial",
-                 worst_gr, 1e-10 * t)
+    check("harmonic-trace", "invariant quadratic form is traceless", worst_tr, 0.0, 1e-10 * t)
+    check("harmonic-gradient", "gradient square vanishes as polynomial",
+          worst_gr, 0.0, 1e-10 * t)
     am = sp.tau_h(sp.random_eh(1, 1.0, rng))
     inv = spl.sp1_invariance_residual(am.A, 500, rng)
-    _check_upper(checks, "right-invariance", "form invariant under the right action",
-                 inv, 1e-12 * t)
-    return checks
+    check("right-invariance", "form invariant under the right action", inv, 0.0, 1e-12 * t)
 
 
-def suite_constants(cfg):
-    checks = []
+def suite_constants(cfg, rng, check):
     t = cfg.tol_scale
-    rng = cfg.rng(5)
     cons = geo.recover_constants(1, rng, npoints=5, det_points=100)
-    _check_upper(checks, "a-sphere", "holomorphic volume ratio, sphere side",
-                 abs(cons["a_S"] - qz.A_S_CONST), 1e-6 * t)
-    _check_upper(checks, "b-sphere", "pullback volume ratio, sphere side",
-                 abs(cons["b_S"] - qz.B_S_CONST), 1e-6 * t)
-    _check_upper(checks, "a-proj-n1", "holomorphic volume ratio, projective side",
-                 abs(cons["a_H"] - qz.A_H_CONST(1)), 1e-6 * t)
-    _check_upper(checks, "det-dual-frame", "determinant of the dual frame parts",
-                 abs(cons["det_theta"] - qz.DET_THETA_CONST), 1e-6 * t)
-    _check_upper(checks, "det-spread", "dual frame determinant constant on the locus",
-                 cons["det_theta_spread"], 1e-8 * t)
-    _check_upper(checks, "b-proj", "substituted constant, projective side",
-                 abs(cons["b_H"] - qz.B_H_CONST), 1e-6 * t)
+    check("a-sphere", "holomorphic volume ratio, sphere side",
+          abs(cons["a_S"] - qz.A_S_CONST), 0.0, 1e-6 * t)
+    check("b-sphere", "pullback volume ratio, sphere side",
+          abs(cons["b_S"] - qz.B_S_CONST), 0.0, 1e-6 * t)
+    check("a-proj-n1", "holomorphic volume ratio, projective side",
+          abs(cons["a_H"] - qz.A_H_CONST(1)), 0.0, 1e-6 * t)
+    check("det-dual-frame", "determinant of the dual frame parts",
+          abs(cons["det_theta"] - qz.DET_THETA_CONST), 0.0, 1e-6 * t)
+    check("det-spread", "dual frame determinant constant on the locus",
+          cons["det_theta_spread"], 0.0, 1e-8 * t)
+    check("b-proj", "substituted constant, projective side",
+          abs(cons["b_H"] - qz.B_H_CONST), 0.0, 1e-6 * t)
     if cfg.n >= 2:
         cons2 = geo.recover_constants(2, rng, npoints=4, det_points=10)
-        _check_upper(checks, "a-proj-n2", "holomorphic volume ratio at n = 2",
-                     abs(cons2["a_H"] - qz.A_H_CONST(2)), 1e-6 * t)
+        check("a-proj-n2", "holomorphic volume ratio at n = 2",
+              abs(cons2["a_H"] - qz.A_H_CONST(2)), 0.0, 1e-6 * t)
     lhs = 2 * math.pi ** 2 * (qz.A_S_CONST / qz.B_S_CONST) * qz.DET_THETA_CONST
     rhs = (1.0 / math.sqrt(2.0)) ** (2 * cfg.n + 1) * qz.A_H_CONST(cfg.n) / qz.B_H_CONST
-    _check_upper(checks, "corollary-substitution", "five-constant substitution identity",
-                 abs(lhs - rhs) + abs(lhs - (-math.pi ** 2 / 4)), 1e-12 * t)
-    return checks
+    check("corollary-substitution", "five-constant substitution identity",
+          abs(lhs - rhs) + abs(lhs - (-math.pi ** 2 / 4)), 0.0, 1e-12 * t)
 
 
 # The l = 0 moment integrand is exactly constant, so its MC stderr is 0 and
@@ -345,88 +293,110 @@ def suite_constants(cfg):
 _MOMENT_REL_FLOOR = 1e-14
 
 
-def suite_quantization(cfg):
-    checks = []
+def suite_quantization(cfg, rng, check):
     t = cfg.tol_scale
-    rng = cfg.rng(6)
     lo, hi = cfg.l_range
     for l in range(lo, hi + 1):
         est = qz.i_coeff_mc(cfg.n, l, cfg.mc(salt=l))
         expected = qz.i_coeff(cfg.n, l)
-        _check(checks, f"moment-mc-l{l}", "projective moment closed form vs MC",
-               est.value,
-               expected, _MOMENT_REL_FLOOR * abs(expected), stderr=est.stderr)
+        check(f"moment-mc-l{l}", "projective moment closed form vs MC", est.value,
+              expected, _MOMENT_REL_FLOOR * abs(expected), stderr=est.stderr)
     worst_b = max(abs(qz.b_coeff(cfg.n, l) - qz.b_coeff_semianalytic(cfg.n, l))
                   / qz.b_coeff(cfg.n, l) for l in range(lo, hi + 1))
-    _check_upper(checks, "bcoeff-assemblies", "two assemblies of the norm constant",
-                 worst_b, 1e-8 * t)
+    check("bcoeff-assemblies", "two assemblies of the norm constant", worst_b, 0.0, 1e-8 * t)
     est = qz.b_coeff_mc(1, 1, cfg.mc(salt=17))
-    _check(checks, "bcoeff-mc", "defining integral of the norm constant",
-           est.value, qz.b_coeff(1, 1), 1e-12, stderr=est.stderr)
+    check("bcoeff-mc", "defining integral of the norm constant",
+          est.value, qz.b_coeff(1, 1), 1e-12, stderr=est.stderr)
     worst_a = max(abs(qz.a_coeff(cfg.n, l) - qz.a_coeff_quadrature(cfg.n, l))
                   / qz.a_coeff(cfg.n, l) for l in range(6))
-    _check_upper(checks, "acoeff-quadrature", "diagonal fiber integral vs quadrature",
-                 worst_a, 1e-8 * t)
+    check("acoeff-quadrature", "diagonal fiber integral vs quadrature",
+          worst_a, 0.0, 1e-8 * t)
     worst_c = max(abs(qz.c_coeff(cfg.n, l) - qz.c_coeff_quadrature(cfg.n, l))
                   / qz.c_coeff(cfg.n, l) for l in range(4))
-    _check_upper(checks, "ccoeff-quadrature", "descended operator constant vs quadrature",
-                 worst_c, 1e-8 * t)
+    check("ccoeff-quadrature", "descended operator constant vs quadrature",
+          worst_c, 0.0, 1e-8 * t)
     worst_tn = max(abs(qz.t_norm(cfg.n, l) - qz.t_norm_prefactor(cfg.n)
                        * qz.t_norm_gamma_part(cfg.n, l)) / qz.t_norm(cfg.n, l)
                    for l in range(0, 51, 5))
-    _check_upper(checks, "tnorm-identity", "operator norm closed expression "
-                 "(defining-integral prefactor)", worst_tn, 1e-10 * t)
-    _check(checks, "tnorm-limit-printed", "operator norm limit over the printed "
-           "sqrt(2)/pi: the printed value is off by exactly sqrt(2), see README",
-           qz.t_norm_limit(cfg.n) / (math.sqrt(2.0) / math.pi), math.sqrt(2.0), 1e-3 * t)
-    _check(checks, "tnorm-limit-defining", "operator norm limit under the "
-           "defining-integral normalization", qz.t_norm_limit(cfg.n), 2.0 / math.pi,
-           1e-3 * t)
-    _check(checks, "ratio-limit", "descended-to-direct ratio limit",
-           qz.c_over_a(cfg.n, 10 ** 6), math.pi / 2.0, 1e-3 * t)
+    check("tnorm-identity", "operator norm closed expression "
+          "(defining-integral prefactor)", worst_tn, 0.0, 1e-10 * t)
+    check("tnorm-limit-printed", "operator norm limit over the printed "
+          "sqrt(2)/pi: the printed value is off by exactly sqrt(2), see README",
+          qz.t_norm_limit(cfg.n) / (math.sqrt(2.0) / math.pi), math.sqrt(2.0), 1e-3 * t)
+    check("tnorm-limit-defining", "operator norm limit under the "
+          "defining-integral normalization", qz.t_norm_limit(cfg.n), 2.0 / math.pi,
+          1e-3 * t)
+    check("ratio-limit", "descended-to-direct ratio limit",
+          qz.c_over_a(cfg.n, 10 ** 6), math.pi / 2.0, 1e-3 * t)
     for l in (0, 1):
         phi = spl.random_hl_function(1, l, 2, rng)
         pprime = sp.random_es0(1, 1.0, rng).p
         target = qz.a_coeff(1, l) * complex(phi.eval_sphere(pprime[None])[0])
         est = qz.t_apply_eigenfunction(phi, pprime, cfg.mc(salt=100 + l))
-        _check_upper(checks, f"op-identity-l{l}", "operator reproduces the eigenspace "
-                     "embedding", abs(est.value - target) / abs(target), 0.02 * t)
-    return checks
+        check(f"op-identity-l{l}", "operator reproduces the eigenspace embedding",
+              abs(est.value - target) / abs(target), 0.0, 0.02 * t)
 
 
-def suite_kernel(cfg):
-    checks = []
+def suite_kernel(cfg, rng, check):
     t = cfg.tol_scale
-    rng = cfg.rng(7)
     l0 = 10_000
     ratio = math.exp(qz.log_b_coeff(cfg.n, l0) - qz.log_b_coeff(cfg.n, l0 + 1))
-    _check(checks, "bcoeff-growth", "norm-constant growth rate",
-           ratio * l0 ** 4 / math.pi ** 4, 1.0, 1e-2 * t)
+    check("bcoeff-growth", "norm-constant growth rate",
+          ratio * l0 ** 4 / math.pi ** 4, 1.0, 1e-2 * t)
     val, tail = qz.kernel_diag(cfg.n, 2.0 * math.sqrt(2.0), lmax=max(cfg.lmax, 20))
-    _check_upper(checks, "kernel-tail", "diagonal series tail bound",
-                 tail / val, 1e-12)
+    check("kernel-tail", "diagonal series tail bound", tail / val, 0.0, 1e-12)
     a1 = sp.tau_h(sp.random_eh(1, math.sqrt(2.0), rng)).A
     aprime = sp.tau_h(sp.random_eh(1, math.sqrt(2.0), rng)).A
     fval, rec = qz.kernel_reproduce_check(0.7, [a1], [0.4 - 0.3j], aprime, 1,
                                           cfg.mc(salt=9))
-    _check(checks, "kernel-reproduce", "kernel reproduces low-degree functions",
-           abs(rec.value - fval), 0.0, 1e-12, stderr=rec.stderr)
+    check("kernel-reproduce", "kernel reproduces low-degree functions",
+          abs(rec.value - fval), 0.0, 1e-12, stderr=rec.stderr)
     lhs, bound, slack = qz.kernel_norm_bound_check(0.5, [a1], [0.8j], aprime, 1,
                                                    cfg.mc(factor=0.5, salt=10))
-    ok = lhs <= bound + slack
-    checks.append(CheckRecord(id="kernel-bound", paper_ref="evaluation bounded by "
-                              "the diagonal kernel", status="pass" if ok else "fail",
-                              value=lhs, expected=bound, tolerance=slack))
-    return checks
+    check("kernel-bound", "evaluation bounded by the diagonal kernel",
+          lhs, bound, slack, ok=lhs <= bound + slack)
 
 
+# every suite in report order; suite k draws from cfg.rng(k + 1)
 SUITE_FUNCS = {
     "algebra": suite_algebra,
+    "spaces": suite_spaces,
     "geometry": suite_geometry,
     "spectral": suite_spectral,
     "constants": suite_constants,
     "quantization": suite_quantization,
     "kernel": suite_kernel,
+}
+SUITES = (*SUITE_FUNCS, "all")
+
+
+# bundled report schema (JSON Schema dialect); field names are contractual
+REPORT_SCHEMA = {
+    "type": "object",
+    "required": ["schema_version", "suite", "timestamp", "config", "checks"],
+    "properties": {
+        "schema_version": {"const": SCHEMA_VERSION},
+        "suite": {"enum": list(SUITES)},
+        "timestamp": {"type": "string"},
+        "config": {"type": "object"},
+        "checks": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["id", "paper_ref", "status", "value", "expected",
+                             "tolerance"],
+                "properties": {
+                    "id": {"type": "string"},
+                    "paper_ref": {"type": "string"},
+                    "status": {"enum": ["pass", "fail"]},
+                    "value": {"type": "number"},
+                    "expected": {"type": "number"},
+                    "tolerance": {"type": "number"},
+                    "stderr": {"type": "number"},
+                },
+            },
+        },
+    },
 }
 
 
@@ -438,15 +408,13 @@ def run_suite(name, cfg, workers=1):
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    config_echo = {"n": cfg.n, "lmax": cfg.lmax, "l_range": list(cfg.l_range),
-                   "samples": cfg.samples, "seed": cfg.seed,
-                   "tol_scale": cfg.tol_scale}
-    names = [s for s in SUITES if s != "all"] if name == "all" else [name]
+    order = list(SUITE_FUNCS)
+    names = order if name == "all" else [name]
 
     def run_one(nm):
-        if nm == "spaces":
-            return suite_spaces(cfg, config_echo)
-        return SUITE_FUNCS[nm](cfg)
+        check = Checks()
+        SUITE_FUNCS[nm](cfg, cfg.rng(order.index(nm) + 1), check)
+        return check
 
     if workers > 1 and len(names) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -454,9 +422,11 @@ def run_suite(name, cfg, workers=1):
             parts = list(ex.map(run_one, names))
     else:
         parts = [run_one(nm) for nm in names]
-    checks = [c for part in parts for c in part]
-    return Report(suite=name, timestamp=_timestamp(), config=config_echo,
-                  checks=checks)
+    config = asdict(cfg)
+    for part in parts:
+        config.update(part.config)
+    return Report(suite=name, timestamp=_timestamp(), config=config,
+                  checks=[c for part in parts for c in part.records])
 
 
 # --------------------------------------------------------------- interface
@@ -477,6 +447,10 @@ def _parse_l_range(text):
     if not 0 <= lo <= hi:
         raise argparse.ArgumentTypeError(f"{text!r} is not a range A..B with 0 <= A <= B")
     return lo, hi
+
+
+ALIASES = {"verify-geometry": "geometry", "verify-spectral": "spectral",
+           "verify-quantization": "quantization"}
 
 
 def build_parser():
@@ -506,10 +480,9 @@ def build_parser():
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("--suite", choices=SUITES, default="all")
     add(pv, flags)
-    for alias, suite in (("verify-geometry", "geometry"),
-                         ("verify-spectral", "spectral"),
-                         ("verify-quantization", "quantization")):
+    for alias, suite in ALIASES.items():
         pa = sub.add_parser(alias, help=f"alias for verify --suite {suite}")
+        pa.set_defaults(suite=suite)
         add(pa, flags)
     pc = sub.add_parser("constants", help="emit the constants table")
     add(pc, ("--n", "--l-range", "--format", "--out"))
@@ -555,15 +528,9 @@ def _kernel_payload(args):
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        if args.command in ("verify", "verify-geometry", "verify-spectral",
-                            "verify-quantization"):
-            suite = {"verify-geometry": "geometry", "verify-spectral": "spectral",
-                     "verify-quantization": "quantization"}.get(args.command,
-                                                                getattr(args, "suite", "all"))
-            cfg = SuiteConfig(n=args.n, lmax=args.lmax, l_range=args.l_range,
-                              samples=args.samples, seed=args.seed,
-                              tol_scale=args.tol_scale)
-            report = run_suite(suite, cfg, workers=args.workers)
+        if args.command in ("verify", *ALIASES):
+            cfg = SuiteConfig(**{f.name: getattr(args, f.name) for f in fields(SuiteConfig)})
+            report = run_suite(args.suite, cfg, workers=args.workers)
             _emit(report.to_json() if args.format == "json" else report.to_csv(),
                   args.out)
             return 0 if report.passed else 1

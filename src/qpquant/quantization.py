@@ -70,7 +70,6 @@ __all__ = [
     "vol_pnh",
     "weight_pair_fg",
     "weight_pair_gg",
-    "weight_sphere",
 ]
 
 LOG2 = math.log(2.0)
@@ -108,12 +107,6 @@ def weight_pair_fg(norm_a):
     norm_a = np.asarray(norm_a, dtype=float)
     return (np.exp(-(2.0 ** 0.25) * math.pi * np.sqrt(norm_a))
             * math.sqrt(abs(B_H_CONST)) * np.sqrt(norm_a))
-
-
-def weight_sphere(norm_b):
-    """Sphere-side pairing weight e^(-pi |B|) sqrt|b_S| |B|^(-1/2)."""
-    norm_b = np.asarray(norm_b, dtype=float)
-    return np.exp(-math.pi * norm_b) * math.sqrt(abs(B_S_CONST)) / np.sqrt(norm_b)
 
 
 # ------------------------------------------------------- closed-form pieces

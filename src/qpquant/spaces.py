@@ -57,7 +57,6 @@ __all__ = [
     "in_cotangent_h",
     "in_sphere_covector",
     "in_sphere_covector0",
-    "metric_g_h",
     "point_from_json",
     "point_to_json",
     "random_eh",
@@ -260,11 +259,6 @@ def in_amatrix_space(pt):
 
 
 # --------------------------------------------------------------------- maps
-
-def metric_g_h(q1, q2):
-    """Riemannian pairing of two tangents at a common projector: tr(Q1 o Q2)/2."""
-    return 0.5 * float(np.sum(np.asarray(q1) * np.asarray(q2)))
-
 
 def alpha(pt):
     """(p, q) -> (P, Q) with P = (p_i theta(p_j)), Q = (p_i theta(q_j) + q_i theta(p_j))."""

@@ -180,16 +180,14 @@ def sp1_invariance_residual(a, nsamples, rng):
     return float(np.abs(turned - base).max())
 
 
-def mixed_term_noninvariance(p, q, a, r):
-    """Comparator: <(p_i theta(q_j)), A> with only p rotated is not invariant."""
-    pr = qmul(p, np.broadcast_to(r, p.shape))
-    return abs(pair_projector_amatrix(pr, a, q) - pair_projector_amatrix(p, a, q))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HlFunction:
     """Eigenspace function represented as sum_k c_k <P, A_k>^l, the one
-    evaluator of it and of its holomorphic extension sum_k c_k <A, A_k>_C^l."""
+    evaluator of it and of its holomorphic extension sum_k c_k <A, A_k>_C^l.
+
+    Equality is identity (eq=False): the fields hold arrays, so a field-wise
+    == would be ambiguous, and identity keeps instances hashable.
+    """
 
     n: int
     l: int
@@ -199,7 +197,7 @@ class HlFunction:
     @cached_property
     def _forms(self):
         # the stacked quad_form_matrix(A_k), built on first use; not a field,
-        # so equality and repr see only the generators
+        # so repr sees only the generators
         return np.stack([quad_form_matrix(a) for a in self.amats])
 
     def eval_sphere(self, p):

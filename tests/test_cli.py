@@ -1,9 +1,12 @@
 """CLI surface: suites, report schema, determinism, exit codes."""
 
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -68,10 +71,13 @@ def test_exit_codes():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_quantization_suite_passes_beyond_n2(n):
-    # the exactly constant l = 0 moment meets its closed form at a few ulps
-    res = run_cli(["verify", "--suite", "quantization", "--seed", "42", "--n", str(n)])
+    # every suite, the n = 2 constant and the config echo run above n = 2
+    res = run_cli(["verify", "--suite", "all", "--seed", "42", "--n", str(n)])
     assert res.returncode == 0
     rep = json.loads(res.stdout)
+    assert rep["config"]["n"] == n
+    assert "a-proj-n2" in [c["id"] for c in rep["checks"]]
+    # the exactly constant l = 0 moment meets its closed form at a few ulps
     l0 = next(c for c in rep["checks"] if c["id"] == "moment-mc-l0")
     assert l0["stderr"] == 0.0 and l0["tolerance"] == 1e-14 * abs(l0["expected"])
 
@@ -149,6 +155,29 @@ def test_parallel_suites_identical_report(monkeypatch):
     seq = cli.run_suite("all", cfg, workers=1)
     par = cli.run_suite("all", cfg, workers=4)
     assert seq.to_json() == par.to_json()
+    # every number cell of the CSV report is a plain float
+    rows = list(csv.DictReader(io.StringIO(par.to_csv())))
+    for row in rows:
+        for key in ("value", "expected", "tolerance", "stderr"):
+            if row[key]:
+                float(row[key])
+    assert [row["id"] for row in rows] == [
+        "assoc", "theta-antihom", "norm-mult", "rho-hom", "jordan-trace",
+        "diagram-n1", "diagram-n2", "diagram-counterexample", "norm-chain",
+        "tau-s-roundtrip",
+        "oneform-sphere", "oneform-proj", "hamilton-flow", "dtheta-omega",
+        "geodesic-flow", "fibration-duality", "fibration-volume",
+        *(f"dim-l{l}" for l in range(6)), "eigenvalue-shift", "sphere-descent",
+        "harmonic-trace", "harmonic-gradient", "right-invariance",
+        "a-sphere", "b-sphere", "a-proj-n1", "det-dual-frame", "det-spread", "b-proj",
+        "corollary-substitution",
+        *(f"moment-mc-l{l}" for l in range(4)), "bcoeff-assemblies", "bcoeff-mc",
+        "acoeff-quadrature", "ccoeff-quadrature", "tnorm-identity",
+        "tnorm-limit-printed", "tnorm-limit-defining", "ratio-limit",
+        "op-identity-l0", "op-identity-l1",
+        "bcoeff-growth", "kernel-tail", "kernel-reproduce", "kernel-bound"]
+    assert set(par.config) == {f.name for f in fields(cli.SuiteConfig)} | {
+        "counterexample_point"}
 
 
 def test_counterexample_point_in_config():

@@ -22,8 +22,6 @@ def test_weights_reduce_on_the_fiber():
     assert abs(2.0 ** 0.25 * math.pi * math.sqrt(norm_a) - 2.0 * math.pi) < 1e-12
     # wholesale weights vanish at the zero section
     assert qz.weight_pair_gg(1e-30, 1) < 1e-30
-    assert qz.weight_sphere(4.0) == pytest.approx(
-        math.exp(-4 * math.pi) / 2.0)
 
 
 def test_i_coeff_closed_values():

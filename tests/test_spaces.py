@@ -108,8 +108,8 @@ def test_norm_chain(rng):
         # Q^3 = ||Q||^2 Q / 2
         q3 = qmat_mul(qmat_mul(cp.Q, cp.Q), cp.Q)
         assert np.abs(q3 - 0.5 * cp.qnorm_j ** 2 * cp.Q).max() < 1e-12 * cp.qnorm_j ** 3
-        # metric through the fibration: g_H(Q, Q) = |q|^2
-        assert np.isclose(sp.metric_g_h(cp.Q, cp.Q), nq2, rtol=1e-12)
+        # metric through the fibration: g_H(Q, Q) = tr(Q o Q) / 2 = |q|^2
+        assert np.isclose(0.5 * np.sum(cp.Q * cp.Q), nq2, rtol=1e-12)
 
 
 def test_memberships_reject_perturbations(rng):

@@ -1,6 +1,7 @@
 """Eigenspace dimensions, eigenvalues, harmonicity and invariance certificates."""
 
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -167,7 +168,10 @@ def test_sp1_invariance(rng):
     # the mixed (p_i theta(q_j)) comparator is genuinely not invariant
     pt = sp.random_es0(1, 1.0, rng)
     r = sphere_uniform(3, rng)
-    assert spec.mixed_term_noninvariance(pt.p, pt.q, am.A, r) > 1e-3
+    pr = qmul(pt.p, np.broadcast_to(r, pt.p.shape))
+    mixed = (spec.pair_projector_amatrix(pr, am.A, pt.q)
+             - spec.pair_projector_amatrix(pt.p, am.A, pt.q))
+    assert abs(mixed) > 1e-3
 
 
 def test_random_hl_functions_evaluate(rng):
@@ -177,6 +181,15 @@ def test_random_hl_functions_evaluate(rng):
     vals = f.eval_sphere(pts)
     assert vals.shape == (50,)
     assert np.all(np.isfinite(vals))
+
+
+def test_hl_function_equality_is_identity(rng):
+    f = spec.random_hl_function(1, 2, 3, rng)
+    g = spec.HlFunction(n=f.n, l=f.l, amats=tuple(a.copy() for a in f.amats),
+                        coeffs=f.coeffs)
+    # equal but distinct arrays compare without raising
+    assert f == f and f != g
+    assert len({f, g, f}) == 2
 
 
 def test_pairing_of_complex_points_is_the_bilinear_extension(rng):
@@ -220,7 +233,7 @@ def test_eval_sphere_is_the_sum_of_powered_pairings(rng):
             assert np.ndim(one) == 0 and abs(one - ref[0]) <= 1e-13 * max(1.0, abs(ref[0]))
             # the stored quadratic forms are not a field
             assert repr(f) == text
-            assert f == spec.HlFunction(n=f.n, l=f.l, amats=f.amats, coeffs=f.coeffs)
+            assert [fld.name for fld in fields(f)] == ["n", "l", "amats", "coeffs"]
             # at a fiber point z, eval_sphere is the extension at beta(rho(z))
             coeffs = zrng.standard_normal(3) + 1j * zrng.standard_normal(3)
             g = spec.HlFunction(n=n, l=l, amats=f.amats, coeffs=tuple(coeffs.tolist()))
