@@ -20,6 +20,7 @@ import math
 import os
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -119,7 +120,7 @@ class SuiteConfig:
     def rng(self, salt):
         return np.random.default_rng(self.seed + salt)
 
-    def mc(self, factor=1.0, salt=0):
+    def mc(self, salt, factor=1.0):
         return MCConfig(samples=max(int(self.samples * factor), 1000),
                         seed=self.seed + salt)
 
@@ -417,7 +418,6 @@ def run_suite(name, cfg, workers=1):
         return check
 
     if workers > 1 and len(names) > 1:
-        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as ex:
             parts = list(ex.map(run_one, names))
     else:

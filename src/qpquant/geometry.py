@@ -1,9 +1,10 @@
 """Differential-geometric layer.
 
-Tangent bases of the model manifolds are computed as numerical kernels of
-constraint differentials (or pushforwards along the model maps); forms are
-evaluated on those bases, never through coordinate charts.  The module
-provides
+The B-model tangent basis is the numerical kernel of the constraint
+differential; the A-model tangents are d(beta) of the B-model tangents, by
+the commuting square beta tau_S = tau_H alpha on the horizontal locus.
+Forms are evaluated on those bases, never through coordinate charts.  The
+module provides
 
 * exact complex Hessians of the radial potentials and the symplectic forms
   they generate, with finite-difference cross checks,
@@ -20,17 +21,7 @@ import math
 
 import numpy as np
 
-from .algebra import (
-    complexify,
-    fro_norm,
-    hinner,
-    jordan,
-    qconj,
-    qmat_mul,
-    qmul,
-    quat_split,
-    rho_inv,
-)
+from .algebra import fro_norm, jordan, qmat_mul, quat_split, rho_inv
 from .spaces import (
     AMatrix,
     BTuple,
@@ -71,7 +62,6 @@ __all__ = [
     "sigma_eval",
     "sigma_h_eval",
     "sigma_s_eval",
-    "tangent_basis_es0",
     "tangent_basis_et_h",
     "tangent_basis_et_s",
     "theta_h",
@@ -83,62 +73,12 @@ __all__ = [
 
 # ------------------------------------------------------------ tangent bases
 
-def tangent_basis_es0(pt):
-    """Orthonormal real basis of the tangent space of the horizontal locus.
-
-    Vectors are (pdot, qdot) pairs flattened to length 8(n+1); there are
-    8n + 3 of them.
-    """
-    p, q = pt.p, pt.q
-    m = p.shape[0]
-    dim = 8 * m
-    # constraint differentials on the unit vectors: d|p|^2 (the row p) and d<q, p>_H
-    pdots, qdots = split_pq(np.eye(dim), m)
-    grad = (hinner(q, pdots) + hinner(qdots, p)).T
-    cmat = np.vstack([np.concatenate([p.ravel(), np.zeros(4 * m)]), grad])
-    _, s, vt = np.linalg.svd(cmat)
-    rank = int(np.sum(s > 1e-12 * s[0]))
-    basis = vt[rank:]
-    if basis.shape[0] != dim - 5:
-        raise ArithmeticError("unexpected corank of the horizontal-locus constraints")
-    return basis  # (8n+3, 8m)
-
-
-def split_pq(vec, m):
-    vec = np.asarray(vec)
-    return vec[..., :4 * m].reshape(vec.shape[:-1] + (m, 4)), \
-        vec[..., 4 * m:].reshape(vec.shape[:-1] + (m, 4))
-
-
-def d_alpha(p, q, pdot, qdot):
-    tp, tq = qconj(p), qconj(q)
-    tpd, tqd = qconj(pdot), qconj(qdot)
-    pdot_ = pdot[:, None, :]
-    p_ = p[:, None, :]
-    qdot_ = qdot[:, None, :]
-    q_ = q[:, None, :]
-    P_dot = qmul(pdot_, tp[None]) + qmul(p_, tpd[None])
-    Q_dot = (qmul(pdot_, tq[None]) + qmul(p_, tqd[None])
-             + qmul(qdot_, tp[None]) + qmul(q_, tpd[None]))
-    return P_dot, Q_dot
-
-
-def d_tau_h(P, Q, P_dot, Q_dot):
-    nq2 = float(np.sum(Q * Q))
-    nq = math.sqrt(nq2)
-    dq = float(np.sum(Q * Q_dot))
-    rp, rq = complexify(P), complexify(Q)
-    rpd, rqd = complexify(P_dot), complexify(Q_dot)
-    return (2.0 * dq * rp + nq2 * rpd - (rqd @ rq + rq @ rqd)
-            + (1j / math.sqrt(2.0)) * ((dq / nq) * rq + nq * rqd))
-
-
 def d_tau_s_inv(p, q, w_coords):
-    """(pdot, qdot), both (m, 4), from a coordinate tangent W at the B-model
-    point over (p, q) = tau_s^-1(B)."""
+    """(pdot, qdot), both (..., m, 4), from coordinate tangents W (..., 4m)
+    at the B-model point over (p, q) = tau_s^-1(B)."""
     nq = float(np.linalg.norm(q))
     cd = rho_inv(coords_to_blocks(w_coords))
-    dnq = float(np.sum(q * cd.imag)) / nq
+    dnq = np.sum(q * cd.imag, axis=(-2, -1))[..., None, None] / nq
     return (cd.real - dnq * p) / nq, cd.imag
 
 
@@ -174,37 +114,34 @@ def tangent_basis_et_s(bt):
     return basis  # rows orthonormal, dD(row) = 0
 
 
+def _d_beta_frame(bt):
+    """The B-model tangent basis U at bt, (4n+3, 4m), and d(beta)_B of its
+    rows as flattened matrices, (4n+3, 4m^2), one batched call."""
+    ubasis = tangent_basis_et_s(bt)
+    return ubasis, d_beta_blocks(bt.B, coords_to_blocks(ubasis)).reshape(len(ubasis), -1)
+
+
 def tangent_basis_et_h(seed_pt):
     """Complex orthonormal tangent basis (4n matrices) of the A-model.
 
-    ``seed_pt`` is a horizontal covector point whose image provides the base
-    point; the basis spans the pushforward of the horizontal-locus tangents.
+    ``seed_pt`` is a horizontal covector point.  By the commuting square
+    beta tau_S = tau_H alpha its A-model image is beta(B), B = tau_S(seed_pt),
+    and the basis spans d(beta)_B of the B-model tangents at B.
     """
-    p, q = seed_pt.p, seed_pt.q
-    m = p.shape[0]
-    cp = alpha(seed_pt)
-    es_basis = tangent_basis_es0(seed_pt)
-    pushed = []
-    for vec in es_basis:
-        pdot, qdot = split_pq(vec, m)
-        P_dot, Q_dot = d_alpha(p, q, pdot, qdot)
-        pushed.append(d_tau_h(cp.P, cp.Q, P_dot, Q_dot).ravel())
-    mat = np.array(pushed)
-    _, s, vt = np.linalg.svd(mat)
+    m = seed_pt.p.shape[0]
+    _, dmat = _d_beta_frame(tau_s(seed_pt))
+    _, s, vt = np.linalg.svd(dmat, full_matrices=False)
     rank = int(np.sum(s > 1e-10 * s[0]))
     if rank != 4 * (m - 1):
         raise ArithmeticError(f"tangent rank {rank}, expected {4 * (m - 1)}")
-    # rows of vt span the row space of `mat`; they are an orthonormal basis
+    # rows of vt span the row space of `dmat`; they are an orthonormal basis
     return vt[:rank].reshape(rank, 2 * m, 2 * m)
 
 
 def real_basis_from_complex(ubasis):
     """Real basis (u_1, i u_1, u_2, i u_2, ...) of the underlying real space."""
-    out = []
-    for u in ubasis:
-        out.append(u)
-        out.append(1j * u)
-    return np.array(out)
+    u = np.asarray(ubasis)
+    return np.stack([u, 1j * u], axis=1).reshape((-1,) + u.shape[1:])
 
 
 # ------------------------------------------------- potentials and 2-forms
@@ -394,12 +331,15 @@ def z_field(bt):
     return np.conj(_dd_gradient(bt)) / (bt.norm ** 2)
 
 
+# the su(2) basis whose right-action fields y_fields gives
+_SU2_BASIS = np.array([[[1j, 0.0], [0.0, -1j]],
+                       [[0.0, 1.0], [-1.0, 0.0]],
+                       [[0.0, 1j], [1j, 0.0]]])
+
+
 def y_fields(bt):
-    """Right-action generator fields for the su(2) basis, as coordinates."""
-    gens = (np.array([[1j, 0.0], [0.0, -1j]]),
-            np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex),
-            np.array([[0.0, 1j], [1j, 0.0]]))
-    return [blocks_to_coords(bt.B @ g) for g in gens]
+    """Right-action generator fields for the su(2) basis, as coordinates (3, 4m)."""
+    return blocks_to_coords(bt.B @ _SU2_BASIS[:, None])
 
 
 def sigma_s_eval(bt, cols):
@@ -408,7 +348,7 @@ def sigma_s_eval(bt, cols):
     u = bt.coords
     mdim = u.shape[0]
     n = mdim // 4 - 1
-    mat = np.column_stack([z_field(bt)] + [np.asarray(c, dtype=complex).ravel() for c in cols])
+    mat = np.column_stack([z_field(bt), *np.reshape(cols, (len(cols), -1))])
     if mat.shape != (mdim, mdim):
         raise ValueError("need exactly 4n+3 tangent columns")
     return np.linalg.det(mat) / (2j) ** (2 * n + 2)
@@ -416,7 +356,7 @@ def sigma_s_eval(bt, cols):
 
 def sigma_eval(bt, cols):
     """The SL(2,C)-basic 4n-form: sigma_S with the three Y fields inserted."""
-    return sigma_s_eval(bt, y_fields(bt) + [np.asarray(c, dtype=complex).ravel() for c in cols])
+    return sigma_s_eval(bt, [*y_fields(bt), *cols])
 
 
 def beta_preimage(am):
@@ -438,48 +378,37 @@ def beta_preimage(am):
 
 
 def d_beta_blocks(b, v):
-    """Differential of beta at B applied to a block tangent V."""
+    """Differential of beta at B applied to a block tangent V, (m, 2, 2), or
+    to a stack of them."""
     return beta_blocks(v, b) + beta_blocks(b, v)
 
 
 def sigma_h_eval(am, cols, bt=None):
     """The descended holomorphic 4n-form on matrix tangents at an AMatrix.
 
-    Solves d(beta) v = w on the B-model tangent space for each column and
-    evaluates the basic form there; the result is gauge independent.
+    Solves d(beta) v = w on the B-model tangent space for all columns at
+    once and evaluates the basic form there; the result is gauge independent.
     """
     if bt is None:
         bt = beta_preimage(am)
-    ubasis = tangent_basis_et_s(bt)
-    dmat = np.column_stack([d_beta_blocks(bt.B, coords_to_blocks(u)).ravel() for u in ubasis])
-    vcols = []
-    for w in cols:
-        wflat = np.asarray(w, dtype=complex).ravel()
-        coef, res, *_ = np.linalg.lstsq(dmat, wflat, rcond=None)
-        resid = np.linalg.norm(dmat @ coef - wflat)
-        if resid > 1e-8 * max(1.0, np.linalg.norm(wflat)):
-            raise ArithmeticError("column is not tangent to the A-model image")
-        vcols.append(ubasis.T @ coef)
-    return sigma_eval(bt, vcols)
+    ubasis, dmat = _d_beta_frame(bt)
+    w = np.reshape(cols, (len(cols), -1)).T
+    coef = np.linalg.lstsq(dmat.T, w, rcond=None)[0]
+    resid = np.linalg.norm(dmat.T @ coef - w, axis=0)
+    if np.any(resid > 1e-8 * np.maximum(1.0, np.linalg.norm(w, axis=0))):
+        raise ArithmeticError("column is not tangent to the A-model image")
+    return sigma_eval(bt, (ubasis.T @ coef).T)
 
 
 def det_theta_prime(bt):
     """det of the holomorphic parts of the pulled-back dual one-forms on the
     right-action generators; constant = 1/8 exactly on the horizontal locus."""
     p, q = _tau_s_inv_core(bt.B)
-    vertical = sp1_orbit_frame(p)[1:]
-
-    def theta_i(w_coords):
-        pdot, _ = d_tau_s_inv(p, q, w_coords)
-        return np.sum(vertical * pdot, axis=(-2, -1))
-
     ys = y_fields(bt)
-    mat = np.empty((3, 3), dtype=complex)
-    for jcol, y in enumerate(ys):
-        th = theta_i(y)
-        th_i = theta_i(1j * np.asarray(y))
-        mat[:, jcol] = 0.5 * (th - 1j * th_i)
-    return np.linalg.det(mat)
+    pdots, _ = d_tau_s_inv(p, q, np.concatenate([ys, 1j * ys]))
+    # theta_i(w) = <p e_i, pdot(w)>: row i over the tangents Y_1..Y_3, iY_1..iY_3
+    th = np.sum(sp1_orbit_frame(p)[1:, None] * pdots, axis=(-2, -1))
+    return np.linalg.det(0.5 * (th[:, :3] - 1j * th[:, 3:]))
 
 
 # -------------------------------------------------------------- pfaffian
@@ -524,20 +453,30 @@ VS_ORIENTATION_SIGN = -1.0
 def _pair_matrix_det(ubasis, rbasis):
     """det [[<u_j, b_k>], [conj <u_j, b_k>]] for a complex frame and the
     induced real basis; evaluates u*^top wedge conj(u*)^top on the basis."""
-    gam = np.array([[np.sum(np.conj(u) * np.asarray(b, dtype=complex).ravel())
-                     for b in rbasis] for u in (x.ravel() for x in ubasis)])
+    k = len(ubasis)
+    gam = np.conj(np.reshape(ubasis, (k, -1))) @ np.reshape(rbasis, (2 * k, -1)).T
     return np.linalg.det(np.vstack([gam, np.conj(gam)]))
+
+
+# sign of the Liouville form against the Pfaffian of omega on the real basis
+# (u_1, i u_1, ...) of each model
+_LIOUVILLE_SIGN = {"S": -1.0, "H": 1.0}
+
+
+def _liouville(model, point, rbasis):
+    """The Liouville form of a model on a real tangent basis, the Pfaffian of
+    the Gram matrix of omega."""
+    w = omega_eval(model, point, rbasis, rbasis)
+    return _LIOUVILLE_SIGN[model] * pfaffian(0.5 * (w - w.T))
 
 
 def recover_a_s(bt):
     """sigma_S wedge conj(sigma_S) / Liouville, divided by |B|^(4n+1)."""
     ubasis = tangent_basis_et_s(bt)
     rbasis = real_basis_from_complex(ubasis)
-    c_sigma = sigma_s_eval(bt, list(ubasis))
+    c_sigma = sigma_s_eval(bt, ubasis)
     lhs = c_sigma * np.conj(c_sigma) * _pair_matrix_det(ubasis, rbasis)
-    w = omega_eval("S", bt, rbasis, rbasis)
-    omega_top = -pfaffian(0.5 * (w - w.T))  # Liouville sign convention of the sphere side
-    return complex(lhs / omega_top / bt.norm ** (4 * bt.n + 1))
+    return complex(lhs / _liouville("S", bt, rbasis) / bt.norm ** (4 * bt.n + 1))
 
 
 def recover_b_s(bt):
@@ -554,14 +493,12 @@ def recover_b_s(bt):
     rbasis = real_basis_from_complex(ubasis)
     k, dim = ubasis.shape
     p, q = _tau_s_inv_core(bt.B)
-    pdots = np.array([d_tau_s_inv(p, q, v)[0].ravel() for v in rbasis])
+    pdots = d_tau_s_inv(p, q, rbasis)[0].reshape(2 * k, dim)
     zero = np.zeros((dim, 1))
     mat = np.block([[p.reshape(dim, 1), zero, pdots.T],
                     [zero, np.conj(z_field(bt))[:, None], np.conj(rbasis).T]])
     lhs = (-1) ** k * np.linalg.det(mat) / np.conj((2j) ** (2 * bt.n + 2))
-    w = omega_eval("S", bt, rbasis, rbasis)
-    omega_top = -pfaffian(0.5 * (w - w.T))
-    return complex(lhs / omega_top * bt.norm)
+    return complex(lhs / _liouville("S", bt, rbasis) * bt.norm)
 
 
 def recover_a_h(seed_pt):
@@ -570,11 +507,9 @@ def recover_a_h(seed_pt):
     bt = tau_s(seed_pt)
     ubasis = tangent_basis_et_h(seed_pt)
     rbasis = real_basis_from_complex(ubasis)
-    c_sigma = sigma_h_eval(am, list(ubasis), bt=bt)
+    c_sigma = sigma_h_eval(am, ubasis, bt=bt)
     lhs = c_sigma * np.conj(c_sigma) * _pair_matrix_det(ubasis, rbasis)
-    w = omega_eval("H", am, rbasis, rbasis)
-    omega_top = pfaffian(0.5 * (w - w.T))
-    return complex(lhs / omega_top / am.norm ** (2 * am.n + 2))
+    return complex(lhs / _liouville("H", am, rbasis) / am.norm ** (2 * am.n + 2))
 
 
 def recover_constants(n, rng, npoints=6, det_points=100):
@@ -587,31 +522,23 @@ def recover_constants(n, rng, npoints=6, det_points=100):
     observed spreads.
     """
     out = {}
+
+    def record(key, vals):
+        """The mean of vals as out[key], its largest deviation as out[key_spread]."""
+        vals = np.array(vals)
+        out[key] = complex(np.mean(vals))
+        out[key + "_spread"] = float(np.max(np.abs(vals - out[key])))
+
+    def draw(m, lo, hi, count):
+        return [random_es0(m, float(rng.uniform(lo, hi)), rng) for _ in range(count)]
+
     if n == 1:
-        vals_as, vals_bs = [], []
-        for _ in range(npoints):
-            pt = random_es0(1, float(rng.uniform(0.5, 1.8)), rng)
-            bt = tau_s(pt)
-            vals_as.append(recover_a_s(bt))
-            vals_bs.append(VS_ORIENTATION_SIGN * recover_b_s(bt))
-        out["a_S"] = complex(np.mean(vals_as))
-        out["a_S_spread"] = float(np.max(np.abs(np.array(vals_as) - out["a_S"])))
-        out["b_S"] = complex(np.mean(vals_bs))
-        out["b_S_spread"] = float(np.max(np.abs(np.array(vals_bs) - out["b_S"])))
+        bts = [tau_s(pt) for pt in draw(1, 0.5, 1.8, npoints)]
+        record("a_S", [recover_a_s(bt) for bt in bts])
+        record("b_S", [VS_ORIENTATION_SIGN * recover_b_s(bt) for bt in bts])
         out["orientation_sign"] = VS_ORIENTATION_SIGN
-    dets = []
-    for _ in range(det_points):
-        pt = random_es0(n, float(rng.uniform(0.4, 2.2)), rng)
-        dets.append(det_theta_prime(tau_s(pt)))
-    dets = np.array(dets)
-    out["det_theta"] = complex(np.mean(dets))
-    out["det_theta_spread"] = float(np.max(np.abs(dets - out["det_theta"])))
-    vals_ah = []
-    for _ in range(npoints):
-        pt = random_es0(n, float(rng.uniform(0.5, 1.8)), rng)
-        vals_ah.append(recover_a_h(pt))
-    out["a_H"] = complex(np.mean(vals_ah))
-    out["a_H_spread"] = float(np.max(np.abs(np.array(vals_ah) - out["a_H"])))
+    record("det_theta", [det_theta_prime(tau_s(pt)) for pt in draw(n, 0.4, 2.2, det_points)])
+    record("a_H", [recover_a_h(pt) for pt in draw(n, 0.5, 1.8, npoints)])
     if n == 1:
         out["b_H"] = complex((1.0 / math.sqrt(2.0)) ** (2 * n + 1) * out["a_H"] * out["b_S"]
                              / (2.0 * math.pi ** 2 * out["a_S"] * out["det_theta"]))

@@ -85,14 +85,16 @@ def _freeze(a):
 
 
 def blocks_to_coords(blocks):
-    """(m, 2, 2) blocks -> ambient coordinates (z_0..z_{2m-1}, w_0..w_{2m-1}),
-    where B_i = [[z_2i, w_2i], [z_2i+1, w_2i+1]]."""
-    return np.asarray(blocks).transpose(2, 0, 1).ravel()
+    """(..., m, 2, 2) blocks -> ambient coordinates (..., 4m), the vector
+    (z_0..z_{2m-1}, w_0..w_{2m-1}) with B_i = [[z_2i, w_2i], [z_2i+1, w_2i+1]]."""
+    b = np.moveaxis(np.asarray(blocks), -1, -3)
+    return b.reshape(b.shape[:-3] + (-1,))
 
 
 def coords_to_blocks(u):
-    """Inverse of :func:`blocks_to_coords`."""
-    return np.stack(np.asarray(u, dtype=complex).reshape(2, -1, 2), axis=-1)
+    """Inverse of :func:`blocks_to_coords`, (..., 4m) -> (..., m, 2, 2)."""
+    u = np.asarray(u, dtype=complex)
+    return np.moveaxis(u.reshape(u.shape[:-1] + (2, -1, 2)), -3, -1)
 
 
 @dataclass(frozen=True)

@@ -90,20 +90,18 @@ def _pairing_forms(a):
     return forms.reshape(a.shape[:-2] + (4 * m, 4 * m))
 
 
-def pair_projector_amatrix(p, a, q=None):
-    """<(p_i theta(q_j)), A>_C for points p and q (q = p by default), one or a
-    batch (N, m, 4) of the same shape.
+def pair_projector_amatrix(p, a):
+    """<P(p), A>_C = <(p_i theta(p_j)), A>_C for points p, one or a batch
+    (N, m, 4), P(p) the projector of p.
 
     A is either one fixed matrix or a batch (N, 2m, 2m) paired row by row
-    with the batch of p.  The pairing is p^t (G.A) q with G the cached
-    pairing tensor; with q = p it is <P(p), A>, P(p) the projector of p.
-    Complex points give the complex-bilinear extension, p^t M p with
-    M = quad_form_matrix(A).
+    with the batch of p.  The pairing is p^t (G.A) p with G the cached
+    pairing tensor.  Complex points give the complex-bilinear extension,
+    p^t M p with M = quad_form_matrix(A).
     """
     p = np.asarray(p)
     rows = np.reshape(p, (-1, 1, p.shape[-2] * 4))
-    cols = rows if q is None else np.reshape(q, rows.shape)
-    out = (rows @ _pairing_forms(a) @ np.swapaxes(cols, -1, -2))[:, 0, 0]
+    out = (rows @ _pairing_forms(a) @ np.swapaxes(rows, -1, -2))[:, 0, 0]
     return out if p.ndim == 3 else out[0]
 
 
