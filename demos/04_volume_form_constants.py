@@ -1,9 +1,10 @@
 """Recovery of the five pairing constants from determinant ratios.
 
-The holomorphic volume forms, Liouville forms (as Pfaffians of the
-symplectic Gram matrices), and pullback volume forms are evaluated on
-numerically computed tangent bases; their pointwise ratios recover the
-constants that normalize the quantization pairings.
+The holomorphic volume forms, Liouville forms (as Hermitian determinants
+of the symplectic form on the complex tangent frame), and pullback volume
+forms are evaluated on numerically computed complex tangent frames; their
+pointwise ratios recover the constants that normalize the quantization
+pairings.
 """
 
 import math

@@ -26,9 +26,12 @@ from .spaces import (
     AMatrix,
     BTuple,
     SphereCovector,
+    _adj2,
+    _orbit_frames,
     _tau_h_inv_core,
     _tau_s_inv_core,
     alpha,
+    beta,
     beta_blocks,
     blocks_to_coords,
     coords_to_blocks,
@@ -38,7 +41,7 @@ from .spaces import (
     tau_h_inv,
     tau_s,
 )
-from .numerics import sphere_uniform, vol_sphere
+from .numerics import sphere_uniform, vol_pnh, vol_sphere
 
 __all__ = [
     "beta_preimage",
@@ -95,16 +98,9 @@ def d_tau_h_inv(P, Q, w_mat):
 
 
 def _dd_gradient(bt):
-    """Gradient of D = sum det B_i in the ambient coordinates (z, w) of bt."""
-    u = bt.coords
-    m2 = u.shape[0] // 2
-    z, w = u[:m2], u[m2:]
-    grad = np.empty_like(u)
-    grad[0:m2:2] = w[1::2]
-    grad[1:m2:2] = -w[0::2]
-    grad[m2::2] = -z[1::2]
-    grad[m2 + 1::2] = z[0::2]
-    return grad
+    """Gradient of D = sum det B_i in the ambient coordinates (z, w) of bt:
+    the gradient of det is the transposed adjugate."""
+    return blocks_to_coords(np.swapaxes(_adj2(bt.B), -1, -2))
 
 
 def tangent_basis_et_s(bt):
@@ -114,11 +110,22 @@ def tangent_basis_et_s(bt):
     return basis  # rows orthonormal, dD(row) = 0
 
 
-def _d_beta_frame(bt):
-    """The B-model tangent basis U at bt, (4n+3, 4m), and d(beta)_B of its
-    rows as flattened matrices, (4n+3, 4m^2), one batched call."""
+def _a_model_frame(bt):
+    """The A-model tangent basis at beta(bt), (4n, 2m, 2m), and B-model
+    tangents at bt, (4n, 4m), that d(beta) maps onto its rows.
+
+    With d(beta) of the B-model basis U equal to X s Vh (thin SVD), d(beta)
+    is complex linear and maps (conj(X[:, :r]) / s[:r])^t U onto Vh[:r].
+    """
+    m = bt.B.shape[0]
     ubasis = tangent_basis_et_s(bt)
-    return ubasis, d_beta_blocks(bt.B, coords_to_blocks(ubasis)).reshape(len(ubasis), -1)
+    dmat = d_beta_blocks(bt.B, coords_to_blocks(ubasis)).reshape(len(ubasis), -1)
+    x, s, vt = np.linalg.svd(dmat, full_matrices=False)
+    rank = int(np.sum(s > 1e-10 * s[0]))
+    if rank != 4 * (m - 1):
+        raise ArithmeticError(f"tangent rank {rank}, expected {4 * (m - 1)}")
+    pre = (np.conj(x[:, :rank]) / s[:rank]).T @ ubasis
+    return vt[:rank].reshape(rank, 2 * m, 2 * m), pre
 
 
 def tangent_basis_et_h(seed_pt):
@@ -128,14 +135,7 @@ def tangent_basis_et_h(seed_pt):
     beta tau_S = tau_H alpha its A-model image is beta(B), B = tau_S(seed_pt),
     and the basis spans d(beta)_B of the B-model tangents at B.
     """
-    m = seed_pt.p.shape[0]
-    _, dmat = _d_beta_frame(tau_s(seed_pt))
-    _, s, vt = np.linalg.svd(dmat, full_matrices=False)
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    if rank != 4 * (m - 1):
-        raise ArithmeticError(f"tangent rank {rank}, expected {4 * (m - 1)}")
-    # rows of vt span the row space of `dmat`; they are an orthonormal basis
-    return vt[:rank].reshape(rank, 2 * m, 2 * m)
+    return _a_model_frame(tau_s(seed_pt))[0]
 
 
 def real_basis_from_complex(ubasis):
@@ -386,18 +386,20 @@ def d_beta_blocks(b, v):
 def sigma_h_eval(am, cols, bt=None):
     """The descended holomorphic 4n-form on matrix tangents at an AMatrix.
 
-    Solves d(beta) v = w on the B-model tangent space for all columns at
-    once and evaluates the basic form there; the result is gauge independent.
+    Solves for all columns at once, by least squares in the A-model basis,
+    and evaluates the basic form on their B-model preimages; the result is
+    gauge independent.
     """
     if bt is None:
         bt = beta_preimage(am)
-    ubasis, dmat = _d_beta_frame(bt)
+    wbasis, pre = _a_model_frame(bt)
     w = np.reshape(cols, (len(cols), -1)).T
-    coef = np.linalg.lstsq(dmat.T, w, rcond=None)[0]
-    resid = np.linalg.norm(dmat.T @ coef - w, axis=0)
+    flat = wbasis.reshape(len(wbasis), -1).T
+    coef = np.linalg.lstsq(flat, w, rcond=None)[0]
+    resid = np.linalg.norm(flat @ coef - w, axis=0)
     if np.any(resid > 1e-8 * np.maximum(1.0, np.linalg.norm(w, axis=0))):
         raise ArithmeticError("column is not tangent to the A-model image")
-    return sigma_eval(bt, (ubasis.T @ coef).T)
+    return sigma_eval(bt, coef.T @ pre)
 
 
 def det_theta_prime(bt):
@@ -450,66 +452,53 @@ def pfaffian(mat):
 VS_ORIENTATION_SIGN = -1.0
 
 
-def _pair_matrix_det(ubasis, rbasis):
-    """det [[<u_j, b_k>], [conj <u_j, b_k>]] for a complex frame and the
-    induced real basis; evaluates u*^top wedge conj(u*)^top on the basis."""
+def _liouville(model, point, ubasis):
+    """omega^k / k! on the real basis (u_1, i u_1, ..., u_k, i u_k) of a
+    complex frame U: (2 pref)^k det(conj(U) H^t U^t), H the model's Hessian."""
+    mode, pref = _MODEL[model]
+    hess = complex_hessian_radial(_model_coords(model, point), mode)
+    u = np.reshape(ubasis, (len(ubasis), -1))
+    return (2.0 * pref) ** len(u) * np.linalg.det(np.conj(u) @ hess.T @ u.T).real
+
+
+def _volume_ratio(model, point, ubasis, form, sigma):
+    """(form wedge conj(sigma)) / Liouville for (k, 0)-forms with the values
+    form and sigma on an orthonormal complex frame U of k vectors; on its
+    real basis the wedge is (-1)^(k(k-1)/2) (-2i)^k form conj(sigma)."""
     k = len(ubasis)
-    gam = np.conj(np.reshape(ubasis, (k, -1))) @ np.reshape(rbasis, (2 * k, -1)).T
-    return np.linalg.det(np.vstack([gam, np.conj(gam)]))
-
-
-# sign of the Liouville form against the Pfaffian of omega on the real basis
-# (u_1, i u_1, ...) of each model
-_LIOUVILLE_SIGN = {"S": -1.0, "H": 1.0}
-
-
-def _liouville(model, point, rbasis):
-    """The Liouville form of a model on a real tangent basis, the Pfaffian of
-    the Gram matrix of omega."""
-    w = omega_eval(model, point, rbasis, rbasis)
-    return _LIOUVILLE_SIGN[model] * pfaffian(0.5 * (w - w.T))
+    wedge = (-1) ** (k * (k - 1) // 2) * (-2j) ** k * form * np.conj(sigma)
+    return complex(wedge / _liouville(model, point, ubasis))
 
 
 def recover_a_s(bt):
     """sigma_S wedge conj(sigma_S) / Liouville, divided by |B|^(4n+1)."""
     ubasis = tangent_basis_et_s(bt)
-    rbasis = real_basis_from_complex(ubasis)
     c_sigma = sigma_s_eval(bt, ubasis)
-    lhs = c_sigma * np.conj(c_sigma) * _pair_matrix_det(ubasis, rbasis)
-    return complex(lhs / _liouville("S", bt, rbasis) / bt.norm ** (4 * bt.n + 1))
+    return _volume_ratio("S", bt, ubasis, c_sigma, c_sigma) / bt.norm ** (4 * bt.n + 1)
 
 
 def recover_b_s(bt):
     """pullback(v_S) wedge conj(sigma_S) / Liouville, times |B|.
 
-    On the real basis of 2k = 8n + 6 tangents the wedge is one 8m x 8m
-    determinant, (-1)^k det [[p, 0, Pdot], [0, conj(Z), conj(C)]] /
-    conj((2i)^(2n+2)): Pdot holds the p-parts of d tau_S^-1 on the basis, C
-    the basis as ambient coordinates and Z is :func:`z_field`.  Its Laplace
-    expansion along the first 4m rows is the sum over complementary index
-    subsets of v_S times conj(sigma_S).
+    The (k, 0) part of v_S on the frame U is det [p, pdot(U)], with
+    pdot(u) = (pdot_R(u) - i pdot_R(i u)) / 2 from the real d tau_S^-1.
     """
     ubasis = tangent_basis_et_s(bt)
-    rbasis = real_basis_from_complex(ubasis)
     k, dim = ubasis.shape
     p, q = _tau_s_inv_core(bt.B)
-    pdots = d_tau_s_inv(p, q, rbasis)[0].reshape(2 * k, dim)
-    zero = np.zeros((dim, 1))
-    mat = np.block([[p.reshape(dim, 1), zero, pdots.T],
-                    [zero, np.conj(z_field(bt))[:, None], np.conj(rbasis).T]])
-    lhs = (-1) ** k * np.linalg.det(mat) / np.conj((2j) ** (2 * bt.n + 2))
-    return complex(lhs / _liouville("S", bt, rbasis) * bt.norm)
+    pdots = d_tau_s_inv(p, q, np.concatenate([ubasis, 1j * ubasis]))[0].reshape(2, k, dim)
+    v_s = np.linalg.det(np.vstack([p.reshape(1, dim), 0.5 * (pdots[0] - 1j * pdots[1])]))
+    return _volume_ratio("S", bt, ubasis, v_s, sigma_s_eval(bt, ubasis)) * bt.norm
 
 
 def recover_a_h(seed_pt):
-    """sigma_H wedge conj(sigma_H) / Liouville, divided by |A|^(2n+2)."""
-    am = tau_h(alpha(seed_pt))
+    """sigma_H wedge conj(sigma_H) / Liouville, divided by |A|^(2n+2), at
+    A = beta(B), B = tau_S(seed_pt), with sigma_H on B-model preimages."""
     bt = tau_s(seed_pt)
-    ubasis = tangent_basis_et_h(seed_pt)
-    rbasis = real_basis_from_complex(ubasis)
-    c_sigma = sigma_h_eval(am, ubasis, bt=bt)
-    lhs = c_sigma * np.conj(c_sigma) * _pair_matrix_det(ubasis, rbasis)
-    return complex(lhs / _liouville("H", am, rbasis) / am.norm ** (2 * am.n + 2))
+    am = beta(bt)
+    wbasis, pre = _a_model_frame(bt)
+    c_sigma = sigma_eval(bt, pre)
+    return _volume_ratio("H", am, wbasis, c_sigma, c_sigma) / am.norm ** (2 * am.n + 2)
 
 
 def recover_constants(n, rng, npoints=6, det_points=100):
@@ -562,14 +551,10 @@ def geodesic_flow_pair(pt, t):
 
 def hopf_pushforward_check(n, nsamples, rng):
     """Pointwise eta/V duality and the volume ratio of the fibration."""
-    from .quantization import vol_pnh  # local: geometry sits below quantization
-    m = n + 1
-    worst = 0.0
-    for _ in range(nsamples):
-        p = sphere_uniform(4 * m - 1, rng)
-        # rows V_j(p) = p e_j, the unit tangents along the fiber
-        frame = sp1_orbit_frame(p.reshape(m, 4))[1:].reshape(3, -1)
-        worst = max(worst, float(np.abs(frame @ p).max()),
-                    float(np.abs(frame @ frame.T - np.eye(3)).max()))
+    p = sphere_uniform(4 * n + 3, rng, size=nsamples)
+    # rows V_j(p) = p e_j, the unit tangents along the fiber
+    frames = _orbit_frames(p)[:, 1:]
+    worst = max(float(np.abs(frames @ p[:, :, None]).max()),
+                float(np.abs(frames @ np.swapaxes(frames, -1, -2) - np.eye(3)).max()))
     vol_resid = abs(vol_sphere(4 * n + 3) - 2.0 * math.pi ** 2 * vol_pnh(n))
     return {"duality_residual": worst, "volume_residual": vol_resid}

@@ -28,6 +28,7 @@ __all__ = [
     "radial_quad",
     "sphere_uniform",
     "substream",
+    "vol_pnh",
     "vol_sphere",
 ]
 
@@ -208,6 +209,11 @@ def vol_sphere(m):
     if m < 0:
         raise ValueError("sphere dimension must be >= 0")
     return math.exp(math.log(2.0) + 0.5 * (m + 1) * math.log(math.pi) - log_gamma(0.5 * (m + 1)))
+
+
+def vol_pnh(n):
+    """Riemannian volume of the quaternion projective space, pi^2n/(2n+1)!."""
+    return math.exp(2 * n * math.log(math.pi) - log_gamma(2 * n + 2))
 
 
 def radial_quad(c, power, tol):

@@ -27,6 +27,7 @@ from .numerics import (
     mc_mean,
     radial_quad,
     sphere_uniform,
+    vol_pnh,
     vol_sphere,
 )
 from .spaces import _orbit_frames, _project_out, random_eh, tau_h
@@ -86,11 +87,6 @@ B_H_CONST = -1.0 / (math.sqrt(2.0) * math.pi ** 2)
 def A_H_CONST(n):
     """Holomorphic-volume ratio constant on the cotangent model, 2^(n-2)."""
     return 2.0 ** (n - 2)
-
-
-def vol_pnh(n):
-    """Riemannian volume of the quaternion projective space, pi^2n/(2n+1)!."""
-    return math.exp(2 * n * LOGPI - log_gamma(2 * n + 2))
 
 
 # ------------------------------------------------------------------ weights

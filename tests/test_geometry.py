@@ -244,6 +244,46 @@ def test_pfaffian_brute_force(rng):
     assert geo.pfaffian(j2) == 1.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_volume_forms_on_the_complex_frame_match_the_real_basis(rng, n):
+    # reference: the forms on the real basis (u_1, i u_1, ..., u_k, i u_k), the
+    # Liouville form as the Pfaffian of the Gram matrix of omega with each
+    # model's sign, and the wedge of (k, 0)- with (0, k)-forms as the 2k x 2k
+    # pairing determinant of u*^t wedge conj(u*)^t
+    pt = horizontal_point(rng, n=n)
+    bt = sp.tau_s(pt)
+    for model, point, ubasis in (("S", bt, geo.tangent_basis_et_s(bt)),
+                                 ("H", sp.beta(bt), geo.tangent_basis_et_h(pt))):
+        k = len(ubasis)
+        rbasis = geo.real_basis_from_complex(ubasis)
+        w = geo.omega_eval(model, point, rbasis, rbasis)
+        pf = {"S": -1.0, "H": 1.0}[model] * geo.pfaffian(0.5 * (w - w.T))
+        liouville = geo._liouville(model, point, ubasis)
+        assert abs(liouville - pf) <= 1e-13 * abs(pf)
+        gam = np.conj(ubasis.reshape(k, -1)) @ rbasis.reshape(2 * k, -1).T
+        pair = np.linalg.det(np.vstack([gam, np.conj(gam)]))
+        wedge = geo._volume_ratio(model, point, ubasis, 1.0, 1.0) * liouville
+        assert abs(wedge - pair) <= 1e-13 * abs(pair)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_model_frame_preimages_give_sigma_h(rng, n):
+    pt = horizontal_point(rng, n=n)
+    bt = sp.tau_s(pt)
+    wbasis, pre = geo._a_model_frame(bt)
+    assert np.array_equal(wbasis, geo.tangent_basis_et_h(pt))
+    flat = wbasis.reshape(len(wbasis), -1)
+    img = geo.d_beta_blocks(bt.B, sp.coords_to_blocks(pre)).reshape(flat.shape)
+    assert np.abs(img - flat).max() <= 1e-12
+    # reference: least squares against d(beta) of the B-model basis
+    ubasis = geo.tangent_basis_et_s(bt)
+    dmat = geo.d_beta_blocks(bt.B, sp.coords_to_blocks(ubasis)).reshape(len(ubasis), -1)
+    coef = np.linalg.lstsq(dmat.T, flat.T, rcond=None)[0]
+    ref = geo.sigma_eval(bt, (ubasis.T @ coef).T)
+    assert abs(geo.sigma_eval(bt, pre) - ref) <= 1e-12 * abs(ref)
+    assert abs(geo.sigma_h_eval(sp.beta(bt), wbasis, bt=bt) - ref) <= 1e-12 * abs(ref)
+
+
 def test_recovered_constants(rng):
     cons = geo.recover_constants(1, rng, npoints=4, det_points=20)
     assert abs(cons["a_S"] - (-1j)) <= 1e-6
