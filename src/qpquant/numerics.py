@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 DEFAULT_CHUNK = 1 << 16
-# rows of one integrand block (see _blockwise): at n = 1 a block's
+# rows of one integrand block of _mc_blocks: at n = 1 a block's
 # intermediates take about 1 MiB and stay in a 2 MiB L2 cache, where a whole
 # chunk's do not.  2048 to 8192 rows time alike; whole chunks are slower
 # (b_l at n = 2: 235 against 180 ms for 131,072 samples on 2 cores)
@@ -151,18 +151,24 @@ def mc_mean(batch_fn, config):
     return MCEstimate(value=mean, stderr=stderr, samples=total_n, seed=config.seed)
 
 
-def _blockwise(integrand, *rows):
-    """``integrand(*rows)`` evaluated on consecutive blocks of ``_BLOCK_ROWS``
-    rows of the arrays ``rows`` and concatenated.
+def _mc_blocks(integrand, config, sphere_dims, normal_dim=None):
+    """:func:`mc_mean` of ``integrand`` over draws made a whole chunk at a time.
 
-    A Monte Carlo batch draws its whole chunk first and hands the draws
-    here, so the integrand's intermediates stay cache-sized.  The integrand
-    must treat rows independently and must not write to its arguments,
-    which are views of the draws.
+    A chunk of ``size`` rows draws ``sphere_uniform(d, rng, size=size)`` for
+    each d in ``sphere_dims`` in turn, then ``rng.standard_normal((size,
+    normal_dim))`` if ``normal_dim`` is given.  ``integrand(*draws)`` runs on
+    consecutive ``_BLOCK_ROWS``-row blocks, so its intermediates stay
+    cache-sized; it must treat rows independently and must not write to its
+    arguments, which are views of the draws.
     """
-    size = len(rows[0])
-    return np.concatenate([integrand(*(r[i:i + _BLOCK_ROWS] for r in rows))
-                           for i in range(0, size, _BLOCK_ROWS)])
+    def batch(rng, size):
+        rows = [sphere_uniform(d, rng, size=size) for d in sphere_dims]
+        if normal_dim is not None:
+            rows.append(rng.standard_normal((size, normal_dim)))
+        return np.concatenate([integrand(*(r[i:i + _BLOCK_ROWS] for r in rows))
+                               for i in range(0, size, _BLOCK_ROWS)])
+
+    return mc_mean(batch, config)
 
 
 def sphere_uniform(dim, rng, size=None):
@@ -182,12 +188,10 @@ def sphere_uniform(dim, rng, size=None):
 
 
 def log_gamma(x):
-    """log Gamma(x) for x > 0, accurate to ~1e-14 relative."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
+    """log Gamma(x) for one number x > 0, accurate to ~1e-14 relative."""
+    if x <= 0:
         raise ValueError("log_gamma requires x > 0")
-    out = gammaln(x)
-    return float(out) if out.ndim == 0 else out
+    return float(gammaln(x))
 
 
 def log_gamma_radial(k, c):

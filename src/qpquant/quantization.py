@@ -20,13 +20,11 @@ from scipy import integrate
 
 from .algebra import fro_norm
 from .numerics import (
-    _blockwise,
+    _mc_blocks,
     gamma_radial,
     log_gamma,
     log_gamma_radial,
-    mc_mean,
     radial_quad,
-    sphere_uniform,
     vol_pnh,
     vol_sphere,
 )
@@ -140,22 +138,13 @@ def sphere_moment_integrand(pts):
 
 def i_coeff_mc(n, l, config):
     """MC oracle for I_l via uniform sphere samples."""
-    m = n + 1
-
-    def batch(rng, size):
-        return _blockwise(lambda pts: sphere_moment_integrand(pts) ** l,
-                          sphere_uniform(4 * m - 1, rng, size=size))
-
-    return mc_mean(batch, config).scaled(vol_pnh(n) * (2.0 * math.sqrt(2.0)) ** (-2 * l))
+    est = _mc_blocks(lambda p: sphere_moment_integrand(p) ** l, config, (4 * n + 3,))
+    return est.scaled(vol_pnh(n) * (2.0 * math.sqrt(2.0)) ** (-2 * l))
 
 
 def moment_s7_mc(l, config):
     """MC oracle for the S^7 moment itself."""
-    def batch(rng, size):
-        return _blockwise(lambda pts: sphere_moment_integrand(pts) ** l,
-                          sphere_uniform(7, rng, size=size))
-
-    return mc_mean(batch, config).scaled(vol_sphere(7))
+    return _mc_blocks(lambda p: sphere_moment_integrand(p) ** l, config, (7,)).scaled(vol_sphere(7))
 
 
 def log_b_coeff(n, l):
@@ -217,13 +206,8 @@ def b_coeff_mc(n, l, config):
         pair = _pair_projector_fiber(pts, base, _unit_covectors(_orbit_frames(base), g))
         return np.abs(pair) ** (2 * l)
 
-    def batch(rng, size):
-        pts = sphere_uniform(4 * m - 1, rng, size=size)
-        base = sphere_uniform(4 * m - 1, rng, size=size)
-        return _blockwise(integrand, pts, base, rng.standard_normal((size, 4 * m)))
-
     scale = math.exp(log_radial_gg(n, 2 * l)) * vol_pnh(n) ** 2 * vol_sphere(4 * n - 1) / dim
-    return mc_mean(batch, config).scaled(scale)
+    return _mc_blocks(integrand, config, (4 * m - 1, 4 * m - 1), 4 * m).scaled(scale)
 
 
 def log_a_coeff(n, l):
@@ -362,11 +346,7 @@ def _fiber_apply(phi, x, frame, config, rotation=None):
             pair = rotation * pair
         return phi.eval_sphere(pts.reshape(-1, m, 4)) * pair ** phi.l
 
-    def batch(rng, size):
-        pts = sphere_uniform(4 * m - 1, rng, size=size)
-        return _blockwise(integrand, pts, rng.standard_normal((size, 4 * m)))
-
-    return mc_mean(batch, config)
+    return _mc_blocks(integrand, config, (4 * m - 1,), 4 * m)
 
 
 def t_apply_eigenfunction(phi, p_prime, config, flow_t=None):
@@ -461,12 +441,8 @@ def pairing_gg_mc(fa, fb, config):
         z = (base + 1j * _unit_covectors(_orbit_frames(base), g)).reshape(-1, m, 4)
         return fa.eval_sphere(z) * np.conj(fb.eval_sphere(z))
 
-    def batch(rng, size):
-        base = sphere_uniform(4 * m - 1, rng, size=size)
-        return _blockwise(integrand, base, rng.standard_normal((size, 4 * m)))
-
     scale = math.exp(log_radial_gg(n, fa.l + fb.l)) * vol_pnh(n) * vol_sphere(4 * n - 1)
-    return mc_mean(batch, config).scaled(scale)
+    return _mc_blocks(integrand, config, (4 * m - 1,), 4 * m).scaled(scale)
 
 
 def orthogonality_check(n, l, lp, config, rng):
@@ -477,18 +453,22 @@ def orthogonality_check(n, l, lp, config, rng):
                          HlFunction(n=n, l=lp, amats=(a2,), coeffs=(1.0,)), config)
 
 
+def _kernel_test_function(c0, phi1_amats, phi1_coeffs, a_prime, n):
+    """A' as a complex array, the linear part f1 of f = c0 + f1, and f(A')."""
+    a_prime = np.asarray(a_prime, dtype=complex)
+    f1 = HlFunction(n=n, l=1, amats=tuple(phi1_amats), coeffs=tuple(phi1_coeffs))
+    return a_prime, f1, complex(c0) + f1.eval_amatrix(a_prime)
+
+
 def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
     """Verify f(A') = <f, R(., A')> for f = c0 + sum c_k <., A_k> by joint MC.
 
     Returns (f_value, reconstruction MCEstimate).
     """
-    a_prime = np.asarray(a_prime, dtype=complex)
+    a_prime, f1, f_at_aprime = _kernel_test_function(c0, phi1_amats, phi1_coeffs, a_prime, n)
     m = n + 1
-    f1 = HlFunction(n=n, l=1, amats=tuple(phi1_amats), coeffs=tuple(phi1_coeffs))
     pair_pr = HlFunction(n=n, l=1, amats=(a_prime,), coeffs=(1.0,))     # <P, A'>
     fconst = complex(c0)
-    f_at_aprime = fconst + f1.eval_amatrix(a_prime)
-
     inv_b = [math.exp(-log_b_coeff(n, 0)), math.exp(-log_b_coeff(n, 1))]
     radial = [math.exp(log_radial_gg(n, k)) for k in range(3)]
 
@@ -502,19 +482,13 @@ def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
         core = np.conj(pair_hat) * pair_pr.eval_sphere(pts.reshape(-1, m, 4))
         return out + inv_b[1] * (fconst * core * radial[1] + fquad * core * radial[2])
 
-    def batch(rng, size):
-        pts = sphere_uniform(4 * m - 1, rng, size=size)
-        base = sphere_uniform(4 * m - 1, rng, size=size)
-        return _blockwise(integrand, pts, base, rng.standard_normal((size, 4 * m)))
-
-    return f_at_aprime, mc_mean(batch, config).scaled(vol_pnh(n) ** 2 * vol_sphere(4 * n - 1))
+    est = _mc_blocks(integrand, config, (4 * m - 1, 4 * m - 1), 4 * m)
+    return f_at_aprime, est.scaled(vol_pnh(n) ** 2 * vol_sphere(4 * n - 1))
 
 
 def kernel_norm_bound_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
     """Check |f(A')| <= sqrt(R(A', A')) ||f|| for f = c0 + linear part."""
-    a_prime = np.asarray(a_prime, dtype=complex)
-    f1 = HlFunction(n=n, l=1, amats=tuple(phi1_amats), coeffs=tuple(phi1_coeffs))
-    f_at_aprime = complex(c0) + f1.eval_amatrix(a_prime)
+    a_prime, f1, f_at_aprime = _kernel_test_function(c0, phi1_amats, phi1_coeffs, a_prime, n)
     diag, _ = kernel_diag(n, fro_norm(a_prime), lmax=30)
 
     norm1_sq = pairing_gg_mc(f1, f1, config)
@@ -551,14 +525,15 @@ def constants_table(n, l_values):
     rows = []
     for l in l_values:
         try:
+            a_l, c_l = a_coeff(n, l), c_coeff(n, l)
             rows.append(ConstantsRow(
                 n=n, l=l,
                 i_coeff=i_coeff(n, l),
                 b_coeff=b_coeff(n, l),
-                a_coeff=a_coeff(n, l),
-                c_coeff=c_coeff(n, l),
+                a_coeff=a_l,
+                c_coeff=c_l,
                 t_norm=t_norm(n, l),
-                ratio_c_over_a=c_coeff(n, l) / a_coeff(n, l),
+                ratio_c_over_a=c_l / a_l,
             ))
         except OverflowError:
             raise ValueError(f"the constants at n={n}, l={l} overflow the double range") from None

@@ -1,6 +1,10 @@
-"""Every public name of every qpquant module resolves, and star imports work."""
+"""Every public name of every qpquant module resolves, star imports work, and
+every qpquant name the benchmark workloads use exists."""
 
+import ast
+import dataclasses
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +24,28 @@ def test_all_names_resolve_and_star_import(name):
     exec(f"from {name} import *", namespace)
     if exported is not None:
         assert set(exported) <= set(namespace)
+
+
+def test_benchmark_workloads_use_existing_names():
+    # the workloads reach qpquant through module aliases and MCConfig; a
+    # deleted or renamed name fails here instead of in a benchmark run
+    from qpquant.numerics import MCConfig
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    tree = ast.parse(path.read_text())
+    aliases = {a.asname or a.name: importlib.import_module(f"qpquant.{a.name}")
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "qpquant"
+               for a in node.names}
+    assert set(aliases) == {"alg", "cli", "geo", "qz", "sp", "spl"}
+    used = {(node.value.id, node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in aliases}
+    assert used
+    missing = sorted(f"{mod}.{attr}" for mod, attr in used if not hasattr(aliases[mod], attr))
+    assert not missing, f"perfbench/workloads.py uses missing names: {missing}"
+    fields = {f.name for f in dataclasses.fields(MCConfig)}
+    keywords = {kw.arg for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "MCConfig" for kw in node.keywords}
+    assert keywords and keywords <= fields, keywords - fields

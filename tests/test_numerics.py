@@ -87,6 +87,39 @@ def test_sphere_uniform_redraws_degenerate_rows(size):
     assert stub.standard_normal(3).tolist() == ref.standard_normal(3).tolist()
 
 
+@pytest.mark.parametrize("sphere_dims,normal_dim", [((5, 3), 6), ((4,), None)])
+def test_mc_blocks_draws_whole_chunks_then_evaluates_row_blocks(sphere_dims, normal_dim):
+    # 65,536 + 5,000 samples: the second chunk ends in a 904-row block
+    cfg = num.MCConfig(samples=65_536 + 5_000, seed=77)
+    blocks = []
+
+    def integrand(*draws):
+        blocks.append([d.copy() for d in draws])
+        x = draws[0]
+        out = x[:, 0] * x[:, 1] + 0.5 * x[:, 2]
+        if len(draws) > 1:
+            out = out + 1j * draws[1][:, 3] * draws[-1][:, 2]
+        return out
+
+    def whole(rng, size):
+        draws = [num.sphere_uniform(d, rng, size=size) for d in sphere_dims]
+        if normal_dim is not None:
+            draws.append(rng.standard_normal((size, normal_dim)))
+        return draws
+
+    got = num._mc_blocks(integrand, cfg, sphere_dims, normal_dim)
+    ref = num.mc_mean(lambda rng, size: integrand(*whole(rng, size)), cfg)
+    assert (got.value, got.stderr, got.samples) == (ref.value, ref.stderr, ref.samples)
+
+    blocks = blocks[:-2]        # the reference's two whole-chunk calls
+    assert [len(b[0]) for b in blocks] == [num._BLOCK_ROWS] * 17 + [904]
+    assert all(len(d) == len(b[0]) for b in blocks for d in b)
+    for index, (size, lo, hi) in enumerate([(65_536, 0, 16), (5_000, 16, 18)]):
+        draws = whole(num.substream(cfg.seed, index), size)
+        for k, d in enumerate(draws):
+            assert np.array_equal(np.concatenate([b[k] for b in blocks[lo:hi]]), d)
+
+
 def test_gamma_radial():
     assert abs(num.gamma_radial(0, 1.0) - 1.0) < 1e-15
     val = num.gamma_radial(4, 2 * math.pi)
