@@ -72,15 +72,19 @@ class Report:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
     def to_csv(self):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["suite", "id", "paper_ref", "status", "value",
-                         "expected", "tolerance", "stderr"])
-        for c in self.checks:
-            writer.writerow([self.suite, c.id, c.paper_ref, c.status,
-                             repr(c.value), repr(c.expected), repr(c.tolerance),
-                             "" if c.stderr is None else repr(c.stderr)])
-        return buf.getvalue()
+        return _csv(["suite", "id", "paper_ref", "status", "value", "expected",
+                     "tolerance", "stderr"],
+                    ([self.suite, c.id, c.paper_ref, c.status, repr(c.value),
+                      repr(c.expected), repr(c.tolerance),
+                      "" if c.stderr is None else repr(c.stderr)] for c in self.checks))
+
+
+def _csv(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 def _timestamp():
@@ -147,12 +151,8 @@ def suite_algebra(cfg, rng, check):
     worst = 0.0
     for _ in range(50):
         m = int(rng.integers(2, 4))
-        X = rng.standard_normal((m, m, 4))
-        X = 0.5 * (X + theta_transpose(X))
-        Y = rng.standard_normal((m, m, 4))
-        Y = 0.5 * (Y + theta_transpose(Y))
-        Z = rng.standard_normal((m, m, 4))
-        Z = 0.5 * (Z + theta_transpose(Z))
+        W = rng.standard_normal((3, m, m, 4))
+        X, Y, Z = 0.5 * (W + theta_transpose(W))
         lhs = inner_r(jordan(X, Y), Z)
         rhs = inner_r(X, jordan(Y, Z))
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
@@ -477,13 +477,10 @@ def build_parser():
         for name in names:
             p.add_argument(name, **flags[name])
 
-    pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("--suite", choices=SUITES, default="all")
+    pv = sub.add_parser("verify", aliases=list(ALIASES),
+                        help="run a verification suite; verify-SUITE runs --suite SUITE")
+    pv.add_argument("--suite", choices=SUITES, help="default: all; not with an alias")
     add(pv, flags)
-    for alias, suite in ALIASES.items():
-        pa = sub.add_parser(alias, help=f"alias for verify --suite {suite}")
-        pa.set_defaults(suite=suite)
-        add(pa, flags)
     pc = sub.add_parser("constants", help="emit the constants table")
     add(pc, ("--n", "--l-range", "--format", "--out"))
     pk = sub.add_parser("kernel", help="diagonal kernel values and tail bounds")
@@ -529,24 +526,19 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         if args.command in ("verify", *ALIASES):
+            if args.command in ALIASES and args.suite is not None:
+                raise ValueError(f"{args.command} runs --suite {ALIASES[args.command]}; "
+                                 "it takes no --suite")
+            suite = ALIASES.get(args.command, args.suite or "all")
             cfg = SuiteConfig(**{f.name: getattr(args, f.name) for f in fields(SuiteConfig)})
-            report = run_suite(args.suite, cfg, workers=args.workers)
+            report = run_suite(suite, cfg, workers=args.workers)
             _emit(report.to_json() if args.format == "json" else report.to_csv(),
                   args.out)
             return 0 if report.passed else 1
         if args.command == "constants":
             payload = _constants_payload(args)
-            if args.format == "json":
-                _emit(json.dumps(payload, indent=2, sort_keys=True), args.out)
-            else:
-                buf = io.StringIO()
-                writer = csv.writer(buf, lineterminator="\n")
-                keys = ["n", "l", "I_l", "b_l", "a_l", "c_l", "T_norm", "c_over_a",
-                        "oracle_matched"]
-                writer.writerow(keys)
-                for rec in payload:
-                    writer.writerow([rec[k] for k in keys])
-                _emit(buf.getvalue(), args.out)
+            _emit(json.dumps(payload, indent=2, sort_keys=True) if args.format == "json"
+                  else _csv(list(payload[0]), (rec.values() for rec in payload)), args.out)
             return 0
         if args.command == "kernel":
             _emit(json.dumps(_kernel_payload(args), indent=2, sort_keys=True),

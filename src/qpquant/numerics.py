@@ -10,6 +10,8 @@ execute the chunks.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -145,10 +147,20 @@ def mc_mean(batch_fn, config):
         warnings.warn(f"mc_mean stopped at its {MAX_EXTENSION}x sample cap after {total_n} "
                       f"samples with stderr {stderr:.3e}, above the target "
                       f"{target:g} x |mean| = {target * abs(mean):.3e}",
-                      RuntimeWarning, stacklevel=2)
+                      RuntimeWarning, stacklevel=_outside_caller_level())
     if np.iscomplexobj(np.asarray(mean)) and abs(mean.imag) == 0.0:
         mean = mean.real
     return MCEstimate(value=mean, stderr=stderr, samples=total_n, seed=config.seed)
+
+
+def _outside_caller_level():
+    """The ``stacklevel`` that makes a warning raised by our caller point at
+    the first frame outside the qpquant package."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 def _mc_blocks(integrand, config, sphere_dims, normal_dim=None):

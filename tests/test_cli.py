@@ -138,6 +138,26 @@ def test_verify_aliases():
     assert json.loads(res.stdout)["suite"] == "spectral"
 
 
+@pytest.mark.parametrize("alias", sorted(cli.ALIASES))
+def test_alias_matches_verify_suite(alias, capsys, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    flags = ["--seed", "3", "--samples", "2000", "--lmax", "2", "--format", "csv"]
+    outputs = []
+    for argv in ([alias, *flags], ["verify", "--suite", cli.ALIASES[alias], *flags]):
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[1].startswith(cli.ALIASES[alias] + ",")
+
+
+def test_alias_rejects_suite_and_help_lists_aliases():
+    res = run_cli(["verify-spectral", "--suite", "algebra"])
+    assert res.returncode == 2 and res.stdout == ""
+    assert "--suite" in res.stderr
+    helptext = run_cli(["--help"]).stdout
+    assert all(alias in helptext for alias in cli.ALIASES)
+
+
 def test_run_suite_unknown_raises():
     with pytest.raises(ValueError):
         cli.run_suite("bogus", cli.SuiteConfig())

@@ -1,5 +1,5 @@
 """Every public name of every qpquant module resolves, star imports work, and
-every qpquant name the benchmark workloads use exists."""
+every qpquant name and command line the benchmark workloads use exists."""
 
 import ast
 import dataclasses
@@ -49,3 +49,10 @@ def test_benchmark_workloads_use_existing_names():
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "MCConfig" for kw in node.keywords}
     assert keywords and keywords <= fields, keywords - fields
+    # so does a renamed or dropped flag of the command lines the workloads run
+    verify_argv = next(ast.literal_eval(node.value) for node in tree.body
+                       if isinstance(node, ast.Assign)
+                       and [getattr(t, "id", None) for t in node.targets] == ["VERIFY_ARGV"])
+    for argv in (verify_argv, ["kernel"],
+                 ["constants", "--n", "1", "--l-range", "0..0", "--format", "json"]):
+        aliases["cli"].build_parser().parse_args(argv)

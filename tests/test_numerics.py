@@ -173,6 +173,16 @@ def test_mc_mean_warns_at_its_cap():
     assert est.samples < 64 * 1000 and est.stderr <= 0.05 * abs(est.value)
 
 
+def test_cap_warning_points_at_the_callers_line():
+    # the warning names the first frame outside qpquant, not mc_mean's caller
+    from qpquant import quantization as qz
+
+    cfg = num.MCConfig(samples=512, chunk=512, target_rel_stderr=1e-6)
+    with pytest.warns(RuntimeWarning, match="mc_mean stopped") as record:
+        qz.i_coeff_mc(1, 3, cfg)
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_log_gamma_domain():
     with pytest.raises(ValueError):
         num.log_gamma(0.0)
