@@ -27,17 +27,19 @@ from .spaces import (
     BTuple,
     SphereCovector,
     _adj2,
+    _alpha_core,
     _orbit_frames,
+    _tau_h_core,
     _tau_h_inv_core,
+    _tau_s_core,
     _tau_s_inv_core,
-    alpha,
     beta,
     beta_blocks,
     blocks_to_coords,
     coords_to_blocks,
+    in_sphere_covector,
     random_es0,
     sp1_orbit_frame,
-    tau_h,
     tau_h_inv,
     tau_s,
 )
@@ -508,7 +510,7 @@ def recover_constants(n, rng, npoints=6, det_points=100):
     corollary substitution, b_H at n = 1 only: their points are drawn from
     the caller's generator, so recovering them at other n too would move
     every later draw of a fixed-seed caller.  Returns a dict with values and
-    observed spreads.
+    observed spreads.  tau_S of the draws, in E_S by construction, skips membership.
     """
     out = {}
 
@@ -522,11 +524,12 @@ def recover_constants(n, rng, npoints=6, det_points=100):
         return [random_es0(m, float(rng.uniform(lo, hi)), rng) for _ in range(count)]
 
     if n == 1:
-        bts = [tau_s(pt) for pt in draw(1, 0.5, 1.8, npoints)]
+        bts = [BTuple(_tau_s_core(pt.p, pt.q)) for pt in draw(1, 0.5, 1.8, npoints)]
         record("a_S", [recover_a_s(bt) for bt in bts])
         record("b_S", [VS_ORIENTATION_SIGN * recover_b_s(bt) for bt in bts])
         out["orientation_sign"] = VS_ORIENTATION_SIGN
-    record("det_theta", [det_theta_prime(tau_s(pt)) for pt in draw(n, 0.4, 2.2, det_points)])
+    record("det_theta", [det_theta_prime(BTuple(_tau_s_core(pt.p, pt.q)))
+                         for pt in draw(n, 0.4, 2.2, det_points)])
     record("a_H", [recover_a_h(pt) for pt in draw(n, 0.5, 1.8, npoints)])
     if n == 1:
         out["b_H"] = complex((1.0 / math.sqrt(2.0)) ** (2 * n + 1) * out["a_H"] * out["b_S"]
@@ -537,16 +540,19 @@ def recover_constants(n, rng, npoints=6, det_points=100):
 # -------------------------------------------------- flow and fibration
 
 def geodesic_flow_pair(pt, t):
-    """(A along the sphere geodesic at time t, e^(-2it) A at time 0)."""
+    """(A along the sphere geodesic at time t, e^(-2it) A at time 0); t may be a 1-D array."""
     p, q = pt.p, pt.q
-    nq = float(np.sqrt(np.sum(q * q)))
-    if abs(nq - 1.0) > 1e-10:
+    if abs(float(np.sqrt(np.sum(q * q))) - 1.0) > 1e-10:
         raise ValueError("flow comparison needs a unit-speed covector")
-    pt_t = SphereCovector(p * math.cos(t) + q * math.sin(t),
-                          q * math.cos(t) - p * math.sin(t))
-    a_t = tau_h(alpha(pt_t)).A
-    a_0 = tau_h(alpha(pt)).A
-    return a_t, np.exp(-2j * t) * a_0
+    if not in_sphere_covector(pt):
+        raise ValueError("point is not in the sphere covector space")
+    # times t, then 0 for the start point: the rotation of the (p, q) plane keeps
+    # |p| = 1, (p, q)_E = 0 and a non-vertical q, so each point is in E_S by construction
+    ts = np.append(t, 0.0).reshape(-1, 1, 1)
+    c, s = np.cos(ts), np.sin(ts)
+    a = _tau_h_core(*_alpha_core(p * c + q * s, q * c - p * s))
+    a_t = a[:-1].reshape(np.shape(t) + a.shape[1:]).copy()  # a view would hold the stack
+    return a_t, np.exp(-2j * np.reshape(t, np.shape(t) + (1, 1))) * a[-1]
 
 
 def hopf_pushforward_check(n, nsamples, rng):

@@ -28,7 +28,7 @@ from .numerics import (
     vol_pnh,
     vol_sphere,
 )
-from .spaces import _orbit_frames, _project_out, random_eh, tau_h
+from .spaces import _orbit_frames, _project_out, _tau_h_core, random_eh
 from .spectral import HlFunction, _pair_projector_fiber, dim_eigenspace, eigenvalue
 
 __all__ = [
@@ -409,18 +409,16 @@ def kernel_diag(n, norm_a, lmax):
     """Diagonal of the reproducing kernel with a certified tail bound.
 
     Returns (value, tail_bound); raises if the truncation leaves a tail
-    above 1e-12 of the value.
+    above 1e-12 of the value.  Terms and tails that underflow count as 0.
     """
     if norm_a <= 0:
         raise ValueError("need a positive matrix norm")
-    terms = [math.exp(log_kernel_term(n, l, norm_a)) for l in range(lmax + 1)]
-    nxt = math.exp(log_kernel_term(n, lmax + 1, norm_a))
-    ratio = nxt / terms[-1]
-    ratio2 = math.exp(log_kernel_term(n, lmax + 2, norm_a)) / nxt
+    logs = [log_kernel_term(n, l, norm_a) for l in range(lmax + 3)]
+    ratio, ratio2 = math.exp(logs[-2] - logs[-3]), math.exp(logs[-1] - logs[-2])
     if ratio >= 0.5 or ratio2 >= ratio:
         raise ValueError("truncation too small: term ratios not yet contracting")
-    tail = nxt / (1.0 - ratio)
-    value = math.fsum(terms)
+    tail = math.exp(logs[-2]) / (1.0 - ratio)
+    value = math.fsum(math.exp(x) for x in logs[:-2])
     if tail > 1e-12 * value:
         raise ValueError(f"truncation {lmax} leaves tail {tail:.3e} above tolerance")
     return value, tail
@@ -447,8 +445,8 @@ def pairing_gg_mc(fa, fb, config):
 
 def orthogonality_check(n, l, lp, config, rng):
     """Pairing between degree-l and degree-l' generators; -> 0 for l != l'."""
-    a1 = tau_h(random_eh(n, math.sqrt(2.0), rng)).A
-    a2 = tau_h(random_eh(n, math.sqrt(2.0), rng)).A
+    cps = [random_eh(n, math.sqrt(2.0), rng) for _ in range(2)]
+    a1, a2 = (_tau_h_core(cp.P, cp.Q) for cp in cps)
     return pairing_gg_mc(HlFunction(n=n, l=l, amats=(a1,), coeffs=(1.0,)),
                          HlFunction(n=n, l=lp, amats=(a2,), coeffs=(1.0,)), config)
 

@@ -188,9 +188,7 @@ def in_sphere_covector(pt, tol=EQ_TOL):
     p, q = pt.p, pt.q
     if abs(einner(p, p) - 1.0) > tol or abs(einner(p, q)) > tol:
         return False
-    qp = hinner(q, p)
-    shifted = q + qmul(p, qp[None, :])
-    return qnorm(shifted).max() > tol
+    return qnorm(q + qmul(p, hinner(q, p)[None, :])).max() > tol
 
 
 def in_sphere_covector0(pt):
@@ -262,34 +260,46 @@ def in_amatrix_space(pt):
 
 # --------------------------------------------------------------------- maps
 
+def _alpha_core(p, q):
+    """(P, Q) of alpha on (..., m, 4) arrays, with no membership test."""
+    tp, tq = qconj(p)[..., None, :, :], qconj(q)[..., None, :, :]
+    return qmul(p[..., None, :], tp), qmul(p[..., None, :], tq) + qmul(q[..., None, :], tp)
+
+
 def alpha(pt):
     """(p, q) -> (P, Q) with P = (p_i theta(p_j)), Q = (p_i theta(q_j) + q_i theta(p_j))."""
     if not in_sphere_covector(pt):
         raise ValueError("point is not in the sphere covector space")
-    p, q = pt.p, pt.q
-    tp, tq = qconj(p), qconj(q)
-    P = qmul(p[:, None, :], tp[None, :, :])
-    Q = qmul(p[:, None, :], tq[None, :, :]) + qmul(q[:, None, :], tp[None, :, :])
-    return CotangentPointH(P, Q)
+    return CotangentPointH(*_alpha_core(pt.p, pt.q))
+
+
+def _tau_s_core(p, q):
+    """Blocks B of tau_s on (..., m, 4) arrays, with no membership test."""
+    nq = np.sqrt(np.sum(q ** 2, axis=(-2, -1)))
+    nq = nq[..., None, None] if nq.ndim else nq  # one point: a scalar, cheaper to broadcast
+    return rho(nq * p.astype(complex) + 1j * q)
 
 
 def tau_s(pt):
     """(p, q) -> B_i = rho(|q| p_i + q_i i); ||B||^2 = 4 |q|^2."""
     if not in_sphere_covector(pt):
         raise ValueError("point is not in the sphere covector space")
-    nq = float(np.sqrt(np.sum(pt.q ** 2)))
-    h = nq * pt.p.astype(complex) + 1j * pt.q
-    return BTuple(rho(h))
+    return BTuple(_tau_s_core(pt.p, pt.q))
+
+
+def _tau_h_core(P, Q):
+    """A of tau_h on (..., m, m, 4) arrays, with no membership test."""
+    nq = np.sqrt(np.sum(Q ** 2, axis=(-3, -2, -1)))
+    nq = nq[..., None, None] if nq.ndim else nq  # one point: a scalar, cheaper to broadcast
+    rq = complexify(Q)
+    return nq ** 2 * complexify(P) - rq @ rq + (1j / np.sqrt(2.0)) * nq * rq
 
 
 def tau_h(pt):
     """(P, Q) -> A = ||Q||^2 rho(P) - rho(Q)^2 + i ||Q|| rho(Q) / sqrt(2)."""
     if not in_cotangent_h(pt):
         raise ValueError("point is not in the cotangent-bundle model")
-    nq = pt.qnorm_j
-    rp = complexify(pt.P)
-    rq = complexify(pt.Q)
-    return AMatrix(nq ** 2 * rp - rq @ rq + (1j / np.sqrt(2.0)) * nq * rq)
+    return AMatrix(_tau_h_core(pt.P, pt.Q))
 
 
 def _adj2(b):
@@ -345,9 +355,7 @@ def tau_s_inv(pt):
     if nq <= BOUNDARY_TOL:
         raise ValueError("tuple has vanishing covector part")
     out = SphereCovector(p, q)
-    qp = hinner(q, p)
-    shifted = q + qmul(p, qp[None, :])
-    if qnorm(shifted).max() <= BOUNDARY_TOL * nq:
+    if qnorm(q + qmul(p, hinner(q, p)[None, :])).max() <= BOUNDARY_TOL * nq:
         raise ValueError("recovered point is too close to the degenerate boundary")
     # the split carries round-off of the tuple's scale, so test at 1e-9
     if not in_sphere_covector(out, 1e-9):
@@ -460,7 +468,7 @@ def random_es_generic(n, rng):
 def random_eh(n, qnorm_j, rng):
     """Random cotangent point with Jordan norm ||Q|| = qnorm_j."""
     pt = random_es0(n, qnorm_j / np.sqrt(2.0), rng)
-    return alpha(pt)
+    return CotangentPointH(*_alpha_core(pt.p, pt.q))
 
 
 def random_sl2(rng):

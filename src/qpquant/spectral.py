@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import cbilinear, complexify, qconj, qmul
 from .numerics import sphere_uniform
-from .spaces import AMatrix, _orbit_frames, in_amatrix_space, random_eh, tau_h
+from .spaces import AMatrix, _orbit_frames, _tau_h_core, in_amatrix_space, random_eh
 
 __all__ = [
     "HlFunction",
@@ -216,8 +216,7 @@ class HlFunction:
 
 def random_hl_function(n, l, k, rng):
     """Random element of the l-th eigenspace as a k-term generator span."""
-    amats = []
-    for _ in range(k):
-        amats.append(tau_h(random_eh(n, np.sqrt(2.0), rng)).A)
+    gens = [random_eh(n, np.sqrt(2.0), rng) for _ in range(k)]
     coeffs = rng.standard_normal(k) if l > 0 else np.abs(rng.standard_normal(k))
-    return HlFunction(n=n, l=l, amats=tuple(amats), coeffs=tuple(coeffs.tolist()))
+    return HlFunction(n=n, l=l, amats=tuple(_tau_h_core(cp.P, cp.Q) for cp in gens),
+                      coeffs=tuple(coeffs.tolist()))

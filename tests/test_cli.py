@@ -132,6 +132,16 @@ def test_kernel_command():
     assert payload["tail_bound"] < 1e-10 * payload["diagonal"]
 
 
+def test_kernel_command_past_underflow(capsys):
+    # lmax + 20 terms: past l ~ 80 (|A| = 2 sqrt 2) and l ~ 40 (n = 4, |A| = 0.5)
+    # the terms underflow to 0
+    for argv in (["kernel", "--lmax", "60"],
+                 ["kernel", "--n", "4", "--norm", "0.5", "--lmax", "40"]):
+        assert cli.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["tail_bound"] <= 1e-12 * payload["diagonal"]
+
+
 def test_verify_aliases():
     res = run_cli(["verify-spectral", "--n", "1", "--lmax", "2"])
     assert res.returncode == 0

@@ -339,9 +339,8 @@ def test_geodesic_flow(rng):
     worst = 0.0
     for _ in range(20):
         pt = sp.random_es0(1, 1.0, rng)
-        for t in np.arange(0.0, 3.15, 0.1):
-            a_t, a_flow = geo.geodesic_flow_pair(pt, float(t))
-            worst = max(worst, float(np.abs(a_t - a_flow).max()))
+        a_t, a_flow = geo.geodesic_flow_pair(pt, np.arange(0.0, 3.15, 0.1))
+        worst = max(worst, float(np.abs(a_t - a_flow).max()))
     assert worst <= 1e-10
     # classical period pi
     pt = sp.random_es0(1, 1.0, rng)
@@ -349,6 +348,40 @@ def test_geodesic_flow(rng):
     assert np.abs(a_pi - sp.tau_h(sp.alpha(pt)).A).max() <= 1e-10
     with pytest.raises(ValueError):
         geo.geodesic_flow_pair(sp.random_es0(1, 2.0, rng), 0.3)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_geodesic_flow_times_array_matches_float_loop(rng, n):
+    pt = sp.random_es0(n, 1.0, rng)
+    times = np.linspace(-1.0, 4.0, 7)
+    a_t, a_flow = geo.geodesic_flow_pair(pt, times)
+    assert a_t.shape == a_flow.shape == (7, 2 * n + 2, 2 * n + 2)
+    for k, t in enumerate(times):
+        b_t, b_flow = geo.geodesic_flow_pair(pt, float(t))
+        assert b_t.shape == (2 * n + 2, 2 * n + 2)
+        assert (a_t[k] == b_t).all() and (a_flow[k] == b_flow).all()
+
+
+def test_geodesic_flow_rejects_points_off_the_model(rng):
+    pt = sp.random_es0(1, 1.0, rng)
+    with pytest.raises(ValueError, match="sphere covector space"):
+        geo.geodesic_flow_pair(sp.SphereCovector(1.01 * pt.p, pt.q), 0.3)
+
+
+def test_geodesic_flow_tests_membership_once(rng, monkeypatch):
+    # the flowed points lie in E_S by construction: one membership test of
+    # the start point, and none of the cotangent model
+    pt = sp.random_es0(1, 1.0, rng)
+    calls = {"in_sphere_covector": 0, "in_cotangent_h": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(sp, name)):
+            calls[_name] += 1
+            return _real(*args)
+        for module in (sp, geo):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    geo.geodesic_flow_pair(pt, 0.3)
+    assert calls == {"in_sphere_covector": 1, "in_cotangent_h": 0}
 
 
 def test_hopf_pushforward(rng):

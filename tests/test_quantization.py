@@ -486,6 +486,17 @@ def test_kernel_terms_and_diag(rng):
         qz.kernel_diag(1, 50.0, lmax=2)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernel_diag_with_underflowed_terms(n):
+    # past l ~ 80 the terms underflow to 0; the sum and the tail test carry on
+    for norm_a in (0.5, 2.0 * math.sqrt(2.0)):
+        base, _ = qz.kernel_diag(n, norm_a, lmax=40 if (n, norm_a) == (4, 0.5) else 60)
+        for lmax in (80, 120, 200):
+            val, tail = qz.kernel_diag(n, norm_a, lmax)
+            assert abs(val - base) <= 1e-15 * base
+            assert 0.0 <= tail <= 1e-12 * val
+
+
 def test_kernel_reproduction(rng):
     a1 = sp.tau_h(sp.random_eh(1, math.sqrt(2.0), rng)).A
     aprime = sp.tau_h(sp.random_eh(1, math.sqrt(2.0), rng)).A

@@ -138,6 +138,33 @@ def test_memberships_reject_perturbations(rng):
     assert not sp.in_amatrix_space(sp.AMatrix(bad_a))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cores_on_stacks_equal_the_public_maps(rng, n):
+    pts = [sp.random_es0(n, float(rng.uniform(0.3, 2.0)), rng) for _ in range(5)]
+    p, q = np.stack([pt.p for pt in pts]), np.stack([pt.q for pt in pts])
+    P, Q = sp._alpha_core(p, q)
+    A, B = sp._tau_h_core(P, Q), sp._tau_s_core(p, q)
+    assert A.shape == (5, 2 * n + 2, 2 * n + 2) and B.shape == (5, n + 1, 2, 2)
+    for k, pt in enumerate(pts):
+        cp = sp.alpha(pt)
+        assert (P[k] == cp.P).all() and (Q[k] == cp.Q).all()
+        assert (A[k] == sp.tau_h(cp).A).all() and (B[k] == sp.tau_s(pt).B).all()
+
+
+def test_public_maps_keep_their_membership_tests(rng):
+    pt = sp.random_es0(1, 1.0, rng)
+    long_p = sp.SphereCovector(1.01 * pt.p, pt.q)
+    # q = p e1 is tangent to the Hopf fiber: (p, q)_E = 0, but q is vertical
+    vertical = sp.SphereCovector(pt.p, sp.sp1_orbit_frame(pt.p)[1])
+    for bad in (long_p, vertical):
+        for public_map in (sp.alpha, sp.tau_s):
+            with pytest.raises(ValueError, match="sphere covector space"):
+                public_map(bad)
+    cp = sp.alpha(pt)
+    with pytest.raises(ValueError, match="cotangent-bundle model"):
+        sp.tau_h(sp.CotangentPointH(2.0 * cp.P, cp.Q))
+
+
 def test_tau_s_inverse_round_trip(rng):
     pt = canonical_point()
     rec = sp.tau_s_inv(sp.BTuple(np.stack([np.eye(2), 1j * np.eye(2)]).astype(complex)))
