@@ -21,7 +21,6 @@ __all__ = [
     "cbilinear",
     "complexify",
     "complexify_inv",
-    "einner",
     "fro_norm",
     "hinner",
     "inner_r",
@@ -79,11 +78,6 @@ def qnorm(a):
     """|x| = sqrt(x theta(x)), entrywise over the trailing axis."""
     a = np.asarray(a)
     return np.sqrt((np.abs(a) ** 2).sum(axis=-1))
-
-
-def einner(h, k):
-    """Euclidean pairing (h, k)_E = sum of coefficientwise products."""
-    return np.sum(np.asarray(h) * np.asarray(k), axis=(-1, -2) if np.ndim(h) > 1 else -1)
 
 
 def hinner(h, k):

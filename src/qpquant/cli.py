@@ -513,11 +513,11 @@ def _constants_payload(args):
 
 
 def _kernel_payload(args):
-    out = []
-    for l in range(args.lmax + 1):
-        out.append({"l": l, "term": math.exp(qz.log_kernel_term(args.n, l, args.norm))})
+    # the diagonal first: it refuses terms past the float range, up to lmax + 22
     val, tail = qz.kernel_diag(args.n, args.norm, lmax=args.lmax + 20)
-    return {"n": args.n, "norm": args.norm, "terms": out,
+    terms = [{"l": l, "term": math.exp(qz.log_kernel_term(args.n, l, args.norm))}
+             for l in range(args.lmax + 1)]
+    return {"n": args.n, "norm": args.norm, "terms": terms,
             "diagonal": val, "tail_bound": tail}
 
 

@@ -29,6 +29,7 @@ from .spaces import (
     _adj2,
     _alpha_core,
     _orbit_frames,
+    _sphere_covector_failure,
     _tau_h_core,
     _tau_h_inv_core,
     _tau_s_core,
@@ -545,7 +546,8 @@ def geodesic_flow_pair(pt, t):
     if abs(float(np.sqrt(np.sum(q * q))) - 1.0) > 1e-10:
         raise ValueError("flow comparison needs a unit-speed covector")
     if not in_sphere_covector(pt):
-        raise ValueError("point is not in the sphere covector space")
+        reason = _sphere_covector_failure(p, q)[0]
+        raise ValueError(f"point is not in the sphere covector space: {reason}")
     # times t, then 0 for the start point: the rotation of the (p, q) plane keeps
     # |p| = 1, (p, q)_E = 0 and a non-vertical q, so each point is in E_S by construction
     ts = np.append(t, 0.0).reshape(-1, 1, 1)

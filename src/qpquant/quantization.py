@@ -73,6 +73,7 @@ __all__ = [
 
 LOG2 = math.log(2.0)
 LOGPI = math.log(math.pi)
+LOG_FLOAT_MAX = float(np.log(np.finfo(float).max))
 
 # volume-form ratio constants (see geometry.recover_constants for the
 # numerical recovery): sigma wedge conj(sigma) and pullback-volume ratios
@@ -408,12 +409,15 @@ def log_kernel_term(n, l, norm_a):
 def kernel_diag(n, norm_a, lmax):
     """Diagonal of the reproducing kernel with a certified tail bound.
 
-    Returns (value, tail_bound); raises if the truncation leaves a tail
-    above 1e-12 of the value.  Terms and tails that underflow count as 0.
+    Returns (value, tail_bound); raises if the sum could overflow or the truncation
+    leaves a tail above 1e-12 of it.  Terms and tails that underflow count as 0.
     """
     if norm_a <= 0:
         raise ValueError("need a positive matrix norm")
     logs = [log_kernel_term(n, l, norm_a) for l in range(lmax + 3)]
+    if (top := max(logs)) + math.log(len(logs)) > LOG_FLOAT_MAX:  # sum <= e^top * count
+        raise ValueError(f"kernel term l = {logs.index(top)} has log {top:.1f}; the sum of "
+                         f"{len(logs)} terms could pass the largest float, e^{LOG_FLOAT_MAX:.1f}")
     ratio, ratio2 = math.exp(logs[-2] - logs[-3]), math.exp(logs[-1] - logs[-2])
     if ratio >= 0.5 or ratio2 >= ratio:
         raise ValueError("truncation too small: term ratios not yet contracting")

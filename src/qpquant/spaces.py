@@ -25,16 +25,12 @@ import numpy as np
 
 from .algebra import (
     complexify,
-    einner,
     fro_norm,
     hinner,
     jmat,
-    jordan,
     qconj,
     qmat_mul,
     qmul,
-    qnorm,
-    qtrace,
     quat_split,
     rho,
     rho_inv,
@@ -148,12 +144,6 @@ class BTuple:
         return self.B.shape[0] - 1
 
     @property
-    def zw(self):
-        """Column vectors z, w of length 2n+2: B_i = [[z_2i, w_2i], [z_2i+1, w_2i+1]]."""
-        z, w = self.coords.reshape(2, -1)
-        return z, w
-
-    @property
     def coords(self):
         """Ambient coordinate vector (z_0..z_{2n+1}, w_0..w_{2n+1})."""
         return blocks_to_coords(self.B)
@@ -182,50 +172,87 @@ class AMatrix:
 
 
 # ---------------------------------------------------------------- memberships
+# One helper per model names its first failed condition, or gives None.
 
-def in_sphere_covector(pt, tol=EQ_TOL):
+def _first_failure(checks):
+    """'condition fails (residual r)' for the first failed (condition, residual, ok), or None."""
+    return next((f"{c} fails (residual {r:.3e})" for c, r, ok in checks if not ok), None)
+
+
+def _require(reason, what):
+    if reason:
+        raise ValueError(f"{what}: {reason}")
+
+
+def _sphere_covector_failure(p, q, tol=EQ_TOL, horizontal=False):
+    """First failed condition of E_S (of its horizontal locus if ``horizontal``), and
+    the largest row of q + p <q,p>_H = q - F^t F q + 2 (p,q)_E p, F the orbit frame of p."""
+    pf, qf = p.reshape(-1), q.reshape(-1)
+    pp, pq, frame = abs(pf @ pf - 1.0), pf @ qf, _orbit_frames(pf[None])[0]
+    coeffs = frame @ qf  # (p e_k, q)_E: the components of <p, q>_H
+    hor = np.sqrt(((qf - coeffs @ frame + 2.0 * pq * pf).reshape(-1, 4) ** 2).sum(-1).max())
+    checks = [("(p,p)_E = 1", pp, pp <= tol), ("(p,q)_E = 0", abs(pq), abs(pq) <= tol)]
+    if horizontal:
+        nq, vert = np.sqrt(qf @ qf), abs(coeffs).max()
+        checks += [("q != 0", nq, nq > tol), ("<q,p>_H = 0", vert, vert <= tol)]
+    else:
+        checks.append(("q + p <q,p>_H != 0", hor, hor > tol))
+    return _first_failure(checks), hor
+
+
+def in_sphere_covector(pt):
     """(p,p)_E = 1, (p,q)_E = 0, and q + p (q,p)_H != 0."""
-    p, q = pt.p, pt.q
-    if abs(einner(p, p) - 1.0) > tol or abs(einner(p, q)) > tol:
-        return False
-    return qnorm(q + qmul(p, hinner(q, p)[None, :])).max() > tol
+    return _sphere_covector_failure(pt.p, pt.q)[0] is None
 
 
 def in_sphere_covector0(pt):
     """(p,p)_E = 1, q != 0, (q,p)_H = 0 componentwise."""
-    p, q = pt.p, pt.q
-    if abs(einner(p, p) - 1.0) > EQ_TOL:
-        return False
-    if np.sqrt(np.sum(q ** 2)) <= EQ_TOL:
-        return False
-    return np.max(np.abs(hinner(q, p))) <= EQ_TOL
+    return _sphere_covector_failure(pt.p, pt.q, horizontal=True)[0] is None
+
+
+def _cotangent_h_failure(P, Q):
+    """First failed condition of E_H, or None, and tau_h(P, Q).  complexify is an
+    injective *-homomorphism, so for cp = rho(P) and cq = rho(Q) the conditions
+    read Re tr cp / 2 = 1, cp^2 = cp, cp cq + cq cp = cq and cq^3 = ||Q||^2 cq / 2."""
+    a, nq, cp, cq, cq2 = _tau_h_parts(P, Q)
+    s = max(1.0, abs(Q).max())
+    tr, pp = abs(0.5 * cp.trace().real - 1.0), abs(cp @ cp - cp).max()
+    pq, q3 = abs(cp @ cq + cq @ cp - cq).max(), abs(cq2 @ cq - 0.5 * nq ** 2 * cq).max()
+    return _first_failure([("tr P = 1", tr, tr <= EQ_TOL), ("P o P = P", pp, pp <= EQ_TOL),
+                           ("P o Q = Q/2", pq, pq <= 2.0 * EQ_TOL * s),
+                           ("Q != 0", nq ** 2, nq ** 2 > EQ_TOL),
+                           ("Q^3 = ||Q||^2 Q/2", q3, q3 <= EQ_TOL * s ** 3)]), a
 
 
 def in_cotangent_h(pt):
     """tr P = 1, P o P = P, P o Q = Q/2, Q != 0, Q^3 = ||Q||^2 Q / 2."""
-    P, Q = pt.P, pt.Q
-    scale = max(1.0, float(np.max(np.abs(Q))) ** 3)
-    if abs(qtrace(P)[0] - 1.0) > EQ_TOL:
-        return False
-    if np.max(np.abs(jordan(P, P) - P)) > EQ_TOL:
-        return False
-    if np.max(np.abs(jordan(P, Q) - 0.5 * Q)) > EQ_TOL * max(1.0, np.max(np.abs(Q))):
-        return False
-    nq2 = np.sum(Q ** 2)
-    if nq2 <= EQ_TOL:
-        return False
-    q3 = qmat_mul(qmat_mul(Q, Q), Q)
-    return bool(np.max(np.abs(q3 - 0.5 * nq2 * Q)) <= EQ_TOL * scale)
+    return _cotangent_h_failure(pt.P, pt.Q)[0] is None
+
+
+def _btuple_failure(b, horizontal=False):
+    """First failed condition of the B-model (of its horizontal locus if ``horizontal``),
+    or None.  The rank of [z w] comes without an SVD or a cancellation: for z the
+    longer column, w' = w - z (z* w) / |z|^2 and t = |z|^2 + |w|^2, s_min / s_max is
+    |z| |w'| / s_max^2 with s_max^2 = (t + sqrt((|z|^2 - |w|^2)^2 + 4 |z* w|^2)) / 2."""
+    z, w = b[..., 0].ravel(), b[..., 1].ravel()
+    zz, ww = np.vdot(z, z).real, np.vdot(w, w).real
+    if zz < ww:
+        z, w, zz, ww = w, z, ww, zz
+    zw = np.vdot(z, w)
+    wp = w - z * (zw / max(zz, 1e-300))
+    smax2 = 0.5 * (zz + ww + np.sqrt((zz - ww) ** 2 + 4.0 * abs(zw) ** 2))
+    ratio = np.sqrt(zz * np.vdot(wp, wp).real) / max(smax2, 1e-300)
+    dsum = abs(np.sum(b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]))
+    tol = EQ_TOL * max(1.0, zz + ww)
+    checks = [("sum det B_i = 0", dsum, dsum <= tol), ("z, w independent", ratio, ratio > RANK_TOL)]
+    if horizontal:
+        checks += [("z* w = 0", abs(zw), abs(zw) <= tol), ("|z| = |w|", zz - ww, zz - ww <= tol)]
+    return _first_failure(checks)
 
 
 def in_btuple_space(pt):
     """sum(det B_i) = 0 and z, w linearly independent."""
-    z, w = pt.zw
-    d = np.sum(np.linalg.det(pt.B))
-    if abs(d) > EQ_TOL * max(1.0, pt.norm ** 2):
-        return False
-    s = np.linalg.svd(np.stack([z, w], axis=1), compute_uv=False)
-    return s[-1] > RANK_TOL * max(s[0], 1e-300)
+    return _btuple_failure(pt.B) is None
 
 
 def in_btuple_space0(pt):
@@ -235,13 +262,7 @@ def in_btuple_space0(pt):
     this is the image of the horizontal covectors under the B-model map and
     it is invariant under the right SU(2) action.
     """
-    if not in_btuple_space(pt):
-        return False
-    z, w = pt.zw
-    cross = np.sum(np.conj(z) * w)
-    balance = np.sum(np.abs(z) ** 2) - np.sum(np.abs(w) ** 2)
-    scale = max(1.0, pt.norm ** 2)
-    return abs(cross) <= EQ_TOL * scale and abs(balance) <= EQ_TOL * scale
+    return _btuple_failure(pt.B, horizontal=True) is None
 
 
 def in_amatrix_space(pt):
@@ -268,8 +289,7 @@ def _alpha_core(p, q):
 
 def alpha(pt):
     """(p, q) -> (P, Q) with P = (p_i theta(p_j)), Q = (p_i theta(q_j) + q_i theta(p_j))."""
-    if not in_sphere_covector(pt):
-        raise ValueError("point is not in the sphere covector space")
+    _require(_sphere_covector_failure(pt.p, pt.q)[0], "point is not in the sphere covector space")
     return CotangentPointH(*_alpha_core(pt.p, pt.q))
 
 
@@ -282,24 +302,30 @@ def _tau_s_core(p, q):
 
 def tau_s(pt):
     """(p, q) -> B_i = rho(|q| p_i + q_i i); ||B||^2 = 4 |q|^2."""
-    if not in_sphere_covector(pt):
-        raise ValueError("point is not in the sphere covector space")
+    _require(_sphere_covector_failure(pt.p, pt.q)[0], "point is not in the sphere covector space")
     return BTuple(_tau_s_core(pt.p, pt.q))
+
+
+def _tau_h_parts(P, Q):
+    """A of tau_h on (..., m, m, 4) arrays, with no membership test, and the
+    ||Q||, rho(P), rho(Q) and rho(Q)^2 it is made of."""
+    nq = np.sqrt(np.sum(Q ** 2, axis=(-3, -2, -1)))
+    nq = nq[..., None, None] if nq.ndim else nq  # one point: a scalar, cheaper to broadcast
+    cp, cq = complexify(P), complexify(Q)
+    cq2 = cq @ cq
+    return nq ** 2 * cp - cq2 + (1j / np.sqrt(2.0)) * nq * cq, nq, cp, cq, cq2
 
 
 def _tau_h_core(P, Q):
     """A of tau_h on (..., m, m, 4) arrays, with no membership test."""
-    nq = np.sqrt(np.sum(Q ** 2, axis=(-3, -2, -1)))
-    nq = nq[..., None, None] if nq.ndim else nq  # one point: a scalar, cheaper to broadcast
-    rq = complexify(Q)
-    return nq ** 2 * complexify(P) - rq @ rq + (1j / np.sqrt(2.0)) * nq * rq
+    return _tau_h_parts(P, Q)[0]
 
 
 def tau_h(pt):
     """(P, Q) -> A = ||Q||^2 rho(P) - rho(Q)^2 + i ||Q|| rho(Q) / sqrt(2)."""
-    if not in_cotangent_h(pt):
-        raise ValueError("point is not in the cotangent-bundle model")
-    return AMatrix(_tau_h_core(pt.P, pt.Q))
+    reason, a = _cotangent_h_failure(pt.P, pt.Q)
+    _require(reason, "point is not in the cotangent-bundle model")
+    return AMatrix(a)
 
 
 def _adj2(b):
@@ -328,8 +354,7 @@ def beta_blocks(b, c=None):
 
 def beta(pt):
     """B -> A with blocks A_ij = -B_i J B_j^t J = B_i adj(B_j)."""
-    if not in_btuple_space(pt):
-        raise ValueError("tuple is not in the B-model space")
+    _require(_btuple_failure(pt.B), "tuple is not in the B-model space")
     return AMatrix(beta_blocks(pt.B))
 
 
@@ -346,8 +371,7 @@ def tau_s_inv(pt):
     Rejects tuples whose recovered point sits within ``BOUNDARY_TOL`` of the
     boundary where the sphere-covector membership degenerates.
     """
-    if not in_btuple_space(pt):
-        raise ValueError("tuple is not in the B-model space")
+    _require(_btuple_failure(pt.B), "tuple is not in the B-model space")
     # p is undefined where q vanishes; that tuple is rejected next
     with np.errstate(divide="ignore", invalid="ignore"):
         p, q = _tau_s_inv_core(pt.B)
@@ -355,11 +379,11 @@ def tau_s_inv(pt):
     if nq <= BOUNDARY_TOL:
         raise ValueError("tuple has vanishing covector part")
     out = SphereCovector(p, q)
-    if qnorm(q + qmul(p, hinner(q, p)[None, :])).max() <= BOUNDARY_TOL * nq:
-        raise ValueError("recovered point is too close to the degenerate boundary")
     # the split carries round-off of the tuple's scale, so test at 1e-9
-    if not in_sphere_covector(out, 1e-9):
-        raise ValueError("recovered point fails sphere-covector membership")
+    reason, hor = _sphere_covector_failure(out.p, out.q, 1e-9)
+    if hor <= BOUNDARY_TOL * nq:
+        raise ValueError("recovered point is too close to the degenerate boundary")
+    _require(reason, "recovered point fails sphere-covector membership")
     return out
 
 

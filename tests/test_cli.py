@@ -142,6 +142,14 @@ def test_kernel_command_past_underflow(capsys):
         assert payload["tail_bound"] <= 1e-12 * payload["diagonal"]
 
 
+def test_kernel_command_past_the_float_range(capsys):
+    assert cli.main(["kernel", "--norm", "1e4", "--lmax", "300"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("configuration error: kernel term l = ")
+    assert "largest float" in out.err
+
+
 def test_verify_aliases():
     res = run_cli(["verify-spectral", "--n", "1", "--lmax", "2"])
     assert res.returncode == 0

@@ -1,0 +1,228 @@
+"""Model-space memberships against the quaternion-side formulas they replaced.
+
+The oracles below are the membership tests as they were written on the
+quaternion side, with einsum products, Jordan products, determinants and an
+SVD.  On valid points of every size and scale both accept; on points that
+break one condition by 1e-6 of its scale both reject.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qpquant import geometry as geo
+from qpquant import spaces as sp
+from qpquant.algebra import hinner, jmat, jordan, qconj, qmat_mul, qmul, qnorm, qtrace
+
+EQ_TOL, RANK_TOL = 1e-10, 1e-8
+
+
+# ------------------------------------------------------------------ oracles
+
+def es_oracle(pt, tol=EQ_TOL):
+    p, q = pt.p, pt.q
+    if abs(np.sum(p * p) - 1.0) > tol or abs(np.sum(p * q)) > tol:
+        return False
+    return qnorm(q + qmul(p, hinner(q, p)[None, :])).max() > tol
+
+
+def es0_oracle(pt):
+    p, q = pt.p, pt.q
+    if abs(np.sum(p * p) - 1.0) > EQ_TOL:
+        return False
+    if np.sqrt(np.sum(q ** 2)) <= EQ_TOL:
+        return False
+    return np.max(np.abs(hinner(q, p))) <= EQ_TOL
+
+
+def eh_oracle(pt):
+    P, Q = pt.P, pt.Q
+    scale = max(1.0, float(np.max(np.abs(Q))) ** 3)
+    if abs(qtrace(P)[0] - 1.0) > EQ_TOL:
+        return False
+    if np.max(np.abs(jordan(P, P) - P)) > EQ_TOL:
+        return False
+    if np.max(np.abs(jordan(P, Q) - 0.5 * Q)) > EQ_TOL * max(1.0, np.max(np.abs(Q))):
+        return False
+    nq2 = np.sum(Q ** 2)
+    if nq2 <= EQ_TOL:
+        return False
+    q3 = qmat_mul(qmat_mul(Q, Q), Q)
+    return bool(np.max(np.abs(q3 - 0.5 * nq2 * Q)) <= EQ_TOL * scale)
+
+
+def bt_oracle(pt):
+    z, w = pt.coords.reshape(2, -1)
+    d = np.sum(np.linalg.det(pt.B))
+    if abs(d) > EQ_TOL * max(1.0, pt.norm ** 2):
+        return False
+    s = np.linalg.svd(np.stack([z, w], axis=1), compute_uv=False)
+    return s[-1] > RANK_TOL * max(s[0], 1e-300)
+
+
+def bt0_oracle(pt):
+    if not bt_oracle(pt):
+        return False
+    z, w = pt.coords.reshape(2, -1)
+    cross = np.sum(np.conj(z) * w)
+    balance = np.sum(np.abs(z) ** 2) - np.sum(np.abs(w) ** 2)
+    scale = max(1.0, pt.norm ** 2)
+    return abs(cross) <= EQ_TOL * scale and abs(balance) <= EQ_TOL * scale
+
+
+# each space: its predicate, the oracle, and the first failed condition it names
+PAIRS = {
+    "E_S": (sp.in_sphere_covector, es_oracle,
+            lambda pt: sp._sphere_covector_failure(pt.p, pt.q)[0]),
+    "E_S0": (sp.in_sphere_covector0, es0_oracle,
+             lambda pt: sp._sphere_covector_failure(pt.p, pt.q, horizontal=True)[0]),
+    "E_H": (sp.in_cotangent_h, eh_oracle, lambda pt: sp._cotangent_h_failure(pt.P, pt.Q)[0]),
+    "Et_S": (sp.in_btuple_space, bt_oracle, lambda pt: sp._btuple_failure(pt.B)),
+    "Et_S0": (sp.in_btuple_space0, bt0_oracle, lambda pt: sp._btuple_failure(pt.B, horizontal=True)),
+}
+
+
+def verdict(space, pt):
+    """The membership verdict, after checking that the oracle gives the same one."""
+    new, old, _ = PAIRS[space]
+    assert bool(new(pt)) == bool(old(pt)), space
+    return bool(new(pt))
+
+
+def rejects(space, pt, condition):
+    """Both the predicate and the oracle reject pt, and the first failed
+    condition is the one the perturbation broke."""
+    reason = PAIRS[space][2](pt)
+    return not verdict(space, pt) and reason.startswith(f"{condition} fails")
+
+
+# ------------------------------------------------------------------- points
+
+# n, log10 |q| and the seed of the point's own generator
+points = given(st.integers(1, 4), st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1))
+bounded = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+
+
+def draw(n, log_q, seed):
+    rng = np.random.default_rng(seed)
+    return sp.random_es0(n, 10.0 ** log_q, rng), rng
+
+
+def blocks(z, w):
+    """The tuple with columns z, w: B_i = [[z_2i, w_2i], [z_2i+1, w_2i+1]]."""
+    return sp.BTuple(np.stack([z.reshape(-1, 2), w.reshape(-1, 2)], axis=-1))
+
+
+@bounded
+@points
+def test_valid_points_pass_both(n, log_q, seed):
+    pt, _ = draw(n, log_q, seed)
+    assert verdict("E_S", pt) and verdict("E_S0", pt)
+    assert verdict("E_H", sp.alpha(pt))
+    bt = sp.tau_s(pt)
+    assert verdict("Et_S", bt) and verdict("Et_S0", bt)
+
+
+@bounded
+@points
+def test_sphere_covector_perturbations_fail_both(n, log_q, seed):
+    pt, rng = draw(n, log_q, seed)
+    p, q = pt.p, pt.q
+    k = int(rng.integers(1, 4))
+    long_p = sp.SphereCovector(p * (1.0 + 1e-6), q)
+    oblique = sp.SphereCovector(p, q + 1e-6 * p)  # (p, q)_E = 1e-6
+    for bad, condition in ((long_p, "(p,p)_E = 1"), (oblique, "(p,q)_E = 0")):
+        assert rejects("E_S", bad, condition) and rejects("E_S0", bad, condition)
+    # q along the Hopf fiber: (p, q)_E = 0 but no horizontal part
+    vertical = sp.SphereCovector(p, np.sqrt(np.sum(q ** 2)) * sp.sp1_orbit_frame(p)[k])
+    assert rejects("E_S", vertical, "q + p <q,p>_H != 0")
+    # a vertical part of 1e-6 leaves E_S but not the horizontal locus
+    tilted = sp.SphereCovector(p, q + 1e-6 * sp.sp1_orbit_frame(p)[k])
+    assert verdict("E_S", tilted) and rejects("E_S0", tilted, "<q,p>_H = 0")
+
+
+@bounded
+@points
+def test_cotangent_perturbations_fail_both(n, log_q, seed):
+    pt, _ = draw(n, log_q, seed)
+    cp = sp.alpha(pt)
+    P, Q = cp.P, cp.Q
+    scale = max(1.0, float(np.max(np.abs(Q))))
+    assert rejects("E_H", sp.CotangentPointH(2.0 * P, Q), "tr P = 1")
+    # P o (Q + e P) = Q/2 + e P, off (Q + e P)/2 by e P/2
+    assert rejects("E_H", sp.CotangentPointH(P, Q + 1e-6 * scale * P), "P o Q = Q/2")
+    # X = p b* - b p* with b = q e1 keeps P o Q = Q/2 but bends Q^3 at first
+    # order, by about 2 e |q|^3; e is chosen to make that 1e-6 of its scale
+    p, q = pt.p, pt.q
+    b = qmul(q, np.broadcast_to([0.0, 1.0, 0.0, 0.0], q.shape))
+    x = qmul(p[:, None], qconj(b)[None, :]) - qmul(b[:, None], qconj(p)[None, :])
+    eps = 1e-6 * scale ** 3 / np.sum(q ** 2) ** 1.5
+    bent = sp.CotangentPointH(P, Q + eps * x)
+    assert np.max(np.abs(jordan(P, bent.Q) - 0.5 * bent.Q)) <= 1e-12 * max(1.0, eps)
+    assert rejects("E_H", bent, "Q^3 = ||Q||^2 Q/2")
+
+
+@bounded
+@points
+def test_btuple_perturbations_fail_both(n, log_q, seed):
+    pt, _ = draw(n, log_q, seed)
+    z, w = sp.tau_s(pt).coords.reshape(2, -1)
+    t = float(np.sum(np.abs(z) ** 2) + np.sum(np.abs(w) ** 2))
+    # sum det B_i = z^t J w, and J^t conj(z) moves it by |z|^2 per unit step
+    step = 1e-6 * max(1.0, t) / np.sum(np.abs(z) ** 2)
+    bent = blocks(z, w + step * (jmat(n + 1).T @ np.conj(z)))
+    assert rejects("Et_S", bent, "sum det B_i = 0")
+    unbalanced = blocks(z, w * (1.0 + 1e-6 * max(1.0, t) / t))
+    assert verdict("Et_S", unbalanced) and rejects("Et_S0", unbalanced, "|z| = |w|")
+
+
+@bounded
+@given(st.integers(1, 4), st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.0, 3.0), st.sampled_from([1e-7, 1e-9]))
+def test_rank_test_keeps_its_tolerance(n, log_z, seed, a_abs, ratio):
+    # [z w] = [z/|z| u] [[|z|, a |z|], [0, e |z|]] with u a unit vector orthogonal
+    # to z and to J^t conj(z), so sum det B_i = z^t J w stays 0; e is the root
+    # that gives s_min / s_max = ratio
+    rng = np.random.default_rng(seed)
+    m2 = 2 * n + 2
+    z = 10.0 ** log_z * (rng.standard_normal(m2) + 1j * rng.standard_normal(m2))
+    u = rng.standard_normal(m2) + 1j * rng.standard_normal(m2)
+    for v in (z, jmat(n + 1).T @ np.conj(z)):
+        u -= v * (np.vdot(v, u) / np.vdot(v, v))
+    u /= np.linalg.norm(u)
+    a = a_abs * np.exp(2j * np.pi * rng.uniform())
+    c, r2 = 1.0 + abs(a) ** 2, ratio ** 2
+    e = 2.0 * ratio * c / ((1.0 + r2) + np.sqrt((1.0 + r2) ** 2 - 4.0 * r2 * c))
+    nz = np.linalg.norm(z)
+    bt = blocks(z, a * z + e * nz * u)
+    s = np.linalg.svd(bt.coords.reshape(2, -1).T, compute_uv=False)
+    assert abs(s[1] / s[0] / ratio - 1.0) < 1e-3
+    if ratio > RANK_TOL:
+        assert verdict("Et_S", bt)
+    else:
+        assert rejects("Et_S", bt, "z, w independent")
+
+
+# ------------------------------------------------------------ named reasons
+
+def test_public_maps_name_the_failed_condition(rng):
+    pt = sp.random_es0(1, 1.0, rng)
+    cp, bt = sp.alpha(pt), sp.tau_s(pt)
+    cases = [
+        (sp.alpha, sp.SphereCovector(1.01 * pt.p, pt.q),
+         r"sphere covector space: \(p,p\)_E = 1 fails \(residual 2\.01"),
+        (sp.tau_s, sp.SphereCovector(pt.p, sp.sp1_orbit_frame(pt.p)[1]),
+         r"sphere covector space: q \+ p <q,p>_H != 0 fails"),
+        (sp.tau_h, sp.CotangentPointH(2.0 * cp.P, cp.Q),
+         r"cotangent-bundle model: tr P = 1 fails \(residual 1\.000e\+00\)"),
+        (sp.tau_h, sp.CotangentPointH(cp.P, cp.Q + 1e-3 * cp.P), r"cotangent-bundle model: P o Q"),
+        (sp.beta, sp.BTuple(bt.B * np.array([1.0, 1.1])[:, None, None]),
+         r"B-model space: sum det B_i = 0 fails"),
+        (sp.tau_s_inv, sp.BTuple(np.stack([bt.B[0], bt.B[0]])), r"B-model space: sum det"),
+        (lambda bad: geo.geodesic_flow_pair(bad, 0.3), sp.SphereCovector(1.01 * pt.p, pt.q),
+         r"sphere covector space: \(p,p\)_E = 1 fails"),
+    ]
+    for public_map, bad, message in cases:
+        with pytest.raises(ValueError, match=message):
+            public_map(bad)

@@ -497,6 +497,12 @@ def test_kernel_diag_with_underflowed_terms(n):
             assert 0.0 <= tail <= 1e-12 * val
 
 
+def test_kernel_diag_refuses_terms_past_the_float_range():
+    # at |A| = 1e4 the terms grow past e^709 before they turn down
+    with pytest.raises(ValueError, match=r"kernel term l = \d+ has log 7\d\d\.\d.*largest float"):
+        qz.kernel_diag(1, 1e4, 400)
+
+
 def test_kernel_reproduction(rng):
     a1 = sp.tau_h(sp.random_eh(1, math.sqrt(2.0), rng)).A
     aprime = sp.tau_h(sp.random_eh(1, math.sqrt(2.0), rng)).A
