@@ -30,7 +30,7 @@ from . import quantization as qz
 from . import spaces as sp
 from . import spectral as spl
 from .algebra import fro_norm, inner_r, jordan, qconj, qmat_mul, qmul, qnorm, rho, theta_transpose
-from .numerics import MCConfig
+from .numerics import MCConfig, _require
 
 SCHEMA_VERSION = "1"
 
@@ -120,6 +120,10 @@ class SuiteConfig:
     samples: int = 200_000
     seed: int = 0
     tol_scale: float = 1.0
+
+    def __post_init__(self):
+        _require(samples=(self.samples, self.samples > 0, "positive"),
+                 seed=(self.seed, self.seed >= 0, ">= 0"))
 
     def rng(self, salt):
         return np.random.default_rng(self.seed + salt)

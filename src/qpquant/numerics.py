@@ -1,10 +1,10 @@
 """Shared numerical engines.
 
-Deterministic counter-based RNG substreams, chunked Monte Carlo with error
-estimates, radial Gamma integrals, sphere volumes and log-gamma.  Every
-stochastic routine in the package goes through :func:`mc_mean` so that
-results are bit-identical for a fixed seed, independent of how many workers
-execute the chunks.
+Deterministic RNG substreams keyed by (seed, chunk index), chunked Monte
+Carlo with error estimates, radial Gamma integrals, sphere volumes and
+log-gamma.  Every stochastic routine in the package goes through
+:func:`mc_mean` so that results are bit-identical for a fixed seed,
+independent of how many workers execute the chunks.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate
 from scipy.special import gammaln
 
 __all__ = [
@@ -80,9 +79,10 @@ class MCEstimate:
 def substream(seed, index):
     """Independent reproducible generator for chunk ``index`` of ``seed``.
 
-    Philox is counter-based, so (seed, index) keys a stream directly.
+    SFC64 seeded by the SeedSequence of (seed, index): the stream is a
+    function of the pair alone, whichever worker draws it.
     """
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed), counter=[0, 0, 0, np.uint64(index)]))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, index])))
 
 
 def _chunk_stats(batch_fn, seed, index, m):
@@ -90,9 +90,10 @@ def _chunk_stats(batch_fn, seed, index, m):
     vals = np.asarray(batch_fn(rng, m))
     if vals.shape[0] != m:
         raise ValueError("batch function returned wrong sample count")
-    s = vals.sum(dtype=complex)
-    s2 = np.abs(vals - s / m) ** 2
-    return s, s2.sum(dtype=float)
+    cplx = np.iscomplexobj(vals)
+    s = vals.sum(dtype=complex if cplx else float)
+    dev = vals - s / m
+    return s, (np.abs(dev) ** 2 if cplx else dev * dev).sum(dtype=float)
 
 
 def _combine(jobs, stats):
@@ -117,13 +118,13 @@ def mc_mean(batch_fn, config):
     relative standard error reaches the target or the sample budget has
     grown by ``MAX_EXTENSION``; stopping there above the target warns.
     """
-    n = int(config.samples)
-    chunk = int(config.chunk)
+    n, chunk, target = int(config.samples), int(config.chunk), config.target_rel_stderr
+    _require(samples=(n, n > 0, "positive"), chunk=(chunk, chunk > 0, "positive"),
+             seed=(config.seed, config.seed >= 0, ">= 0"),
+             target_rel_stderr=(target, target is None or target > 0, "positive or None"))
     sizes = [chunk] * (n // chunk)
     if n % chunk:
         sizes.append(n % chunk)
-    if not sizes:
-        raise ValueError("samples must be positive")
     jobs = list(enumerate(sizes))
 
     def run(new_jobs):
@@ -135,7 +136,6 @@ def mc_mean(batch_fn, config):
 
     stats = run(jobs)
     mean, stderr, total_n = _combine(jobs, stats)
-    target = config.target_rel_stderr
     while (target is not None and stderr > target * abs(mean)
            and total_n < MAX_EXTENSION * n):
         start = jobs[-1][0] + 1
@@ -153,6 +153,14 @@ def mc_mean(batch_fn, config):
     return MCEstimate(value=mean, stderr=stderr, samples=total_n, seed=config.seed)
 
 
+def _require(**fields):
+    """Raise one ValueError naming each field name=(value, ok, rule) not ok."""
+    bad = [f"{name} must be {rule}, got {value!r}"
+           for name, (value, ok, rule) in fields.items() if not ok]
+    if bad:
+        raise ValueError("; ".join(bad))
+
+
 def _outside_caller_level():
     """The ``stacklevel`` that makes a warning raised by our caller point at
     the first frame outside the qpquant package."""
@@ -163,12 +171,13 @@ def _outside_caller_level():
     return level
 
 
-def _mc_blocks(integrand, config, sphere_dims, normal_dim=None):
+def _mc_blocks(integrand, config, sphere_dims, normal_dim=None, chi2_dofs=()):
     """:func:`mc_mean` of ``integrand`` over draws made a whole chunk at a time.
 
     A chunk of ``size`` rows draws ``sphere_uniform(d, rng, size=size)`` for
     each d in ``sphere_dims`` in turn, then ``rng.standard_normal((size,
-    normal_dim))`` if ``normal_dim`` is given.  ``integrand(*draws)`` runs on
+    normal_dim))`` if ``normal_dim`` is given, then ``rng.chisquare(k, size)``
+    for each k in ``chi2_dofs``.  ``integrand(*draws)`` runs on
     consecutive ``_BLOCK_ROWS``-row blocks, so its intermediates stay
     cache-sized; it must treat rows independently and must not write to its
     arguments, which are views of the draws.
@@ -177,6 +186,7 @@ def _mc_blocks(integrand, config, sphere_dims, normal_dim=None):
         rows = [sphere_uniform(d, rng, size=size) for d in sphere_dims]
         if normal_dim is not None:
             rows.append(rng.standard_normal((size, normal_dim)))
+        rows += [rng.chisquare(k, size) for k in chi2_dofs]
         return np.concatenate([integrand(*(r[i:i + _BLOCK_ROWS] for r in rows))
                                for i in range(0, size, _BLOCK_ROWS)])
 
@@ -241,6 +251,7 @@ def radial_quad(c, power, tol):
     """
     if c <= 0:
         raise ValueError("decay rate must be positive")
+    from scipy import integrate
     val, err = integrate.quad(
         lambda r: math.exp(power * math.log(r) - c * r) if r > 0 else 0.0,
         0.0, np.inf, epsabs=0.0, epsrel=tol, limit=200)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .algebra import fro_norm
 from .numerics import (
@@ -59,7 +58,6 @@ __all__ = [
     "moment_s7_mc",
     "orthogonality_check",
     "pairing_gg_mc",
-    "sphere_moment_integrand",
     "t_apply_eigenfunction",
     "t_norm",
     "t_norm_gamma_part",
@@ -128,24 +126,30 @@ def i_coeff(n, l):
     return math.exp(log_i_coeff(n, l))
 
 
-def sphere_moment_integrand(pts):
-    """((|p0|^2 - |p1|^2)^2 + 4 (p0, p1)_E^2) for flat sphere samples."""
-    p0 = pts[:, 0:4]
-    p1 = pts[:, 4:8]
-    a = np.einsum("ni,ni->n", p0, p0) - np.einsum("ni,ni->n", p1, p1)
-    b = np.einsum("ni,ni->n", p0, p1)
-    return a * a + 4.0 * b * b
+def _sphere_moment_mc(n, l, config):
+    """MC mean over S^(4n+3) of ((|p0|^2 - |p1|^2)^2 + 4 (p0, p1)_E^2)^l, p = x/|x|.
+
+    For x ~ N(0, I) the integrand reads |x0|^2 = c1, x0.x1 = sqrt(c1) z,
+    |x1|^2 = z^2 + c2 and |x_rest|^2 = c3, independent z ~ N(0, 1), c1 ~ chi2_4,
+    c2 ~ chi2_3, c3 ~ chi2_(4n-4) (Bartlett): the same variable in law.
+    """
+    def integrand(z, c1, c2, c3=0.0):
+        s1 = z[:, 0] ** 2 + c2
+        r2 = c1 + s1 + c3
+        a, b = (c1 - s1) / r2, np.sqrt(c1) * z[:, 0] / r2
+        return (a * a + 4.0 * b * b) ** l
+
+    return _mc_blocks(integrand, config, (), 1, (4, 3) + ((4 * n - 4,) if n > 1 else ()))
 
 
 def i_coeff_mc(n, l, config):
-    """MC oracle for I_l via uniform sphere samples."""
-    est = _mc_blocks(lambda p: sphere_moment_integrand(p) ** l, config, (4 * n + 3,))
-    return est.scaled(vol_pnh(n) * (2.0 * math.sqrt(2.0)) ** (-2 * l))
+    """MC oracle for I_l: the moment over the sphere S^(4n+3)."""
+    return _sphere_moment_mc(n, l, config).scaled(vol_pnh(n) * (2.0 * math.sqrt(2.0)) ** (-2 * l))
 
 
 def moment_s7_mc(l, config):
     """MC oracle for the S^7 moment itself."""
-    return _mc_blocks(lambda p: sphere_moment_integrand(p) ** l, config, (7,)).scaled(vol_sphere(7))
+    return _sphere_moment_mc(1, l, config).scaled(vol_sphere(7))
 
 
 def log_b_coeff(n, l):
@@ -265,6 +269,7 @@ def c_coeff_quadrature(n, l):
     tol = 1e-11
     radial, _ = radial_quad(2 * math.pi, 2 * l + 4 * n + 1.5, tol)
     radial /= math.sqrt(2.0)
+    from scipy import integrate
     angular, _ = integrate.quad(
         lambda phi: math.sin(phi) ** (2 * l + 4 * n - 1) * math.cos(phi) ** 2,
         0.0, math.pi / 2.0, epsabs=0.0, epsrel=tol, limit=200)

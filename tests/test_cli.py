@@ -30,6 +30,14 @@ def run_cli(args, env_extra=None):
                           capture_output=True, text=True, env=subprocess_env(env_extra))
 
 
+def test_import_leaves_scipy_integrate_out():
+    # the quadrature oracles import scipy.integrate on first use
+    code = "import sys, qpquant.cli; print('scipy.integrate' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=subprocess_env())
+    assert res.returncode == 0 and res.stdout.strip() == "False", res.stderr
+
+
 def test_spectral_suite_dims_and_schema():
     res = run_cli(["verify", "--suite", "spectral", "--n", "1", "--lmax", "5"])
     assert res.returncode == 0
@@ -148,6 +156,16 @@ def test_kernel_command_past_the_float_range(capsys):
     assert out.out == ""
     assert out.err.startswith("configuration error: kernel term l = ")
     assert "largest float" in out.err
+
+
+@pytest.mark.parametrize("flag,value", [("--seed", "-5"), ("--samples", "0")])
+def test_bad_seed_or_samples_is_a_configuration_error(flag, value, capsys):
+    assert cli.main(["verify", "--suite", "quantization", flag, value]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith(f"configuration error: {flag[2:]} must be ")
+    # a valid sample count below the floor still runs at 1,000
+    assert cli.SuiteConfig(samples=1).mc(0).samples == 1000
 
 
 def test_verify_aliases():

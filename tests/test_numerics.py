@@ -46,6 +46,36 @@ def test_mc_stderr_is_sample_std_over_sqrt_n():
     assert abs(est.stderr - vals.std(ddof=1) / math.sqrt(4096)) < 1e-12
 
 
+def test_substream_is_a_function_of_seed_and_index():
+    draws = num.substream(7, 3).standard_normal(16)
+    assert np.array_equal(num.substream(7, 3).standard_normal(16), draws)
+    for seed, index in ((7, 4), (8, 3), (3, 7)):
+        assert not np.array_equal(num.substream(seed, index).standard_normal(16), draws)
+    with pytest.raises(ValueError):
+        num.substream(-1, 0)
+
+
+def test_real_batches_take_the_real_path_to_the_same_estimate():
+    def batch(rng, m):
+        return 3.0 + rng.standard_normal(m)
+
+    cfg = num.MCConfig(samples=10_000, seed=11, chunk=4096)
+    real = num.mc_mean(batch, cfg)
+    cast = num.mc_mean(lambda rng, m: batch(rng, m).astype(complex), cfg)
+    assert real.samples == cast.samples
+    assert abs(real.value - cast.value) <= 1e-15 * abs(cast.value)
+    assert abs(real.stderr - cast.stderr) <= 1e-15 * cast.stderr
+
+
+@pytest.mark.parametrize("field,value", [("chunk", 0), ("chunk", -4), ("seed", -1),
+                                         ("target_rel_stderr", 0.0),
+                                         ("target_rel_stderr", -0.1), ("samples", -5)])
+def test_mc_mean_names_a_bad_config_field(field, value):
+    cfg = num.MCConfig(**{"samples": 1000, field: value})
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        num.mc_mean(lambda rng, m: rng.standard_normal(m), cfg)
+
+
 def test_sphere_uniform_moments(rng):
     pts = num.sphere_uniform(4, rng, size=100_000)
     assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() < 1e-12

@@ -42,6 +42,29 @@ def test_i_coeff_mc_agreement():
     assert est.within(qz.moment_s7(1), nsigma=3.5)
 
 
+def _point_moment_mc(n, l, config):
+    """The I_l oracle on uniform points of S^(4n+3): the independent route."""
+    def batch(rng, size):
+        pts = sphere_uniform(4 * n + 3, rng, size=size)
+        p0, p1 = pts[:, 0:4], pts[:, 4:8]
+        a = (p0 ** 2).sum(1) - (p1 ** 2).sum(1)
+        b = (p0 * p1).sum(1)
+        return (a * a + 4.0 * b * b) ** l
+    return mc_mean(batch, config).scaled(qz.vol_pnh(n) * 8.0 ** -l)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_i_coeff_gram_draw_matches_sphere_points(n):
+    # the Gram-entry draw and the sphere-point draw estimate the same integral
+    for l in (1, 2, 3):
+        gram = qz.i_coeff_mc(n, l, MCConfig(samples=200_000, seed=40 + n))
+        points = _point_moment_mc(n, l, MCConfig(samples=200_000, seed=50 + n))
+        assert abs(gram.value - points.value) <= 3.0 * math.hypot(gram.stderr, points.stderr)
+    # the constant l = 0 integrand gives the volume exactly
+    est = qz.i_coeff_mc(n, 0, MCConfig(samples=10_000, seed=40 + n))
+    assert (est.value, est.stderr) == (qz.vol_pnh(n), 0.0)
+
+
 def test_b_coeff_two_assemblies_and_mc():
     for n in (1, 2):
         for l in range(4):
@@ -377,12 +400,16 @@ def test_blocked_oracles_keep_the_complex_route_draws(rng):
             return fz * np.conj(fz)
         return batch
 
-    def moment_batch(dim, l):
+    def moment_batch(n, l):
+        # the Gram entries of the first 8 of 4n + 4 normal coordinates and
+        # the squared norm of the rest, in Bartlett's form and draw order
         def batch(rng, size):
-            pts = sphere_uniform(dim, rng, size=size)
-            p0, p1 = pts[:, 0:4], pts[:, 4:8]
-            a = (p0 ** 2).sum(1) - (p1 ** 2).sum(1)
-            b = (p0 * p1).sum(1)
+            z = rng.standard_normal((size, 1))[:, 0]
+            c1, c2 = rng.chisquare(4, size), rng.chisquare(3, size)
+            rest = rng.chisquare(4 * n - 4, size) if n > 1 else 0.0
+            s0, s1, dot = c1, z * z + c2, np.sqrt(c1) * z
+            r2 = s0 + s1 + rest
+            a, b = (s0 - s1) / r2, dot / r2
             return (a * a + 4.0 * b * b) ** l
         return batch
 
@@ -414,8 +441,8 @@ def test_blocked_oracles_keep_the_complex_route_draws(rng):
          math.exp(qz.log_radial_gg(n, 3)) * qz.vol_pnh(n) * vol_sphere(4 * n - 1)),
         (qz.pairing_gg_mc(phi1, phi1, cfg), pairing_batch(n, phi1),
          math.exp(qz.log_radial_gg(n, 2)) * qz.vol_pnh(n) * vol_sphere(4 * n - 1)),
-        (qz.i_coeff_mc(2, 2, cfg), moment_batch(11, 2), qz.vol_pnh(2) / 64.0),
-        (qz.moment_s7_mc(1, cfg), moment_batch(7, 1), vol_sphere(7)),
+        (qz.i_coeff_mc(2, 2, cfg), moment_batch(2, 2), qz.vol_pnh(2) / 64.0),
+        (qz.moment_s7_mc(1, cfg), moment_batch(1, 1), vol_sphere(7)),
     ]
     for got, batch, scale in cases:
         ref = mc_mean(batch, cfg).scaled(scale)
