@@ -48,7 +48,8 @@ class MCConfig:
     """Configuration of one Monte Carlo run.
 
     Fixing ``seed`` fixes the output exactly; ``workers`` only changes how
-    chunks are scheduled, never the result.
+    chunks are scheduled, never the result.  ``target_rel_stderr`` extends a
+    run by the rows the target needs (:func:`mc_mean`), up to ``MAX_EXTENSION``.
     """
 
     samples: int = 100_000
@@ -108,24 +109,28 @@ def _combine(jobs, stats):
     return mean, math.sqrt(var / n), n
 
 
+def _pieces(rows, chunk):
+    """Sizes of ``rows`` rows cut into ``chunk``-row chunks, a partial one last."""
+    return [chunk] * (rows // chunk) + ([rows % chunk] if rows % chunk else [])
+
+
 def mc_mean(batch_fn, config):
     """Mean of ``batch_fn(rng, m) -> (m,) array`` over ``config.samples`` draws.
 
     Chunks are keyed by index, partial sums are combined in index order with
     compensated summation, so the estimate does not depend on ``workers``.
-    With ``target_rel_stderr`` set, whole rounds of further chunks are drawn
-    (continuing the index sequence, hence still deterministic) until the
-    relative standard error reaches the target or the sample budget has
-    grown by ``MAX_EXTENSION``; stopping there above the target warns.
+    With ``target_rel_stderr`` set, a run of N samples that misses the target
+    by r = stderr / (target |mean|) draws ceil((1.1 r^2 - 1) N) more rows,
+    Stein's two-stage rule: whole ``_BLOCK_ROWS`` blocks, at least one and at
+    most N rows (N for a zero mean), in chunks whose indices carry on from the
+    last.  It repeats until the target is met or the samples reach
+    ``MAX_EXTENSION`` times the budget; stopping there above the target warns.
     """
     n, chunk, target = int(config.samples), int(config.chunk), config.target_rel_stderr
     _require(samples=(n, n > 0, "positive"), chunk=(chunk, chunk > 0, "positive"),
              seed=(config.seed, config.seed >= 0, ">= 0"),
              target_rel_stderr=(target, target is None or target > 0, "positive or None"))
-    sizes = [chunk] * (n // chunk)
-    if n % chunk:
-        sizes.append(n % chunk)
-    jobs = list(enumerate(sizes))
+    jobs = list(enumerate(_pieces(n, chunk)))
 
     def run(new_jobs):
         if config.workers > 1:
@@ -138,8 +143,11 @@ def mc_mean(batch_fn, config):
     mean, stderr, total_n = _combine(jobs, stats)
     while (target is not None and stderr > target * abs(mean)
            and total_n < MAX_EXTENSION * n):
-        start = jobs[-1][0] + 1
-        extra = [(start + k, chunk) for k in range(max(total_n // chunk, 1))]
+        scale = target * abs(mean)
+        r = stderr / scale if scale > 0 else math.inf  # r > 1 here; a zero mean doubles
+        rows = math.ceil(min(1.1 * r * r - 1.0, 1.0) * total_n / _BLOCK_ROWS) * _BLOCK_ROWS
+        extra = list(enumerate(_pieces(min(rows, total_n, MAX_EXTENSION * n - total_n), chunk),
+                               start=jobs[-1][0] + 1))
         jobs.extend(extra)
         stats.extend(run(extra))
         mean, stderr, total_n = _combine(jobs, stats)

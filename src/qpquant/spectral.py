@@ -16,7 +16,8 @@ import numpy as np
 
 from .algebra import cbilinear, complexify, qconj, qmul
 from .numerics import sphere_uniform
-from .spaces import AMatrix, _orbit_frames, _tau_h_core, in_amatrix_space, random_eh
+from .spaces import (AMatrix, _orbit_frame_matrix, _orbit_frames, _tau_h_core, in_amatrix_space,
+                     random_eh)
 
 __all__ = [
     "HlFunction",
@@ -117,7 +118,9 @@ def _pair_projector_fiber(p, x, y):
     sum_a w_a^2 = |u|^2 - |v|^2 + 2i u.v.
     """
     frames = _orbit_frames(p)
-    u = np.einsum("nkj,nj->nk", frames, np.broadcast_to(x, y.shape))
+    # a fixed base x: u = p F_x, one product with F_x the frame matrix applied to x
+    u = (np.reshape(p, y.shape) @ (_orbit_frame_matrix(x.size // 4).reshape(x.size, 4, -1) @ x)
+         if np.ndim(x) == 1 else np.einsum("nkj,nj->nk", frames, x))
     v = np.einsum("nkj,nj->nk", frames, y)
     return (np.einsum("nk,nk->n", u, u) - np.einsum("nk,nk->n", v, v)
             + 2j * np.einsum("nk,nk->n", u, v))
@@ -198,6 +201,10 @@ class HlFunction:
         # so repr sees only the generators
         return np.stack([quad_form_matrix(a) for a in self.amats])
 
+    @cached_property
+    def _real_forms(self):  # Re M_k then Im M_k, for real products with real points
+        return np.concatenate([self._forms.real, self._forms.imag])
+
     def eval_sphere(self, p):
         """sum_k c_k (p^t M_k p)^l at one point p (n+1, 4), a scalar, or a batch
         (N, n+1, 4).
@@ -206,7 +213,11 @@ class HlFunction:
         z^t M_k z = <beta(rho(z)), A_k>_C gives the extension at beta(rho(z)).
         """
         flat = np.reshape(p, np.shape(p)[:-2] + (-1,))
-        pairs = np.einsum("k...j,...j->...k", flat @ self._forms, flat)
+        real = np.isrealobj(flat)  # real-by-complex matmul is slow: split the forms
+        pairs = np.einsum("k...j,...j->...k", flat @ (self._real_forms if real else self._forms),
+                          flat)
+        if real:
+            pairs = pairs[..., :len(self.amats)] + 1j * pairs[..., len(self.amats):]
         return pairs ** self.l @ np.asarray(self.coeffs)
 
     def eval_amatrix(self, a):

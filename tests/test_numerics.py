@@ -203,6 +203,44 @@ def test_mc_mean_warns_at_its_cap():
     assert est.samples < 64 * 1000 and est.stderr <= 0.05 * abs(est.value)
 
 
+def test_budget_below_one_chunk_stops_within_the_cap_and_its_need():
+    # a 1,000-sample budget with the default 65,536-row chunk: extensions are
+    # sized in rows, so the run neither jumps past 64 x samples nor overshoots
+    cfg = num.MCConfig(samples=1000, seed=1, target_rel_stderr=0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = num.mc_mean(lambda rng, m: 1.0 + rng.standard_normal(m), cfg)
+    need = (1.0 / 0.01) ** 2  # sigma^2 / (target mean)^2 rows
+    assert est.stderr <= 0.01 * abs(est.value)
+    assert est.samples <= num.MAX_EXTENSION * 1000 and est.samples <= 1.25 * need
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_extension_is_sized_from_the_variance_estimate(seed):
+    # known sigma, a target that needs sqrt(2) x the budget: the run meets it
+    # within 1.25 x the need, where doubling would draw 2 x the budget
+    sigma, budget = 2.0, 65_536
+    need = math.sqrt(2.0) * budget
+    target = sigma / math.sqrt(need)
+    cfg = num.MCConfig(samples=budget, seed=seed, target_rel_stderr=target)
+    est = num.mc_mean(lambda rng, m: 1.0 + sigma * rng.standard_normal(m), cfg)
+    assert est.stderr <= target * abs(est.value)
+    assert budget < est.samples <= 1.25 * need < 2 * budget
+    assert (est.samples - budget) % num._BLOCK_ROWS == 0
+
+
+def test_adaptive_extensions_do_not_depend_on_workers():
+    # extensions cut into partial chunks keep their keyed indices
+    def batch(rng, m):
+        return 1.0 + 3.0 * rng.standard_normal(m)
+
+    runs = [num.mc_mean(batch, num.MCConfig(samples=3 * 8192, seed=5, chunk=8192, workers=w,
+                                            target_rel_stderr=0.015))
+            for w in (1, 3)]
+    assert runs[0] == runs[1]  # bitwise value, stderr and sample count
+    assert runs[0].samples > 3 * 8192 and runs[0].samples % 8192 != 0
+
+
 def test_cap_warning_points_at_the_callers_line():
     # the warning names the first frame outside qpquant, not mc_mean's caller
     from qpquant import quantization as qz

@@ -191,6 +191,30 @@ def test_random_hl_functions_evaluate(rng):
     assert np.all(np.isfinite(vals))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fixed_base_pairing_equals_the_broadcast_base(n, rng):
+    m, size = n + 1, 512
+    pts = sphere_uniform(4 * m - 1, rng, size=size)
+    x = sphere_uniform(4 * m - 1, rng)
+    y = rng.standard_normal((size, 4 * m))
+    ref = spec._pair_projector_fiber(pts, np.broadcast_to(x, y.shape), y)
+    for p in (pts, pts.reshape(size, m, 4)):
+        got = spec._pair_projector_fiber(p, x, y)
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_real_points_take_the_real_forms_to_the_complex_route(n, rng):
+    m = n + 1
+    pts = sphere_uniform(4 * m - 1, rng, size=512).reshape(512, m, 4)
+    for l in range(3):
+        f = spec.random_hl_function(n, l, 3, rng)
+        ref = f.eval_sphere(pts.astype(complex))
+        got = f.eval_sphere(pts)
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+        assert abs(f.eval_sphere(pts[0]) - ref[0]) <= 1e-15 * np.abs(ref).max()
+
+
 def test_hl_function_equality_is_identity(rng):
     f = spec.random_hl_function(1, 2, 3, rng)
     g = spec.HlFunction(n=f.n, l=f.l, amats=tuple(a.copy() for a in f.amats),
