@@ -31,7 +31,6 @@ __all__ = [
     "qmul",
     "qnorm",
     "quat_conj_c",
-    "quat_split",
     "rho",
     "rho_inv",
     "sharp",
@@ -165,15 +164,6 @@ def quat_conj_c(a):
     a = np.asarray(a, dtype=complex)
     jj = jmat(a.shape[-1] // 2)
     return jj @ np.conj(a) @ (-jj)
-
-
-def quat_split(a):
-    """(X, Y) with A = complexify(X) + i complexify(Y), X and Y fixed by
-    :func:`quat_conj_c`: real quaternion matrices, returned as complex
-    coefficient arrays whose imaginary parts are round-off."""
-    a = np.asarray(a, dtype=complex)
-    aq = quat_conj_c(a)
-    return complexify_inv(0.5 * (a + aq)), complexify_inv((a - aq) / 2j)
 
 
 def cbilinear(a, b):

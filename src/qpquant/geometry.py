@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .algebra import fro_norm, jordan, qmat_mul, quat_split, rho_inv
+from .algebra import complexify_inv, fro_norm, jordan, qmat_mul, rho_inv
 from .spaces import (
     AMatrix,
     BTuple,
@@ -92,8 +92,8 @@ def d_tau_h_inv(P, Q, w_mat):
     """(P_dot, Q_dot) from a matrix tangent W at the A-model point over
     (P, Q) = tau_h^-1(A)."""
     nq = math.sqrt(float(np.sum(Q * Q)))
-    x, y = quat_split(w_mat)
-    x_re, x_im = x.real, y.real
+    c = complexify_inv(w_mat)
+    x_re, x_im = c.real, c.imag
     dq = float(np.sum(Q * x_im)) / (math.sqrt(2.0) * nq)
     Q_dot = (math.sqrt(2.0) * x_im - (dq / nq) * Q) / nq
     P_dot = (x_re - 2.0 * dq * P + 2.0 * jordan(Q_dot, Q)) / nq ** 2
@@ -300,7 +300,7 @@ def dtheta_fd(model, point, v, w):
     else:
         x0 = point.A
         # the displaced points leave the A-model: no membership test
-        theta = lambda a, t: _theta_h(*_tau_h_inv_core(a)[:2], t)
+        theta = lambda a, t: _theta_h(*_tau_h_inv_core(a), t)
     v = np.asarray(v, dtype=complex).reshape(x0.shape)
     w = np.asarray(w, dtype=complex).reshape(x0.shape)
     tv = (theta(x0 + h * v, w) - theta(x0 - h * v, w)) / (2 * h)

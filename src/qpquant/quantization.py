@@ -411,26 +411,32 @@ def log_kernel_term(n, l, norm_a):
     return log_i_coeff(n, l) + 2 * l * math.log(norm_a) - log_b_coeff(n, l)
 
 
-def kernel_diag(n, norm_a, lmax):
-    """Diagonal of the reproducing kernel with a certified tail bound.
+def kernel_diag(n, norm_a):
+    """Diagonal R(A, A) = sum_l t_l, t_l = I_l |A|^(2l) / b_l, with its proven tail
+    bound: returns (value, tail_bound), the value exact to rounding.
 
-    Returns (value, tail_bound); raises if the sum could overflow or the truncation
-    leaves a tail above 1e-12 of it.  Terms and tails that underflow count as 0.
+    With y = pi^4 |A|^2 / 8 the term ratio is
+        r(l) = y (l+2n)(l+2n+1)(l+n+3/2)
+               / [(l+1)(l+2)(l+n+1/2) prod_{j=2..5} (l+(6n+j)/4)].
+    Each (l+a)/(l+b) with a > b falls, and so does the reciprocal product, so r
+    strictly decreases: once t_L < t_(L-1), sum_{l>=L} t_l <= t_L / (1 - r(L-1)).
+    The sum stops at the first such L where that bound is at most half an ulp of
+    sum_{l<L} t_l.  Raises ValueError for a norm that is not positive and finite,
+    and as soon as the terms could sum past the largest float.
     """
-    if norm_a <= 0:
-        raise ValueError("need a positive matrix norm")
-    logs = [log_kernel_term(n, l, norm_a) for l in range(lmax + 3)]
-    if (top := max(logs)) + math.log(len(logs)) > LOG_FLOAT_MAX:  # sum <= e^top * count
-        raise ValueError(f"kernel term l = {logs.index(top)} has log {top:.1f}; the sum of "
-                         f"{len(logs)} terms could pass the largest float, e^{LOG_FLOAT_MAX:.1f}")
-    ratio, ratio2 = math.exp(logs[-2] - logs[-3]), math.exp(logs[-1] - logs[-2])
-    if ratio >= 0.5 or ratio2 >= ratio:
-        raise ValueError("truncation too small: term ratios not yet contracting")
-    tail = math.exp(logs[-2]) / (1.0 - ratio)
-    value = math.fsum(math.exp(x) for x in logs[:-2])
-    if tail > 1e-12 * value:
-        raise ValueError(f"truncation {lmax} leaves tail {tail:.3e} above tolerance")
-    return value, tail
+    if not 0.0 < norm_a < math.inf:
+        raise ValueError(f"need a positive finite matrix norm, got {norm_a}")
+    logs, terms = [], []
+    while True:
+        logs.append(log_kernel_term(n, len(logs), norm_a))
+        if (top := max(logs)) + math.log(len(logs)) > LOG_FLOAT_MAX:  # sum <= e^top * count
+            raise ValueError(f"kernel term l = {logs.index(top)} has log {top:.1f}; the sum of "
+                             f"{len(logs)} terms could pass the largest float, e^{LOG_FLOAT_MAX:.1f}")
+        if len(logs) > 1 and (step := logs[-1] - logs[-2]) < 0.0:
+            value, tail = math.fsum(terms), math.exp(logs[-1]) / -math.expm1(step)
+            if tail <= 0.5 * math.ulp(value):
+                return value, tail
+        terms.append(math.exp(logs[-1]))
 
 
 def pairing_gg_mc(fa, fb, config):
@@ -496,7 +502,7 @@ def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
 def kernel_norm_bound_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
     """Check |f(A')| <= sqrt(R(A', A')) ||f|| for f = c0 + linear part."""
     a_prime, f1, f_at_aprime = _kernel_test_function(c0, phi1_amats, phi1_coeffs, a_prime, n)
-    diag, _ = kernel_diag(n, fro_norm(a_prime), lmax=30)
+    diag, _ = kernel_diag(n, fro_norm(a_prime))
 
     norm1_sq = pairing_gg_mc(f1, f1, config)
     norm0_sq = abs(c0) ** 2 * b_coeff(n, 0) / vol_pnh(n)

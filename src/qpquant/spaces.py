@@ -25,13 +25,13 @@ import numpy as np
 
 from .algebra import (
     complexify,
+    complexify_inv,
     fro_norm,
     hinner,
     jmat,
     qconj,
     qmat_mul,
     qmul,
-    quat_split,
     rho,
     rho_inv,
 )
@@ -265,18 +265,25 @@ def in_btuple_space0(pt):
     return _btuple_failure(pt.B, horizontal=True) is None
 
 
-def in_amatrix_space(pt):
-    """J A = A^t J, numerical rank 2, A^2 = 0."""
-    a = pt.A
-    m = a.shape[0] // 2
-    jj = jmat(m)
+def _amatrix_failure(a):
+    """First failed condition of the A-model (J A = A^t J, A^2 = 0, numerical rank 2),
+    or None.  For the singular values s_0 >= s_1 >= s_2 (s_2 = 0 for 2 x 2 input)
+    the rank residual is s_1 / s_0 if that is too small, else s_2 / s_0."""
+    jj = jmat(a.shape[0] // 2)
     scale = max(1.0, fro_norm(a))
-    if np.max(np.abs(jj @ a - a.T @ jj)) > EQ_TOL * scale:
-        return False
-    if np.max(np.abs(a @ a)) > EQ_TOL * scale ** 2:
-        return False
+    sym, sq = np.abs(jj @ a - a.T @ jj).max(), np.abs(a @ a).max()
     s = np.linalg.svd(a, compute_uv=False)
-    return (s[1] > RANK_TOL * s[0]) and (s[2] <= RANK_TOL * s[0] if len(s) > 2 else True)
+    s2 = s[2] if len(s) > 2 else 0.0
+    two, below_three = s[1] > RANK_TOL * s[0], s2 <= RANK_TOL * s[0]
+    return _first_failure([("J A = A^t J", sym, sym <= EQ_TOL * scale),
+                           ("A^2 = 0", sq, sq <= EQ_TOL * scale ** 2),
+                           ("rank A = 2", (s2 if two else s[1]) / max(s[0], 1e-300),
+                            two and below_three)])
+
+
+def in_amatrix_space(pt):
+    """J A = A^t J, A^2 = 0, numerical rank 2."""
+    return _amatrix_failure(pt.A) is None
 
 
 # --------------------------------------------------------------------- maps
@@ -389,24 +396,18 @@ def tau_s_inv(pt):
 
 def _tau_h_inv_core(a):
     """(P, Q) from A by the quaternionic split A = complexify(X) + i complexify(Y),
-    with no membership test: ||Q||^2 = |A| / sqrt(2), Q = sqrt(2) Y / ||Q|| and
-    P = (X + Q^2) / ||Q||^2.  Also returns the largest imaginary coefficient
-    of X and Y, which is round-off for every complex matrix."""
-    x, y = quat_split(a)
+    with no membership test: complexify is C-linear, so complexify_inv(A) = X + iY.
+    ||Q||^2 = |A| / sqrt(2), Q = sqrt(2) Y / ||Q|| and P = (X + Q^2) / ||Q||^2."""
+    c = complexify_inv(a)
     nq = (fro_norm(a) / np.sqrt(2.0)) ** 0.5
-    Q = np.sqrt(2.0) * y.real / nq
-    P = (x.real + qmat_mul(Q, Q)) / nq ** 2
-    return P, Q, max(np.max(np.abs(x.imag)), np.max(np.abs(y.imag)))
+    Q = np.sqrt(2.0) * c.imag / nq
+    return (c.real + qmat_mul(Q, Q)) / nq ** 2, Q
 
 
 def tau_h_inv(pt):
     """Recover (P, Q) from A using the quaternionic real/imaginary parts."""
-    if not in_amatrix_space(pt):
-        raise ValueError("matrix is not in the A-model space")
-    P, Q, imag = _tau_h_inv_core(pt.A)
-    if imag > 1e-9 * max(1.0, fro_norm(pt.A)):
-        raise ValueError("matrix has no quaternionic hermitian split")
-    return CotangentPointH(P, Q)
+    _require(_amatrix_failure(pt.A), "matrix is not in the A-model space")
+    return CotangentPointH(*_tau_h_inv_core(pt.A))
 
 
 # ------------------------------------------------------------------ samplers

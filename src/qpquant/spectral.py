@@ -16,8 +16,8 @@ import numpy as np
 
 from .algebra import cbilinear, complexify, qconj, qmul
 from .numerics import sphere_uniform
-from .spaces import (AMatrix, _orbit_frame_matrix, _orbit_frames, _tau_h_core, in_amatrix_space,
-                     random_eh)
+from .spaces import (AMatrix, _amatrix_failure, _orbit_frame_matrix, _orbit_frames, _require,
+                     _tau_h_core, random_eh)
 
 __all__ = [
     "HlFunction",
@@ -140,8 +140,7 @@ def harmonicity_certificate(a):
     Laplacian: Delta(q^l) = l(l-1) q^(l-2) <grad q, grad q> + l q^(l-1) tr.
     """
     pt = a if isinstance(a, AMatrix) else AMatrix(a)
-    if not in_amatrix_space(pt):
-        raise ValueError("matrix fails the cotangent-model membership")
+    _require(_amatrix_failure(pt.A), "matrix fails the cotangent-model membership")
     m = quad_form_matrix(pt.A)
     scale = max(1.0, float(np.abs(m).max()))
     trace_residual = abs(np.trace(m)) / scale

@@ -355,7 +355,7 @@ def test_criterion_14_kernel():
     l0 = 10_000
     growth = math.exp(qz.log_b_coeff(1, l0) - qz.log_b_coeff(1, l0 + 1)) * l0 ** 4 / math.pi ** 4
     growth_ok = abs(growth - 1.0) <= 1e-2
-    val, tail = qz.kernel_diag(1, 2.0 * math.sqrt(2.0), lmax=25)
+    val, tail = qz.kernel_diag(1, 2.0 * math.sqrt(2.0))
     tail_ok = tail <= 1e-12 * val
     rep_ok = True
     bound_ok = True

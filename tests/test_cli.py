@@ -141,8 +141,8 @@ def test_kernel_command():
 
 
 def test_kernel_command_past_underflow(capsys):
-    # lmax + 20 terms: past l ~ 80 (|A| = 2 sqrt 2) and l ~ 40 (n = 4, |A| = 0.5)
-    # the terms underflow to 0
+    # past l ~ 80 (|A| = 2 sqrt 2) and l ~ 40 (n = 4, |A| = 0.5) the printed
+    # terms underflow to 0
     for argv in (["kernel", "--lmax", "60"],
                  ["kernel", "--n", "4", "--norm", "0.5", "--lmax", "40"]):
         assert cli.main(argv) == 0
@@ -151,11 +151,20 @@ def test_kernel_command_past_underflow(capsys):
 
 
 def test_kernel_command_past_the_float_range(capsys):
-    assert cli.main(["kernel", "--norm", "1e4", "--lmax", "300"]) == 2
+    for argv in (["kernel", "--norm", "1e4", "--lmax", "300"], ["kernel", "--norm", "1e300"]):
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("configuration error: kernel term l = ")
+        assert "largest float" in out.err
+
+
+@pytest.mark.parametrize("norm", ["nan", "inf", "0", "-1"])
+def test_kernel_command_refuses_a_norm_that_is_not_positive_and_finite(norm, capsys):
+    assert cli.main(["kernel", "--norm", norm]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err.startswith("configuration error: kernel term l = ")
-    assert "largest float" in out.err
+    assert out.err.startswith("configuration error: need a positive finite matrix norm")
 
 
 @pytest.mark.parametrize("flag,value", [("--seed", "-5"), ("--samples", "0")])

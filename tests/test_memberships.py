@@ -6,6 +6,8 @@ SVD.  On valid points of every size and scale both accept; on points that
 break one condition by 1e-6 of its scale both reject.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from qpquant import geometry as geo
 from qpquant import spaces as sp
+from qpquant import spectral as spl
 from qpquant.algebra import hinner, jmat, jordan, qconj, qmat_mul, qmul, qnorm, qtrace
 
 EQ_TOL, RANK_TOL = 1e-10, 1e-8
@@ -71,6 +74,19 @@ def bt0_oracle(pt):
     return abs(cross) <= EQ_TOL * scale and abs(balance) <= EQ_TOL * scale
 
 
+def ah_oracle(pt):
+    a = pt.A
+    m = a.shape[0] // 2
+    jj = jmat(m)
+    scale = max(1.0, pt.norm)
+    if np.max(np.abs(jj @ a - a.T @ jj)) > EQ_TOL * scale:
+        return False
+    if np.max(np.abs(a @ a)) > EQ_TOL * scale ** 2:
+        return False
+    s = np.linalg.svd(a, compute_uv=False)
+    return (s[1] > RANK_TOL * s[0]) and (s[2] <= RANK_TOL * s[0] if len(s) > 2 else True)
+
+
 # each space: its predicate, the oracle, and the first failed condition it names
 PAIRS = {
     "E_S": (sp.in_sphere_covector, es_oracle,
@@ -80,6 +96,7 @@ PAIRS = {
     "E_H": (sp.in_cotangent_h, eh_oracle, lambda pt: sp._cotangent_h_failure(pt.P, pt.Q)[0]),
     "Et_S": (sp.in_btuple_space, bt_oracle, lambda pt: sp._btuple_failure(pt.B)),
     "Et_S0": (sp.in_btuple_space0, bt0_oracle, lambda pt: sp._btuple_failure(pt.B, horizontal=True)),
+    "Et_H": (sp.in_amatrix_space, ah_oracle, lambda pt: sp._amatrix_failure(pt.A)),
 }
 
 
@@ -177,6 +194,32 @@ def test_btuple_perturbations_fail_both(n, log_q, seed):
     assert verdict("Et_S", unbalanced) and rejects("Et_S0", unbalanced, "|z| = |w|")
 
 
+def a_model_breaks(a):
+    """Matrices near the A-model point a that break one condition each, keyed by
+    that condition; the first two by at least 1e-6 of its scale."""
+    scale = max(1.0, float(np.sqrt(np.sum(np.abs(a) ** 2))))
+    m2 = a.shape[0]
+    return {
+        # J X - X^t J = -2 I for X = J
+        "J A = A^t J": a + 1e-6 * scale * jmat(m2 // 2),
+        # A + e I stays theta-symmetric; tr A = tr A^2 = 0, so (A + e I)^2 has
+        # trace 2m e^2 and a diagonal entry of size at least e^2
+        "A^2 = 0": a + 1e-3 * scale * np.eye(m2),
+        # two copies side by side: theta-symmetric and nilpotent, of rank 4
+        "rank A = 2": np.kron(np.eye(2), a),
+    }
+
+
+@bounded
+@points
+def test_amatrix_perturbations_fail_both(n, log_q, seed):
+    pt, _ = draw(n, log_q, seed)
+    am = sp.tau_h(sp.alpha(pt))
+    assert verdict("Et_H", am)
+    for condition, bad in a_model_breaks(am.A).items():
+        assert rejects("Et_H", sp.AMatrix(bad), condition)
+
+
 @bounded
 @given(st.integers(1, 4), st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1),
        st.floats(0.0, 3.0), st.sampled_from([1e-7, 1e-9]))
@@ -225,4 +268,14 @@ def test_public_maps_name_the_failed_condition(rng):
     ]
     for public_map, bad, message in cases:
         with pytest.raises(ValueError, match=message):
+            public_map(bad)
+
+
+@pytest.mark.parametrize("condition", ["J A = A^t J", "A^2 = 0", "rank A = 2"])
+def test_a_model_maps_name_the_failed_condition(condition, rng):
+    bad = sp.AMatrix(a_model_breaks(sp.tau_h(sp.random_eh(1, 1.0, rng)).A)[condition])
+    for public_map, prefix in ((sp.tau_h_inv, "matrix is not in the A-model space"),
+                               (spl.harmonicity_certificate,
+                                "matrix fails the cotangent-model membership")):
+        with pytest.raises(ValueError, match=f"{prefix}: {re.escape(condition)} fails"):
             public_map(bad)

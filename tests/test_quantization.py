@@ -3,6 +3,7 @@
 import copy
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -505,29 +506,63 @@ def test_kernel_terms_and_diag(rng):
     ratios = [math.exp(qz.log_kernel_term(1, l + 1, norm_a)
                        - qz.log_kernel_term(1, l, norm_a)) for l in range(8)]
     assert all(r2 < r1 for r1, r2 in zip(ratios, ratios[1:]))
-    val, tail = qz.kernel_diag(1, norm_a, lmax=25)
-    val2, _ = qz.kernel_diag(1, norm_a, lmax=30)
-    assert abs(val - val2) <= 1e-10 * val
-    assert tail <= 1e-12 * val
-    with pytest.raises(ValueError):
-        qz.kernel_diag(1, 50.0, lmax=2)
+    val, tail = qz.kernel_diag(1, norm_a)
+    assert 0.0 < tail <= 0.5 * math.ulp(val)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_kernel_diag_with_underflowed_terms(n):
-    # past l ~ 80 the terms underflow to 0; the sum and the tail test carry on
+    # the sum of every term to l = 200, past l ~ 80 where they underflow to 0,
+    # is the value the proven tail bound stops at
     for norm_a in (0.5, 2.0 * math.sqrt(2.0)):
-        base, _ = qz.kernel_diag(n, norm_a, lmax=40 if (n, norm_a) == (4, 0.5) else 60)
-        for lmax in (80, 120, 200):
-            val, tail = qz.kernel_diag(n, norm_a, lmax)
-            assert abs(val - base) <= 1e-15 * base
-            assert 0.0 <= tail <= 1e-12 * val
+        val, tail = qz.kernel_diag(n, norm_a)
+        terms = [math.exp(qz.log_kernel_term(n, l, norm_a)) for l in range(201)]
+        assert terms[-1] == 0.0
+        assert abs(val - math.fsum(terms)) <= 1e-15 * val
+        assert 0.0 <= tail <= 0.5 * math.ulp(val)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernel_diag_matches_the_3f6_closed_form(n):
+    # R(A, A) = t_0 3F6(2n, 2n+1, n+3/2; 2, n+1/2, (6n+2..6n+5)/4; pi^4 |A|^2 / 8)
+    for norm_a in (0.1, 0.5, 2.0 * math.sqrt(2.0), 10.0, 100.0, 1000.0):
+        val, tail = qz.kernel_diag(n, norm_a)
+        with mp.workdps(30):
+            upper = [2 * n, 2 * n + 1, mp.mpf(2 * n + 3) / 2]
+            lower = [2, mp.mpf(2 * n + 1) / 2] + [mp.mpf(6 * n + j) / 4 for j in range(2, 6)]
+            want = mp.exp(qz.log_kernel_term(n, 0, norm_a)) * mp.hyper(
+                upper, lower, mp.pi ** 4 * mp.mpf(norm_a) ** 2 / 8)
+            assert abs(val - want) <= (1e-14 if norm_a <= 10.0 else 1e-12) * want
+        assert tail <= 0.5 * math.ulp(val)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kernel_term_ratios_strictly_decrease(n):
+    # the premise of the tail bound: the log term ratios match log r(l) of the
+    # kernel_diag docstring and fall strictly, here for l < 400 (at |A| = 1, y = pi^4 / 8)
+    logs = [qz.log_kernel_term(n, l, 1.0) for l in range(401)]
+    steps = np.diff(logs)
+    assert np.all(np.diff(steps) < 0.0)
+    l = np.arange(400.0)
+    log_r = (np.log(math.pi ** 4 / 8 * (l + 2 * n) * (l + 2 * n + 1) * (l + n + 1.5))
+             - np.log((l + 1) * (l + 2) * (l + n + 0.5))
+             - sum(np.log(l + (6 * n + j) / 4) for j in range(2, 6)))
+    assert np.abs(steps - log_r).max() <= 1e-10
+
+
+@pytest.mark.parametrize("norm_a", [math.nan, math.inf, 0.0, -1.0])
+def test_kernel_diag_refuses_a_norm_that_is_not_positive_and_finite(norm_a):
+    with pytest.raises(ValueError, match="norm"):
+        qz.kernel_diag(1, norm_a)
 
 
 def test_kernel_diag_refuses_terms_past_the_float_range():
     # at |A| = 1e4 the terms grow past e^709 before they turn down
     with pytest.raises(ValueError, match=r"kernel term l = \d+ has log 7\d\d\.\d.*largest float"):
-        qz.kernel_diag(1, 1e4, 400)
+        qz.kernel_diag(1, 1e4)
+    # at |A| = 1e300 the second term alone passes it
+    with pytest.raises(ValueError, match=r"kernel term l = 1 has log .*sum of 2 terms"):
+        qz.kernel_diag(1, 1e300)
 
 
 def test_kernel_reproduction(rng):
