@@ -122,7 +122,8 @@ class SuiteConfig:
     tol_scale: float = 1.0
 
     def __post_init__(self):
-        _require(samples=(self.samples, self.samples > 0, "positive"),
+        _require(lmax=(self.lmax, self.lmax >= 0, ">= 0"),
+                 samples=(self.samples, self.samples > 0, "positive"),
                  seed=(self.seed, self.seed >= 0, ">= 0"))
 
     def rng(self, salt):
@@ -517,6 +518,7 @@ def _constants_payload(args):
 
 
 def _kernel_payload(args):
+    _require(lmax=(args.lmax, args.lmax >= 0, ">= 0"))
     # the diagonal first: it refuses terms past the float range; the later terms only fall
     val, tail = qz.kernel_diag(args.n, args.norm)
     terms = [{"l": l, "term": math.exp(qz.log_kernel_term(args.n, l, args.norm))}

@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "MCConfig",
@@ -218,10 +217,19 @@ def sphere_uniform(dim, rng, size=None):
 
 
 def log_gamma(x):
-    """log Gamma(x) for one number x > 0, accurate to ~1e-14 relative."""
-    if x <= 0:
-        raise ValueError("log_gamma requires x > 0")
-    return float(gammaln(x))
+    """log Gamma(x) for one finite number x > 0: ``math.lgamma``, within
+    2e-15 absolute for x <= 3 and 8 ulps of the result above 3 (asserted
+    against mpmath in the tests).
+
+    Refuses x that is not finite or not positive, and x whose log Gamma
+    overflows a float (x above about 2.5e305), with a ValueError naming x.
+    """
+    if not (math.isfinite(x) and x > 0):
+        raise ValueError(f"log_gamma requires finite x > 0, got x={x!r}")
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise ValueError(f"log_gamma(x) overflows a float at x={x!r}") from None
 
 
 def log_gamma_radial(k, c):

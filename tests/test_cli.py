@@ -30,12 +30,24 @@ def run_cli(args, env_extra=None):
                           capture_output=True, text=True, env=subprocess_env(env_extra))
 
 
-def test_import_leaves_scipy_integrate_out():
-    # the quadrature oracles import scipy.integrate on first use
-    code = "import sys, qpquant.cli; print('scipy.integrate' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=subprocess_env())
-    assert res.returncode == 0 and res.stdout.strip() == "False", res.stderr
+def run_python(code):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=subprocess_env())
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only the quadrature oracles, which import scipy.integrate on first use
+    res = run_python("import sys, qpquant.cli; "
+                     "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    assert res.returncode == 0 and res.stdout.strip() == "[]", res.stderr
+
+
+def test_first_quadrature_call_imports_scipy_integrate():
+    res = run_python("import sys; from qpquant import quantization as qz; "
+                     "before = 'scipy.integrate' in sys.modules; "
+                     "err = abs(qz.a_coeff_quadrature(1, 2) / qz.a_coeff(1, 2) - 1); "
+                     "print(before, 'scipy.integrate' in sys.modules, err <= 1e-8)")
+    assert res.returncode == 0 and res.stdout.split() == ["False", "True", "True"], res.stderr
 
 
 def test_spectral_suite_dims_and_schema():
@@ -75,6 +87,15 @@ def test_exit_codes():
     bad_env = run_cli(["verify", "--suite", "algebra"], env_extra={"QPQUANT_SEED": "abc"})
     assert bad_env.returncode == 2
     assert "configuration error: QPQUANT_SEED='abc' is not a valid int" in bad_env.stderr
+
+
+@pytest.mark.parametrize("cmd, lmax", [(["verify", "--suite", "spectral"], "-1"),
+                                       (["kernel"], "-3")])
+def test_lmax_below_zero_is_a_configuration_error(cmd, lmax):
+    res = run_cli([*cmd, "--lmax", lmax])
+    assert res.returncode == 2 and res.stdout == ""
+    assert f"configuration error: lmax must be >= 0, got {lmax}" in res.stderr
+    assert run_cli([*cmd, "--lmax", "0"]).returncode == 0
 
 
 @pytest.mark.parametrize("n", [3, 4])
