@@ -26,6 +26,7 @@ __all__ = [
     "log_gamma_radial",
     "mc_mean",
     "radial_quad",
+    "sphere_moment",
     "sphere_uniform",
     "substream",
     "vol_pnh",
@@ -214,6 +215,59 @@ def sphere_uniform(dim, rng, size=None):
         nrm2 = np.einsum("...i,...i->...", v, v)
     v /= np.sqrt(nrm2)[..., None]
     return v
+
+
+def sphere_moment(ma, mb, a, b, factor=False):
+    """E over the unit sphere S^(d-1) of (x^t A x)^a (x^t B x)^b, exactly.
+
+    A = ``ma`` (..., d, d) and B = ``mb`` (..., d, d) are complex symmetric,
+    with no condition on their traces or squares; with ``factor``, ``mb`` is
+    W (..., d, r) and B = W W^t.  Leading axes broadcast.
+
+    For x ~ N(0, I_d) the moment is a! b! [t^a u^b] of
+    exp(sum_{k <= a+b} 2^(k-1)/k tr((tA + uB)^k)), a polynomial identity, so
+    it holds for complex forms; dividing by E|x|^(2(a+b)) =
+    2^(a+b) Gamma(d/2+a+b) / Gamma(d/2) = d (d+2) ... (d+2(a+b)-2) leaves the
+    sphere moment.  The words of i factors A and j >= 1 factors B = U V^t
+    (U = B and V = I, or U = V = W) trace, summed over their cyclic turns, to
+    (i+j)/j times those that end in B: the traces of products of j matrices
+    G_s = V^t A^s U whose exponents s sum to i.
+    """
+    ma, mb = np.asarray(ma), np.asarray(mb)
+    d = ma.shape[-1]
+    batch = np.broadcast_shapes(ma.shape[:-2], mb.shape[:-2])
+    if a == b == 0:
+        return np.ones(batch)
+    # kappa[i][j]: coefficient of t^i u^j in the exponent
+    kappa = [[0.0] * (b + 1) for _ in range(a + 1)]
+    power = np.eye(d)
+    for i in range(1, a + 1):
+        power = ma @ power
+        kappa[i][0] = 2.0 ** (i - 1) / i * np.einsum("...jj->...", power)
+    if b:
+        aus = [mb]
+        for _ in range(a):
+            aus.append(ma @ aus[-1])
+        gs = [np.swapaxes(mb, -1, -2) @ au for au in aus] if factor else aus
+        # words[i]: sum of the products of j factors G whose exponents sum to i
+        words = gs
+        for j in range(1, b + 1):
+            if j > 1:
+                words = [sum(gs[s] @ words[i - s] for s in range(i + 1)) for i in range(a + 1)]
+            for i in range(a + 1):
+                kappa[i][j] = 2.0 ** (i + j - 1) / j * np.einsum("...kk->...", words[i])
+    # f = exp(kappa) by i f_ij = sum p kappa_pq f_(i-p)(j-q), and j f_0j likewise
+    f = [[None] * (b + 1) for _ in range(a + 1)]
+    f[0][0] = 1.0
+    for i in range(a + 1):
+        for j in range(b + 1):
+            if i:
+                f[i][j] = sum(p * kappa[p][q] * f[i - p][j - q]
+                              for p in range(1, i + 1) for q in range(j + 1)) / i
+            elif j:
+                f[0][j] = sum(q * kappa[0][q] * f[0][j - q] for q in range(1, j + 1)) / j
+    norm = math.prod(d + 2 * k for k in range(a + b))
+    return np.broadcast_to(math.factorial(a) * math.factorial(b) / norm * f[a][b], batch)
 
 
 def log_gamma(x):

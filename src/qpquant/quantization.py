@@ -3,7 +3,9 @@
 Every closed-form constant is a Gamma product assembled in log space, and
 every one of them is paired with an independent oracle: a 1-D or a
 separable 2-D quadrature, or an angular Monte Carlo estimate with the radial direction
-integrated exactly (all radial factors are Gamma integrals).
+integrated exactly (all radial factors are Gamma integrals).  The operators
+and the kernel check also integrate the sphere point exactly given the
+fiber point (:func:`numerics.sphere_moment`), so they draw fiber points alone.
 
 The volume-form constants recovered in :mod:`qpquant.geometry` enter the
 weights only through fixed scalars; they are pinned here as module
@@ -24,11 +26,13 @@ from .numerics import (
     log_gamma,
     log_gamma_radial,
     radial_quad,
+    sphere_moment,
     vol_pnh,
     vol_sphere,
 )
-from .spaces import _orbit_frames, _project_out, _tau_h_core, random_eh
-from .spectral import HlFunction, _pair_projector_fiber, dim_eigenspace, eigenvalue
+from .spaces import _orbit_frame_matrix, _orbit_frames, _project_out, _tau_h_core, random_eh
+from .spectral import (HlFunction, _pair_projector_fiber, dim_eigenspace, eigenvalue,
+                       quad_form_matrix)
 
 __all__ = [
     "A_H_CONST",
@@ -202,17 +206,31 @@ def _unit_covectors(frames, g):
     return q
 
 
+def _b_coeff_mc_scale(n, l):
+    """The factor that turns b_coeff_mc's sphere mean into b_l."""
+    return (math.exp(log_radial_gg(n, 2 * l)) * vol_pnh(n) ** 2 * vol_sphere(4 * n - 1)
+            / dim_eigenspace(n, l))
+
+
 def b_coeff_mc(n, l, config):
-    """MC of the defining integral of b_l; radial direction exact."""
+    """MC of the defining integral of b_l; radial direction exact.
+
+    The integrand |<P(p), beta(rho(x + i q))>|^(2l) and the law of the
+    sphere point p, the base point x and the unit horizontal covector q at x
+    are Sp(n+1)-invariant, and Sp(n+1) moves every x to x0 = e_0.  So x is
+    fixed at x0, where the horizontal covectors are q = (0, g/|g|),
+    g ~ N(0, I_4n): the same per-sample law, from a sphere point and 4n
+    normals a row.
+    """
     m = n + 1
-    dim = dim_eigenspace(n, l)
+    x0 = np.eye(4 * m)[0]
 
-    def integrand(pts, base, g):
-        pair = _pair_projector_fiber(pts, base, _unit_covectors(_orbit_frames(base), g))
-        return np.abs(pair) ** (2 * l)
+    def integrand(pts, g):
+        q = np.zeros((len(g), 4 * m))
+        q[:, 4:] = g / np.sqrt(np.einsum("nj,nj->n", g, g))[:, None]
+        return np.abs(_pair_projector_fiber(pts, x0, q)) ** (2 * l)
 
-    scale = math.exp(log_radial_gg(n, 2 * l)) * vol_pnh(n) ** 2 * vol_sphere(4 * n - 1) / dim
-    return _mc_blocks(integrand, config, (4 * m - 1, 4 * m - 1), 4 * m).scaled(scale)
+    return _mc_blocks(integrand, config, (4 * m - 1,), 4 * n).scaled(_b_coeff_mc_scale(n, l))
 
 
 def log_a_coeff(n, l):
@@ -340,32 +358,84 @@ def _t_apply_scale(n, degree):
             * gamma_radial(2 * degree + 4 * n, 2 * math.pi))
 
 
-def _fiber_apply(phi, x, frame, config, rotation=None):
-    """Unscaled joint MC of phi(p) <P(p), A-hat>^l over sphere points p and
-    unit fiber points z = x + i q at the fixed base point x (4m,), q
-    orthogonal to the rows of ``frame``; ``rotation`` multiplies the pairing."""
-    m = phi.n + 1
+def _fiber_factor(x, y):
+    """W (N, 4m, 4) with W W^t = M-hat(z) at fiber points z = x + i y, x one
+    real point (4m,) or (N, 4m), y real (N, 4m): column k is E_k z, E_k the
+    k-th block of the orbit-frame matrix, so p^t M-hat(z) p =
+    sum_k ((p e_k).z)^2 = <P(p), beta(rho(z))>_C."""
+    d = y.shape[-1]
+    frame = _orbit_frame_matrix(d // 4).reshape(4 * d, d).T
+    return (x @ frame + 1j * (y @ frame)).reshape(len(y), d, 4)
 
-    def integrand(pts, g):
-        pair = _pair_projector_fiber(pts, x, _unit_covectors(frame, g))
-        if rotation is not None:
-            pair = rotation * pair
-        return phi.eval_sphere(pts.reshape(-1, m, 4)) * pair ** phi.l
 
-    return _mc_blocks(integrand, config, (4 * m - 1,), 4 * m)
+def _moment_form(forms, coeffs):
+    """K (4m, 4m) with z^t K z = sum_j c_j sphere_moment(M_j, M-hat(z), 1, 1)
+    for every z: the moment is linear in its second form, and M-hat(z) =
+    sum_ab z_a z_b S_ab with S_ab = sum_k (E_k e_a)(E_k e_b)^t, so K_ab is the
+    moment taken at S_ab, symmetrised."""
+    d = forms.shape[-1]
+    e = _orbit_frame_matrix(d // 4).reshape(d, 4, d)
+    s = np.einsum("ika,jkb->abij", e, e)
+    s = 0.5 * (s + np.swapaxes(s, 0, 1))
+    return (np.asarray(coeffs) @ sphere_moment(forms[:, None], s.reshape(d * d, d, d), 1, 1)
+            ).reshape(d, d)
+
+
+def _fiber_quad(x, y, k):
+    """z^t K z at fiber points z = x + i y for one complex symmetric K
+    (4m, 4m), x one real point (4m,) or (N, 4m), y real (N, 4m), from real
+    products alone."""
+    d = k.shape[-1]
+    parts = np.concatenate([k.real, k.imag], axis=1)
+    kx, ky = x @ parts, y @ parts
+
+    def dot(u, v):
+        return (np.einsum("...j,...j->...", u[..., :d], v)
+                + 1j * np.einsum("...j,...j->...", u[..., d:], v))
+
+    return dot(kx, x) - dot(ky, y) + 2j * dot(ky, x)
+
+
+def _fiber_apply(phi, x, frame, config, rotation=1.0):
+    """Unscaled MC of phi(p) (rotation <P(p), A-hat>)^l over sphere points p
+    and unit fiber points z = x + i q at the fixed base point x (4m,), q
+    orthogonal to the rows of ``frame``, conditioned on z.
+
+    Given z the mean over p is exact, sum_j c_j sphere_moment(M_j, M-hat(z),
+    l, l), M_j the forms of phi and p^t M-hat(z) p the pairing, so a row
+    draws q alone.  At l = 1 it is z^t K z, K built once per call.
+    """
+    m, l = phi.n + 1, phi.l
+    if l == 1:
+        kform = _moment_form(phi._forms, phi.coeffs)
+
+        def sphere_mean(y):
+            return _fiber_quad(x, y, kform)
+    else:
+        coeffs = np.asarray(phi.coeffs)
+
+        def sphere_mean(y):
+            return coeffs @ sphere_moment(phi._forms[:, None], _fiber_factor(x, y), l, l,
+                                          factor=True)
+
+    def integrand(g):
+        return rotation ** l * sphere_mean(_unit_covectors(frame, g))
+
+    return _mc_blocks(integrand, config, (), 4 * m)
 
 
 def t_apply_eigenfunction(phi, p_prime, config, flow_t=None):
     """T applied to the eigenspace embedding of phi, at the base point of p_prime.
 
-    Evaluates the double integral (base x fiber) as a single joint MC with
-    the radial direction exact.  With ``flow_t`` the integrand is composed
+    Evaluates the double integral (base x fiber) as MC over the unit fiber
+    points, with the sphere integral (:func:`_fiber_apply`) and the radial
+    direction exact.  With ``flow_t`` the integrand is composed
     with the classical flow A -> e^(-2it) A, which multiplies the pairing
     by e^(-2it), and the half-density phase e^(-it(2n+1)) is attached.
     """
     n = phi.n
     x = np.asarray(p_prime, dtype=float).ravel()
-    rotation, phase = None, 1.0 + 0.0j
+    rotation, phase = 1.0, 1.0 + 0.0j
     if flow_t is not None:
         rotation = np.exp(-2j * flow_t)
         phase = np.exp(-1j * flow_t * (2 * n + 1))
@@ -474,28 +544,30 @@ def _kernel_test_function(c0, phi1_amats, phi1_coeffs, a_prime, n):
 
 
 def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
-    """Verify f(A') = <f, R(., A')> for f = c0 + sum c_k <., A_k> by joint MC.
+    """Verify f(A') = <f, R(., A')> for f = c0 + sum c_k <., A_k> by MC over
+    unit fiber points z = x + i q, x the base point and q horizontal at x.
 
-    Returns (f_value, reconstruction MCEstimate).
+    The sphere integral of the l = 1 core conj<P(p), A-hat> <P(p), A'> is
+    exact given z: sphere_moment(M', M-hat(conj z), 1, 1) = conj(z)^t K' conj(z),
+    M' = quad_form_matrix(A').  Returns (f_value, reconstruction MCEstimate).
     """
     a_prime, f1, f_at_aprime = _kernel_test_function(c0, phi1_amats, phi1_coeffs, a_prime, n)
     m = n + 1
-    pair_pr = HlFunction(n=n, l=1, amats=(a_prime,), coeffs=(1.0,))     # <P, A'>
+    kform = _moment_form(quad_form_matrix(a_prime)[None], (1.0,))
     fconst = complex(c0)
     inv_b = [math.exp(-log_b_coeff(n, 0)), math.exp(-log_b_coeff(n, 1))]
     radial = [math.exp(log_radial_gg(n, k)) for k in range(3)]
 
-    def integrand(pts, base, g):
+    def integrand(base, g):
         y = _unit_covectors(_orbit_frames(base), g)
-        pair_hat = _pair_projector_fiber(pts, base, y)                # <P, Ahat>
         fquad = f1.eval_sphere((base + 1j * y).reshape(-1, m, 4))    # homogeneity-2 part of f
         # l = 0 term: (1/b_0) [ const part at homog 0 + linear part at homog 2 ]
         out = inv_b[0] * (fconst * radial[0] + fquad * radial[1])
-        # l = 1 term: conj<P, A> <P, A'> against both parts of f
-        core = np.conj(pair_hat) * pair_pr.eval_sphere(pts.reshape(-1, m, 4))
+        # l = 1 term: E_p conj<P, A-hat> <P, A'> against both parts of f
+        core = _fiber_quad(base, -y, kform)
         return out + inv_b[1] * (fconst * core * radial[1] + fquad * core * radial[2])
 
-    est = _mc_blocks(integrand, config, (4 * m - 1, 4 * m - 1), 4 * m)
+    est = _mc_blocks(integrand, config, (4 * m - 1,), 4 * m)
     return f_at_aprime, est.scaled(vol_pnh(n) ** 2 * vol_sphere(4 * n - 1))
 
 

@@ -110,18 +110,16 @@ def _pair_projector_fiber(p, x, y):
     """<P(p), beta(rho(z))>_C for sphere points p, (N, m, 4) or flat (N, 4m),
     at fiber points z = x + i y, without forming either matrix or z.
 
-    x and y are real, flat (N, 4m); x may also be one point (4m,) shared by
-    every row.  beta(rho(z)) has the blocks rho(z_i theta(z_j)), so the
-    pairing is sum_a w_a^2 with w = <p, z>_H = sum_i theta(p_i) z_i in
-    H (x) C, whose components are w_k = (p e_k).z up to sign.  With F(p) the
-    orbit frame of p, u = F(p) x and v = F(p) y give
-    sum_a w_a^2 = |u|^2 - |v|^2 + 2i u.v.
+    x is one real point (4m,) shared by every row, y real (N, 4m).
+    beta(rho(z)) has the blocks rho(z_i theta(z_j)), so the pairing is
+    sum_a w_a^2 with w = <p, z>_H = sum_i theta(p_i) z_i in H (x) C, whose
+    components are w_k = (p e_k).z up to sign.  With F(p) the orbit frame of
+    p, u = F(p) x and v = F(p) y give sum_a w_a^2 = |u|^2 - |v|^2 + 2i u.v;
+    u is one product of p with F_x, the frame matrix applied to x.
     """
-    frames = _orbit_frames(p)
-    # a fixed base x: u = p F_x, one product with F_x the frame matrix applied to x
-    u = (np.reshape(p, y.shape) @ (_orbit_frame_matrix(x.size // 4).reshape(x.size, 4, -1) @ x)
-         if np.ndim(x) == 1 else np.einsum("nkj,nj->nk", frames, x))
-    v = np.einsum("nkj,nj->nk", frames, y)
+    flat = np.reshape(p, y.shape)
+    u = flat @ (_orbit_frame_matrix(x.size // 4).reshape(x.size, 4, -1) @ x)
+    v = np.einsum("nkj,nj->nk", _orbit_frames(flat), y)
     return (np.einsum("nk,nk->n", u, u) - np.einsum("nk,nk->n", v, v)
             + 2j * np.einsum("nk,nk->n", u, v))
 

@@ -111,6 +111,27 @@ def test_quantization_suite_passes_beyond_n2(n):
     assert l0["stderr"] == 0.0 and l0["tolerance"] == 1e-14 * abs(l0["expected"])
 
 
+def test_op_identity_gate_is_at_least_four_sigma(monkeypatch):
+    # at --seed 42 both op-identity-l* estimates run to a relative stderr of
+    # at most 0.005, so their fixed 0.02 gate on the relative error is >= 4 sigma
+    runs = []
+    apply = cli.qz.t_apply_eigenfunction
+
+    def recording(phi, p_prime, config, flow_t=None):
+        est = apply(phi, p_prime, config, flow_t)
+        runs.append((phi.l, config, est))
+        return est
+
+    monkeypatch.setattr(cli.qz, "t_apply_eigenfunction", recording)
+    report = cli.run_suite("quantization", cli.SuiteConfig(seed=42))
+    assert [l for l, _, _ in runs] == [0, 1]
+    for _, config, est in runs:
+        assert config.samples == 200_000 and config.target_rel_stderr == 0.005
+        assert est.stderr <= 0.005 * abs(est.value)
+    checks = {c.id: c for c in report.checks}
+    assert all(checks[f"op-identity-l{l}"].status == "pass" for l in (0, 1))
+
+
 def test_deterministic_reports(tmp_path):
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     a = run_cli(["verify", "--suite", "spaces", "--seed", "42", "--out", str(out1)])

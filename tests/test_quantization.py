@@ -11,7 +11,8 @@ from qpquant import algebra as alg
 from qpquant import quantization as qz
 from qpquant import spaces as sp
 from qpquant import spectral as spl
-from qpquant.numerics import MCConfig, gamma_radial, mc_mean, sphere_uniform, vol_sphere
+from qpquant.numerics import (MCConfig, gamma_radial, mc_mean, sphere_moment, sphere_uniform,
+                              vol_sphere)
 
 
 def test_weights_reduce_on_the_fiber():
@@ -223,20 +224,21 @@ def test_batched_projector_is_the_per_direction_loop(n, rng):
 
 
 def test_matrix_free_pairing_is_the_matrix_pairing(rng):
-    # <P(p), beta(rho(z))>_C = sum_a <p, z>_H,a^2 without forming beta(rho(z)):
-    # horizontal q (T), full-sphere q (T~) and arbitrary complex z
+    # <P(p), beta(rho(z))>_C = sum_a <p, z>_H,a^2 without forming beta(rho(z)),
+    # at one base point x for every row: horizontal q (b_l), full-sphere q, and
+    # an arbitrary real x with arbitrary imaginary parts
     size = 256
     for n in (1, 2, 3):
         m = n + 1
         pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
+        base = np.broadcast_to(sphere_uniform(4 * m - 1, rng).reshape(m, 4), (size, m, 4))
         horizontal = _loop_unit_covectors(sp.sp1_orbit_frame(base), rng)
         full = _loop_unit_covectors(base[None], rng)
-        generic = rng.standard_normal((2, size, m, 4))
-        for z in (base + 1j * horizontal, base + 1j * full, generic[0] + 1j * generic[1]):
-            ref = spl.pair_projector_amatrix(pts, sp.beta_blocks(alg.rho(z)))
-            got = spl._pair_projector_fiber(pts, z.real.reshape(size, -1),
-                                            z.imag.reshape(size, -1))
+        generic = rng.standard_normal((size + 1, m, 4))
+        for x, y in ((base, horizontal), (base, full),
+                     (np.broadcast_to(generic[0], (size, m, 4)), generic[1:])):
+            ref = spl.pair_projector_amatrix(pts, sp.beta_blocks(alg.rho(x + 1j * y)))
+            got = spl._pair_projector_fiber(pts, x[0].ravel(), y.reshape(size, -1))
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -252,61 +254,90 @@ def _matrix_route_phi(phi, pts):
                for c, a in zip(phi.coeffs, phi.amats))
 
 
+def _hat_forms(ahat):
+    """M-hat (N, 4m, 4m) with <P(p), A-hat> = p^t M-hat p, one per matrix of
+    the stack A-hat, by the pairing tensor."""
+    forms = spl._pairing_forms(ahat)
+    return 0.5 * (forms + np.swapaxes(forms, -1, -2))
+
+
+def _sphere_mean_of_phi(phi, mhat):
+    """sum_j c_j E_p (p^t M_j p)^l (p^t M-hat p)^l row by row, M_j the forms of
+    phi's generators: the mean over sphere points p of phi(p) <P(p), A-hat>^l."""
+    forms = np.stack([spl.quad_form_matrix(a) for a in phi.amats])
+    return np.asarray(phi.coeffs) @ sphere_moment(forms[:, None], mhat, phi.l, phi.l)
+
+
+def _kernel_row(n, c0, fquad, core):
+    """The kernel check's row from the constant c0, the linear part fquad of f
+    at the fiber point, and the l = 1 core: the l = 0 and l = 1 kernel terms
+    with their radial integrals and 1/b_l."""
+    radial = [math.exp(qz.log_radial_gg(n, k)) for k in range(3)]
+    return (math.exp(-qz.log_b_coeff(n, 0)) * (c0 * radial[0] + fquad * radial[1])
+            + math.exp(-qz.log_b_coeff(n, 1)) * (c0 * core * radial[1] + fquad * core * radial[2]))
+
+
+def _fixed_base_covectors(rng, n, size):
+    """The unit horizontal covectors (N, m, 4) at x0 = e_0 that b_coeff_mc
+    draws: zeros in the first quaternion, g / |g| after it."""
+    g = rng.standard_normal((size, 4 * n))
+    g /= np.sqrt((g ** 2).sum(axis=1))[:, None]
+    return np.concatenate([np.zeros((size, 4)), g], axis=1).reshape(size, n + 1, 4)
+
+
 def test_matrix_free_oracles_keep_the_matrix_route_draws(rng):
-    # the fiber oracles pair fiber points z directly; the matrix route they
-    # replaced, written out here, gives the same estimate from the same draws
+    # The oracles pair fiber points z directly and take the mean over the
+    # sphere point exactly; the matrix route, written out here, forms
+    # A-hat = beta(rho(z)) and its quadratic form and gives the same estimate
+    # from the same draws.  T, T~ and the kernel check draw z alone, b_l a
+    # sphere point and then its covector at the fixed base e_0.
     n, m, l = 1, 2, 1
     cfg = MCConfig(samples=8192, seed=4242)
     phi = spl.random_hl_function(n, l, 2, rng)
+    phi2 = spl.random_hl_function(n, 2, 2, rng)
     pprime = sp.random_es0(n, 1.0, rng).p
     a1 = sp.tau_h(sp.random_eh(n, math.sqrt(2.0), rng)).A
     aprime = sp.tau_h(sp.random_eh(n, math.sqrt(2.0), rng)).A
     c0, c1 = 0.7, 0.4 - 0.3j
+    x0 = np.eye(4 * m)[0].reshape(m, 4)
 
     def b_batch(rng, size):
         pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        ahat = _matrix_route_fiber(base, rng, size)
+        ahat = sp.beta_blocks(alg.rho(x0 + 1j * _fixed_base_covectors(rng, n, size)))
         return np.abs(spl.pair_projector_amatrix(pts, ahat)) ** (2 * l)
 
-    def t_batch(flow_t):
+    def t_batch(f, flow_t):
         def batch(rng, size):
-            pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
             ahat = _matrix_route_fiber(pprime, rng, size)
             if flow_t is not None:
                 ahat = np.exp(-2j * flow_t) * ahat
-            return _matrix_route_phi(phi, pts) * spl.pair_projector_amatrix(pts, ahat) ** l
+            return _sphere_mean_of_phi(f, _hat_forms(ahat))
         return batch
 
     def t_tilde_batch(rng, size):
-        pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
         base = np.broadcast_to(pprime, (size, m, 4))
         ahat = sp.beta_blocks(alg.rho(base + 1j * _loop_unit_covectors(base[None], rng)))
-        return _matrix_route_phi(phi, pts) * spl.pair_projector_amatrix(pts, ahat) ** l
+        return _sphere_mean_of_phi(phi, _hat_forms(ahat))
 
     def kernel_batch(rng, size):
-        pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
         base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
         ahat = _matrix_route_fiber(base, rng, size)
-        core = np.conj(spl.pair_projector_amatrix(pts, ahat)) \
-            * spl.pair_projector_amatrix(pts, aprime)
+        core = sphere_moment(spl.quad_form_matrix(aprime), np.conj(_hat_forms(ahat)), 1, 1)
         fquad = c1 * alg.cbilinear(ahat, a1)
-        radial = [math.exp(qz.log_radial_gg(n, k)) for k in range(3)]
-        return (math.exp(-qz.log_b_coeff(n, 0)) * (c0 * radial[0] + fquad * radial[1])
-                + math.exp(-qz.log_b_coeff(n, 1)) * (c0 * core * radial[1]
-                                                    + fquad * core * radial[2]))
+        return _kernel_row(n, c0, fquad, core)
 
     t_scale = qz._t_apply_scale(n, l) * qz.vol_pnh(n)
     flow_phase = np.exp(-1j * 0.7 * (2 * n + 1))
-    tilde_scale = (qz.vol_pnh(n) * vol_sphere(4 * n + 2) * math.sqrt(abs(qz.B_S_CONST))
-                   * 2.0 ** -0.5 * gamma_radial(2 * l + 4 * n + 1.5, 2.0 * math.pi))
+    tilde_scale = _tilde_scale(n, l)
     cases = [
         (qz.b_coeff_mc(n, l, cfg), b_batch,
          math.exp(qz.log_radial_gg(n, 2 * l)) * qz.vol_pnh(n) ** 2 * vol_sphere(4 * n - 1)
          / spl.dim_eigenspace(n, l)),
-        (qz.t_apply_eigenfunction(phi, pprime, cfg), t_batch(None), t_scale),
-        (qz.t_apply_eigenfunction(phi, pprime, cfg, flow_t=0.7), t_batch(0.7),
+        (qz.t_apply_eigenfunction(phi, pprime, cfg), t_batch(phi, None), t_scale),
+        (qz.t_apply_eigenfunction(phi, pprime, cfg, flow_t=0.7), t_batch(phi, 0.7),
          t_scale * flow_phase),
+        (qz.t_apply_eigenfunction(phi2, pprime, cfg, flow_t=0.7), t_batch(phi2, 0.7),
+         qz._t_apply_scale(n, 2) * qz.vol_pnh(n) * flow_phase),
         (qz.t_tilde_apply_eigenfunction(phi, pprime, cfg), t_tilde_batch, tilde_scale),
         (qz.kernel_reproduce_check(c0, [a1], [c1], aprime, n, cfg)[1], kernel_batch,
          qz.vol_pnh(n) ** 2 * vol_sphere(4 * n - 1)),
@@ -332,10 +363,21 @@ def _complex_pairing(pts, z):
     return np.einsum("nk,nk->n", w, w)
 
 
+def _complex_hat_forms(z):
+    """M-hat(z) (N, 4m, 4m) with p^t M-hat(z) p = sum_k ((p e_k).z)^2 for the
+    complex points z (N, m, 4): entry (i, j) sums ((e_i e_k).z) ((e_j e_k).z)."""
+    m = z.shape[-2]
+    frames = sp.sp1_orbit_frame(np.eye(4 * m).reshape(4 * m, m, 4))
+    w = np.einsum("kiab,nab->nik", frames, z)
+    return np.einsum("nik,njk->nij", w, w)
+
+
 def test_blocked_oracles_keep_the_complex_route_draws(rng):
     # 65,536 + 5,000 samples: the second chunk ends in a partial row block.
     # Each oracle agrees with its whole-chunk complex-point batch, written
-    # out here, on the same draws.
+    # out here, on the same draws: for T, T~ and the kernel check the fiber
+    # points alone, with the mean over sphere points taken by sphere_moment
+    # on the whole matrix M-hat(z).
     cfg = MCConfig(samples=65_536 + 5_000, seed=9090)
     c0, c1 = 0.7, 0.4 - 0.3j
 
@@ -347,8 +389,7 @@ def test_blocked_oracles_keep_the_complex_route_draws(rng):
 
         def batch(rng, size):
             pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-            base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-            z = _complex_fiber_points(base, horizontal, rng, size)
+            z = np.eye(4 * m)[0].reshape(m, 4) + 1j * _fixed_base_covectors(rng, n, size)
             return np.abs(_complex_pairing(pts, z)) ** (2 * l)
         return batch
 
@@ -357,29 +398,22 @@ def test_blocked_oracles_keep_the_complex_route_draws(rng):
                 * vol_sphere(4 * n - 1) / spl.dim_eigenspace(n, l))
 
     def t_batch(phi, pprime, dirs_of, flow_t=None):
-        m = phi.n + 1
-
         def batch(rng, size):
-            pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-            pair = _complex_pairing(pts, _complex_fiber_points(pprime, dirs_of, rng, size))
+            mhat = _complex_hat_forms(_complex_fiber_points(pprime, dirs_of, rng, size))
             if flow_t is not None:
-                pair = np.exp(-2j * flow_t) * pair
-            return _matrix_route_phi(phi, pts) * pair ** phi.l
+                mhat = np.exp(-2j * flow_t) * mhat
+            return _sphere_mean_of_phi(phi, mhat)
         return batch
 
     def kernel_batch(n, a1, aprime):
         m = n + 1
-        radial = [math.exp(qz.log_radial_gg(n, k)) for k in range(3)]
-
         def batch(rng, size):
-            pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
             base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
             z = _complex_fiber_points(base, horizontal, rng, size)
-            core = np.conj(_complex_pairing(pts, z)) * spl.pair_projector_amatrix(pts, aprime)
+            core = sphere_moment(spl.quad_form_matrix(aprime), _complex_hat_forms(np.conj(z)),
+                                 1, 1)
             fquad = c1 * spl.pair_projector_amatrix(z, a1)
-            return (math.exp(-qz.log_b_coeff(n, 0)) * (c0 * radial[0] + fquad * radial[1])
-                    + math.exp(-qz.log_b_coeff(n, 1)) * (c0 * core * radial[1]
-                                                        + fquad * core * radial[2]))
+            return _kernel_row(n, c0, fquad, core)
         return batch
 
     def orthogonality_batch(n, l, lp, a1, a2):
@@ -420,8 +454,7 @@ def test_blocked_oracles_keep_the_complex_route_draws(rng):
     a1 = sp.tau_h(sp.random_eh(n, math.sqrt(2.0), rng)).A
     aprime = sp.tau_h(sp.random_eh(n, math.sqrt(2.0), rng)).A
     t_scale = qz._t_apply_scale(n, l) * qz.vol_pnh(n)
-    tilde_scale = (qz.vol_pnh(n) * vol_sphere(4 * n + 2) * math.sqrt(abs(qz.B_S_CONST))
-                   * 2.0 ** -0.5 * gamma_radial(2 * l + 4 * n + 1.5, 2.0 * math.pi))
+    tilde_scale = _tilde_scale(n, l)
     orth_rng = copy.deepcopy(rng)
     orth_a = [sp.tau_h(sp.random_eh(n, math.sqrt(2.0), orth_rng)).A for _ in range(2)]
     # the linear part of the kernel-bound test function: two terms, complex coefficients
@@ -450,6 +483,161 @@ def test_blocked_oracles_keep_the_complex_route_draws(rng):
         assert got.samples == ref.samples == 70_536
         assert abs(got.value - ref.value) <= 1e-12 * abs(ref.value)
         assert abs(got.stderr - ref.stderr) <= 1e-12 * ref.stderr
+
+
+def _tilde_scale(n, l):
+    return (qz.vol_pnh(n) * vol_sphere(4 * n + 2) * math.sqrt(abs(qz.B_S_CONST))
+            * 2.0 ** -0.5 * gamma_radial(2 * l + 4 * n + 1.5, 2.0 * math.pi))
+
+
+def _joint_operator_mc(phi, pprime, dirs_of, cfg, flow_t=None):
+    """The joint (p, q) estimator of T or T~: a sphere point p and a unit
+    fiber point z a row, phi(p) (e^(-2it) <P(p), beta(rho(z))>)^l, unscaled."""
+    m = phi.n + 1
+
+    def batch(rng, size):
+        pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
+        pair = _complex_pairing(pts, _complex_fiber_points(pprime, dirs_of, rng, size))
+        if flow_t is not None:
+            pair = np.exp(-2j * flow_t) * pair
+        return _matrix_route_phi(phi, pts) * pair ** phi.l
+
+    return mc_mean(batch, cfg)
+
+
+def _joint_kernel_mc(c0, a1, c1, aprime, n, cfg):
+    """The joint estimator of kernel_reproduce_check: a sphere point p, a base
+    point and its horizontal covector a row, with conj<P(p), A-hat> <P(p), A'>
+    evaluated at p."""
+    m = n + 1
+
+    def batch(rng, size):
+        pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
+        base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
+        z = _complex_fiber_points(base, sp.sp1_orbit_frame, rng, size)
+        core = np.conj(_complex_pairing(pts, z)) * spl.pair_projector_amatrix(pts, aprime)
+        fquad = c1 * spl.pair_projector_amatrix(z, a1)
+        return _kernel_row(n, c0, fquad, core)
+
+    return mc_mean(batch, cfg).scaled(qz.vol_pnh(n) ** 2 * vol_sphere(4 * n - 1))
+
+
+def _spread(est):
+    """The per-sample standard deviation behind an estimate."""
+    return est.stderr * math.sqrt(est.samples)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_conditioned_oracles_agree_with_the_joint_estimator(n):
+    # Integrating the sphere point exactly given the fiber point changes the
+    # estimator, not its mean: T, T with the flow, T~ and the kernel check
+    # agree within 3 sigma with the joint (p, q) estimator written out above,
+    # and at n = l = 1 the conditioned per-sample spread is at most half the
+    # joint one.
+    rng = np.random.default_rng(2200 + n)
+    cfg = MCConfig(samples=32_768, seed=2210 + n)
+    joint_cfg = MCConfig(samples=32_768, seed=2220 + n)
+    pprime = sp.random_es0(n, 1.0, rng).p
+    for l in (0, 1, 2):
+        phi = spl.random_hl_function(n, l, 2, rng)
+        t_scale = qz._t_apply_scale(n, l) * qz.vol_pnh(n)
+        flow_phase = np.exp(-1j * 0.7 * (2 * n + 1))
+        cases = [
+            (qz.t_apply_eigenfunction(phi, pprime, cfg),
+             _joint_operator_mc(phi, pprime, sp.sp1_orbit_frame, joint_cfg).scaled(t_scale)),
+            (qz.t_apply_eigenfunction(phi, pprime, cfg, flow_t=0.7),
+             _joint_operator_mc(phi, pprime, sp.sp1_orbit_frame, joint_cfg, 0.7)
+             .scaled(t_scale * flow_phase)),
+            (qz.t_tilde_apply_eigenfunction(phi, pprime, cfg),
+             _joint_operator_mc(phi, pprime, lambda p: p[None], joint_cfg)
+             .scaled(_tilde_scale(n, l))),
+        ]
+        for got, joint in cases:
+            assert abs(got.value - joint.value) <= (3.0 * math.hypot(got.stderr, joint.stderr)
+                                                   + 1e-12 * abs(joint.value))
+            if n == l == 1:
+                assert _spread(got) <= 0.5 * _spread(joint)
+    a1 = sp.tau_h(sp.random_eh(n, math.sqrt(2.0), rng)).A
+    aprime = sp.tau_h(sp.random_eh(n, math.sqrt(2.0), rng)).A
+    _, got = qz.kernel_reproduce_check(0.7, [a1], [0.4 - 0.3j], aprime, n, cfg)
+    joint = _joint_kernel_mc(0.7, a1, 0.4 - 0.3j, aprime, n, joint_cfg)
+    assert abs(got.value - joint.value) <= 3.0 * math.hypot(got.stderr, joint.stderr)
+    if n == 1:
+        assert _spread(got) <= 0.5 * _spread(joint)
+
+
+def test_conditioned_oracles_stop_at_their_budget():
+    # The inputs of the fiber benchmark at n = l = 1: phi = c <., A_1> with
+    # A_1 = tau_h(alpha(p', q)), the kernel test function built on (p', -q).
+    # Each conditioned oracle meets its target at its budget; the joint
+    # estimators, with 2-4x the per-sample variance, would extend.
+    rng = np.random.default_rng([11, 1])
+    pt = sp.random_es0(1, 1.0, rng)
+    pprime = np.array(pt.p)
+    a_fwd = sp.tau_h(sp.alpha(pt)).A
+    a_bwd = sp.tau_h(sp.alpha(sp.SphereCovector(pt.p, -pt.q))).A
+    phase = complex(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+    phi = spl.HlFunction(n=1, l=1, amats=(a_fwd,), coeffs=(phase,))
+    cases = [
+        (lambda cfg: qz.t_apply_eigenfunction(phi, pprime, cfg), 65_536, 0.0063),
+        (lambda cfg: qz.t_tilde_apply_eigenfunction(phi, pprime, cfg), 131_072, 0.0059),
+        (lambda cfg: qz.kernel_reproduce_check(0.7, [a_bwd], [0.4 - 0.3j], a_fwd, 1, cfg)[1],
+         65_536, 0.0082),
+    ]
+    for k, (call, budget, target) in enumerate(cases):
+        est = call(MCConfig(samples=budget, seed=2300 + k, target_rel_stderr=target))
+        assert est.samples == budget
+        assert est.stderr <= target * abs(est.value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_b_coeff_mc_mean_at_one_fiber_point_is_the_closed_form(n, rng):
+    # The sphere mean of |<P(p), A-hat>|^(2l) is the same at every unit
+    # horizontal fiber point, so at one of them b_coeff_mc's scale times
+    # sphere_moment(conj M-hat, M-hat, l, l) is b_l, with no Monte Carlo.
+    pt = sp.random_es0(n, 1.0, rng)
+    mhat = _complex_hat_forms((pt.p + 1j * pt.q)[None])[0]
+    for l in range(9):
+        got = qz._b_coeff_mc_scale(n, l) * sphere_moment(np.conj(mhat), mhat, l, l)
+        assert abs(got - qz.b_coeff(n, l)) <= 1e-12 * qz.b_coeff(n, l)
+
+
+def _random_sp(m, rng):
+    """A random element of Sp(m): quaternionic Gram-Schmidt of the columns of
+    a normal (m, m) quaternion matrix, so that g* g = 1."""
+    g = rng.standard_normal((m, m, 4))
+    for j in range(m):
+        for i in range(j):
+            coef = alg.qmul(alg.qconj(g[:, i]), g[:, j]).sum(axis=0)
+            g[:, j] -= alg.qmul(g[:, i], coef)
+        g[:, j] /= np.sqrt((g[:, j] ** 2).sum())
+    return g
+
+
+def _left_act(g, p):
+    """(g p)_i = sum_j g_ij p_j for quaternion vectors p (..., m, 4)."""
+    return alg.qmul(g, p[..., None, :, :]).sum(axis=-2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_b_integrand_is_sp_invariant(n, rng):
+    # the premise of b_coeff_mc's fixed base point: g in Sp(n+1) acting on
+    # the sphere point p, the base x and its horizontal covector q leaves
+    # |<P(p), beta(rho(x + i q))>|^(2l) unchanged and q horizontal at x
+    m, size = n + 1, 64
+    g = _random_sp(m, rng)
+    gram = alg.qmul(alg.qconj(g[:, :, None]), g[:, None, :]).sum(axis=0)
+    assert np.abs(gram - np.eye(m)[:, :, None] * np.array([1.0, 0, 0, 0])).max() <= 1e-14
+    pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
+    fiber = [sp.random_es0(n, 1.0, rng) for _ in range(size)]
+    x = np.stack([pt.p for pt in fiber])
+    q = np.stack([pt.q for pt in fiber])
+    gx, gq = _left_act(g, x), _left_act(g, q)
+    assert np.abs(alg.hinner(gq, gx)).max() <= 1e-14
+    before = np.abs(_complex_pairing(pts, x + 1j * q))
+    after = np.abs(_complex_pairing(_left_act(g, pts), gx + 1j * gq))
+    for l in (1, 2, 3):
+        assert np.abs(after ** (2 * l) - before ** (2 * l)).max() <= 1e-12 * before.max() ** (2 * l)
 
 
 def test_operator_identity_t(rng):
