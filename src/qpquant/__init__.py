@@ -1,6 +1,6 @@
 """Numerical geometric quantization on quaternion projective spaces.
 
-A numpy/scipy library that implements the model spaces of the punctured
+A numpy library that implements the model spaces of the punctured
 cotangent bundle of the quaternion projective space, the maps between
 them, the Kaehler/symplectic structures with their pairing constants, the
 spectral data of the Laplacian, the quantization operators with their

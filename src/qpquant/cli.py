@@ -122,9 +122,12 @@ class SuiteConfig:
     tol_scale: float = 1.0
 
     def __post_init__(self):
-        _require(lmax=(self.lmax, self.lmax >= 0, ">= 0"),
+        _require(n=(self.n, self.n >= 1, ">= 1"),
+                 lmax=(self.lmax, self.lmax >= 0, ">= 0"),
                  samples=(self.samples, self.samples > 0, "positive"),
-                 seed=(self.seed, self.seed >= 0, ">= 0"))
+                 seed=(self.seed, self.seed >= 0, ">= 0"),
+                 tol_scale=(self.tol_scale, math.isfinite(self.tol_scale) and self.tol_scale > 0,
+                            "finite and > 0"))
 
     def rng(self, salt):
         return np.random.default_rng(self.seed + salt)
@@ -539,6 +542,7 @@ def main(argv=None):
                 raise ValueError(f"{args.command} runs --suite {ALIASES[args.command]}; "
                                  "it takes no --suite")
             suite = ALIASES.get(args.command, args.suite or "all")
+            _require(workers=(args.workers, args.workers >= 1, ">= 1"))
             cfg = SuiteConfig(**{f.name: getattr(args, f.name) for f in fields(SuiteConfig)})
             report = run_suite(suite, cfg, workers=args.workers)
             _emit(report.to_json() if args.format == "json" else report.to_csv(),

@@ -21,6 +21,7 @@ import numpy as np
 
 from .algebra import fro_norm
 from .numerics import (
+    _de_quad,
     _mc_blocks,
     gamma_radial,
     log_gamma,
@@ -255,7 +256,7 @@ def a_coeff_semianalytic(n, l):
 
 
 def a_coeff_quadrature(n, l):
-    """a_l with the radial factor done by adaptive quadrature, as an oracle."""
+    """a_l with the radial factor by :func:`numerics.radial_quad`, as an oracle."""
     val, _ = radial_quad(2 * math.pi, 2 * l + 4 * n, 1e-12)
     return (2.0 * math.sqrt(2.0)) ** 0.5 * val * vol_sphere(4 * n - 1) * vol_pnh(n) \
         * math.sqrt(abs(B_H_CONST)) / dim_eigenspace(n, l)
@@ -277,20 +278,21 @@ def c_coeff(n, l):
 
 
 def c_coeff_quadrature(n, l):
-    """c_l via adaptive quadrature of the cotangent-fiber integral.
+    """c_l via quadrature of the cotangent-fiber integral.
 
     Radius x polar-angle reduction of the R^(4n+3) integral of
     (|x|^2 - r3^2)^l e^(-2 pi |x|) (2|x|)^(-1/2).  The integrand separates,
     r^(2l+4n+2) e^(-2 pi r) (2r)^(-1/2) times sin(phi)^(2l+4n-1) cos(phi)^2,
-    so each factor is one 1-D adaptive quadrature.
+    so each factor is one 1-D double-exponential quadrature
+    (:func:`numerics._de_quad`, exp-sinh and tanh-sinh): the step halves until
+    two successive levels agree to 1e-11 relative.  The rule uses no Gamma
+    function, so the oracle stays independent of the closed form.
     """
     tol = 1e-11
     radial, _ = radial_quad(2 * math.pi, 2 * l + 4 * n + 1.5, tol)
     radial /= math.sqrt(2.0)
-    from scipy import integrate
-    angular, _ = integrate.quad(
-        lambda phi: math.sin(phi) ** (2 * l + 4 * n - 1) * math.cos(phi) ** 2,
-        0.0, math.pi / 2.0, epsabs=0.0, epsrel=tol, limit=200)
+    k = 2 * l + 4 * n - 1
+    angular, _ = _de_quad(lambda phi: np.sin(phi) ** k * np.cos(phi) ** 2, 0.0, math.pi / 2.0, tol)
     lfactor = radial * angular * vol_sphere(2) * vol_sphere(4 * n - 1) * math.sqrt(abs(B_S_CONST))
     return lfactor * vol_pnh(n) / dim_eigenspace(n, l)
 

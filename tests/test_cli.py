@@ -36,18 +36,38 @@ def run_python(code):
 
 
 def test_import_loads_no_scipy():
-    # scipy serves only the quadrature oracles, which import scipy.integrate on first use
     res = run_python("import sys, qpquant.cli; "
                      "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
     assert res.returncode == 0 and res.stdout.strip() == "[]", res.stderr
 
 
-def test_first_quadrature_call_imports_scipy_integrate():
-    res = run_python("import sys; from qpquant import quantization as qz; "
-                     "before = 'scipy.integrate' in sys.modules; "
-                     "err = abs(qz.a_coeff_quadrature(1, 2) / qz.a_coeff(1, 2) - 1); "
-                     "print(before, 'scipy.integrate' in sys.modules, err <= 1e-8)")
-    assert res.returncode == 0 and res.stdout.split() == ["False", "True", "True"], res.stderr
+def test_quadrature_oracles_load_no_scipy():
+    # the oracles and a whole constants command run on numpy alone
+    res = run_python(
+        "import io, math, sys, contextlib\n"
+        "from qpquant import cli, numerics as num, quantization as qz\n"
+        "errs = [abs(qz.a_coeff_quadrature(2, 3) / qz.a_coeff(2, 3) - 1),\n"
+        "        abs(qz.c_coeff_quadrature(2, 3) / qz.c_coeff(2, 3) - 1),\n"
+        "        abs(num.radial_quad(2 * math.pi, 9.5, 1e-12)[0]\n"
+        "            / num.gamma_radial(9.5, 2 * math.pi) - 1)]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['constants', '--n', '2', '--l-range', '0..3'])\n"
+        "print(code, max(errs) <= 1e-8,\n"
+        "      sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    assert res.returncode == 0 and res.stdout.split() == ["0", "True", "[]"], res.stderr
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_constants_table_raises_no_warning(n):
+    # -W error turns any float warning of the quadrature oracles into a failure,
+    # outside pytest's own filterwarnings too
+    res = subprocess.run([sys.executable, "-W", "error", "-m", "qpquant.cli", "constants",
+                          "--n", str(n), "--l-range", "0..78", "--format", "json"],
+                         capture_output=True, text=True, env=subprocess_env())
+    assert res.returncode == 0, res.stderr
+    rows = json.loads(res.stdout)
+    assert [row["l"] for row in rows] == list(range(79))
+    assert all(row["oracle_matched"] for row in rows)
 
 
 def test_spectral_suite_dims_and_schema():
@@ -89,13 +109,25 @@ def test_exit_codes():
     assert "configuration error: QPQUANT_SEED='abc' is not a valid int" in bad_env.stderr
 
 
-@pytest.mark.parametrize("cmd, lmax", [(["verify", "--suite", "spectral"], "-1"),
-                                       (["kernel"], "-3")])
-def test_lmax_below_zero_is_a_configuration_error(cmd, lmax):
-    res = run_cli([*cmd, "--lmax", lmax])
+# cmd ends in the option under test; its field, rule and a valid value
+CONFIG_RULES = {"--lmax": ("lmax", ">= 0", "0"), "--n": ("n", ">= 1", "1"),
+                "--tol-scale": ("tol_scale", "finite and > 0", "1"),
+                "--workers": ("workers", ">= 1", "1")}
+
+
+@pytest.mark.parametrize("cmd, value", [(["verify", "--suite", "spectral", "--lmax"], "-1"),
+                                        (["kernel", "--lmax"], "-3"),
+                                        (["verify", "--suite", "geometry", "--n"], "0"),
+                                        (["verify", "--suite", "spectral", "--n"], "-1"),
+                                        (["verify", "--suite", "spectral", "--tol-scale"], "-1"),
+                                        (["verify", "--suite", "spectral", "--tol-scale"], "nan"),
+                                        (["verify", "--suite", "algebra", "--workers"], "-3")])
+def test_lmax_below_zero_is_a_configuration_error(cmd, value):
+    field, rule, valid = CONFIG_RULES[cmd[-1]]
+    res = run_cli([*cmd, value])
     assert res.returncode == 2 and res.stdout == ""
-    assert f"configuration error: lmax must be >= 0, got {lmax}" in res.stderr
-    assert run_cli([*cmd, "--lmax", "0"]).returncode == 0
+    assert f"configuration error: {field} must be {rule}, got {value}" in res.stderr
+    assert run_cli([*cmd, valid]).returncode == 0
 
 
 @pytest.mark.parametrize("n", [3, 4])

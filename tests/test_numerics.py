@@ -212,16 +212,53 @@ def test_vol_sphere_values():
     assert abs(num.vol_sphere(7) - math.pi ** 4 / 3) < 1e-13
 
 
+# every radial power of the constants table: 2l+4n (a_l) and 2l+4n+1.5 (c_l),
+# n = 1..4, l = 0..78
+TABLE_POWERS = sorted({2 * l + 4 * n + s for n in range(1, 5) for l in range(79) for s in (0, 1.5)})
+
+
 def test_radial_quad_matches_gamma_integral():
-    val, err = num.radial_quad(2 * math.pi, 4, 1e-11)
-    exact = num.gamma_radial(4, 2 * math.pi)
-    assert abs(val - exact) <= max(err, 1e-12 * exact)
-    # r^150 alone leaves the double range; the weight is one exponential
-    val, _ = num.radial_quad(2 * math.pi, 150, 1e-12)
-    exact = num.gamma_radial(150, 2 * math.pi)
-    assert abs(val - exact) <= 1e-12 * exact
-    with pytest.raises(ValueError):
-        num.radial_quad(0.0, 4, 1e-11)
+    # against mpmath at 50 digits, at the oracles' decay rate 2 pi and at 4 pi.
+    # r^150 alone leaves the double range; the weight is one exponential.  The
+    # returned level is the finer of two that agree to tol, and the error of
+    # the rule about squares with each halving, so tol = 1e-6 leaves rounding
+    # alone as well; the returned error bounds the actual one.  A caller's
+    # strictest float settings raise nothing: underflow to 0 is ignored inside
+    with mp.workdps(50), np.errstate(all="raise"):
+        for c in (2 * math.pi, 4 * math.pi):
+            for power in TABLE_POWERS:
+                exact = mp.gamma(mp.mpf(power) + 1) / mp.mpf(c) ** (power + 1)
+                for tol in (1e-12, 1e-6):
+                    val, err = num.radial_quad(c, power, tol)
+                    actual = abs(mp.mpf(val) - exact)
+                    assert actual <= 1e-12 * exact, (c, power, tol)
+                    assert actual <= err <= (tol + 1e-12) * val, (c, power, tol)
+
+
+def test_de_quad_angular_factor_matches_beta():
+    # c_l's angular factor, integral_0^(pi/2) sin^k cos^2 = B((k+1)/2, 3/2)/2,
+    # for every exponent k = 2l+4n-1 of the table, at c_coeff_quadrature's tol
+    with mp.workdps(50), np.errstate(all="raise"):
+        for k in sorted({2 * l + 4 * n - 1 for n in range(1, 5) for l in range(79)}):
+            val, _ = num._de_quad(lambda phi: np.sin(phi) ** k * np.cos(phi) ** 2,
+                                  0.0, math.pi / 2, 1e-11)
+            exact = mp.beta(mp.mpf(k + 1) / 2, mp.mpf(1.5)) / 2
+            assert abs(mp.mpf(val) - exact) <= 1e-12 * exact, k
+
+
+def test_radial_quad_refusals():
+    for c in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="c must be positive"):
+            num.radial_quad(c, 4, 1e-11)
+    with pytest.raises(ValueError, match="power must be >= 0"):
+        num.radial_quad(2 * math.pi, -0.5, 1e-11)
+    # the peak 204 log 204 - 204 = 880.9 leaves the float range (e^709.8)
+    with pytest.raises(ValueError, match=r"peaks at e\^880.*float range: power=204, c=1.0"):
+        num.radial_quad(1.0, 204, 1e-12)
+    # at power 1e8 the peak, of relative width 1e-4, falls between the nodes of
+    # the finest level: each level only halves the one at the peak's centre
+    with pytest.raises(ValueError, match="did not converge to tol=1e-12"):
+        num.radial_quad(1e8 / math.e, 1e8, 1e-12)
 
 
 def test_quadrature_convergence_under_tightening():
