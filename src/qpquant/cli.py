@@ -22,6 +22,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
+from functools import cache
 
 import numpy as np
 
@@ -442,14 +443,25 @@ def run_suite(name, cfg, workers=1):
 
 # --------------------------------------------------------------- interface
 
-def _env(name, cast, default):
-    raw = os.environ.get(f"QPQUANT_{name}")
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValueError(f"QPQUANT_{name}={raw!r} is not a valid {cast.__name__}") from None
+FORMATS = ("json", "csv")
+# option -> type and built-in default; QPQUANT_<OPTION> sets it when no flag does
+ENV_OPTIONS = {"n": (int, SuiteConfig.n), "samples": (int, SuiteConfig.samples),
+               "seed": (int, SuiteConfig.seed), "tol_scale": (float, SuiteConfig.tol_scale),
+               "format": (str, FORMATS[0]), "out": (str, None)}
+
+
+def _fill_from_env(args):
+    """Set each option of the command that no flag set from its QPQUANT_*
+    variable, read on every call, else its default, checked as the flag is."""
+    for dest, (cast, default) in ENV_OPTIONS.items():
+        if getattr(args, dest, 0) is None:
+            raw = os.environ.get(name := f"QPQUANT_{dest.upper()}")
+            try:
+                setattr(args, dest, default if raw is None else cast(raw))
+            except ValueError:
+                raise ValueError(f"{name}={raw!r} is not a valid {cast.__name__}") from None
+    if getattr(args, "format", FORMATS[0]) not in FORMATS:
+        raise ValueError(f"QPQUANT_FORMAT={args.format!r} is not one of {', '.join(FORMATS)}")
 
 
 def _parse_l_range(text):
@@ -464,22 +476,24 @@ ALIASES = {"verify-geometry": "geometry", "verify-spectral": "spectral",
            "verify-quantization": "quantization"}
 
 
+@cache
 def build_parser():
+    """The parser, built once per process.  The options of ENV_OPTIONS default
+    to None in it; main fills them from the environment on every call."""
     parser = argparse.ArgumentParser(prog="qpquant",
                                      description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    cfg = SuiteConfig()
 
     flags = {
-        "--n": dict(type=int, default=_env("N", int, cfg.n)),
-        "--lmax": dict(type=int, default=cfg.lmax),
-        "--l-range": dict(type=_parse_l_range, default=cfg.l_range, metavar="A..B"),
-        "--samples": dict(type=int, default=_env("SAMPLES", int, cfg.samples)),
-        "--seed": dict(type=int, default=_env("SEED", int, cfg.seed)),
-        "--tol-scale": dict(type=float, default=_env("TOL_SCALE", float, cfg.tol_scale)),
-        "--format": dict(choices=("json", "csv"), default=_env("FORMAT", str, "json")),
-        "--out": dict(default=_env("OUT", str, None)),
+        "--n": dict(type=int),
+        "--lmax": dict(type=int, default=SuiteConfig.lmax),
+        "--l-range": dict(type=_parse_l_range, default=SuiteConfig.l_range, metavar="A..B"),
+        "--samples": dict(type=int),
+        "--seed": dict(type=int),
+        "--tol-scale": dict(type=float),
+        "--format": dict(choices=FORMATS),
+        "--out": dict(),
         "--workers": dict(type=int, default=1,
                           help="parallel suites for 'all' (results identical)"),
     }
@@ -537,6 +551,7 @@ def _kernel_payload(args):
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        _fill_from_env(args)
         if args.command in ("verify", *ALIASES):
             if args.command in ALIASES and args.suite is not None:
                 raise ValueError(f"{args.command} runs --suite {ALIASES[args.command]}; "

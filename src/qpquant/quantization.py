@@ -31,8 +31,9 @@ from .numerics import (
     vol_pnh,
     vol_sphere,
 )
-from .spaces import _orbit_frame_matrix, _orbit_frames, _project_out, _tau_h_core, random_eh
-from .spectral import (HlFunction, _pair_projector_fiber, dim_eigenspace, eigenvalue,
+from .spaces import (EQ_TOL, _first_failure, _orbit_frames, _project_out, _require, _tau_h_core,
+                     random_eh)
+from .spectral import (HlFunction, _pair_projector_fiber, _quad_forms, dim_eigenspace, eigenvalue,
                        quad_form_matrix)
 
 __all__ = [
@@ -247,19 +248,22 @@ def a_coeff(n, l):
     return math.exp(log_a_coeff(n, l))
 
 
+def _fg_fiber_weight(n, radial):
+    """The mixed-pairing weight integrated over a cotangent fiber against an
+    integrand of sphere mean 1 and radial factor ``radial``:
+    vol(S^(4n-1)) 2^(3/4) sqrt|b_H| radial, 2^(3/4) = |A|^(1/2) at |q| = 1."""
+    return vol_sphere(4 * n - 1) * 2.0 ** 0.75 * math.sqrt(abs(B_H_CONST)) * radial
+
+
 def a_coeff_semianalytic(n, l):
     """a_l from the diagonal fiber integral: Gamma factor x volumes / dim."""
-    logv = (0.75 * LOG2 + log_gamma_radial(2 * l + 4 * n, 2 * math.pi)
-            + math.log(vol_sphere(4 * n - 1)) + math.log(vol_pnh(n))
-            + 0.5 * math.log(abs(B_H_CONST)) - math.log(dim_eigenspace(n, l)))
-    return math.exp(logv)
+    return _t_apply_scale(n, l) * vol_pnh(n) / dim_eigenspace(n, l)
 
 
 def a_coeff_quadrature(n, l):
     """a_l with the radial factor by :func:`numerics.radial_quad`, as an oracle."""
     val, _ = radial_quad(2 * math.pi, 2 * l + 4 * n, 1e-12)
-    return (2.0 * math.sqrt(2.0)) ** 0.5 * val * vol_sphere(4 * n - 1) * vol_pnh(n) \
-        * math.sqrt(abs(B_H_CONST)) / dim_eigenspace(n, l)
+    return _fg_fiber_weight(n, val) * vol_pnh(n) / dim_eigenspace(n, l)
 
 
 def log_c_coeff(n, l):
@@ -356,74 +360,57 @@ def t_norm_limit(n):
 
 def _t_apply_scale(n, degree):
     """Angular-MC scale for the mixed-weight fiber integral at homogeneity 2*degree."""
-    return (vol_sphere(4 * n - 1) * 2.0 ** 0.75 * math.sqrt(abs(B_H_CONST))
-            * gamma_radial(2 * degree + 4 * n, 2 * math.pi))
-
-
-def _fiber_factor(x, y):
-    """W (N, 4m, 4) with W W^t = M-hat(z) at fiber points z = x + i y, x one
-    real point (4m,) or (N, 4m), y real (N, 4m): column k is E_k z, E_k the
-    k-th block of the orbit-frame matrix, so p^t M-hat(z) p =
-    sum_k ((p e_k).z)^2 = <P(p), beta(rho(z))>_C."""
-    d = y.shape[-1]
-    frame = _orbit_frame_matrix(d // 4).reshape(4 * d, d).T
-    return (x @ frame + 1j * (y @ frame)).reshape(len(y), d, 4)
+    return _fg_fiber_weight(n, gamma_radial(2 * degree + 4 * n, 2 * math.pi))
 
 
 def _moment_form(forms, coeffs):
     """K (4m, 4m) with z^t K z = sum_j c_j sphere_moment(M_j, M-hat(z), 1, 1)
-    for every z: the moment is linear in its second form, and M-hat(z) =
-    sum_ab z_a z_b S_ab with S_ab = sum_k (E_k e_a)(E_k e_b)^t, so K_ab is the
+    for every z, as the real stack (Re K, Im K) that :func:`spectral._quad_forms`
+    takes: the moment is linear in its second form, and M-hat(z) =
+    sum_ab z_a z_b S_ab with S_ab = sum_k (e_a e_k)(e_b e_k)^t, so K_ab is the
     moment taken at S_ab, symmetrised."""
     d = forms.shape[-1]
-    e = _orbit_frame_matrix(d // 4).reshape(d, 4, d)
+    e = _orbit_frames(np.eye(d))
     s = np.einsum("ika,jkb->abij", e, e)
     s = 0.5 * (s + np.swapaxes(s, 0, 1))
-    return (np.asarray(coeffs) @ sphere_moment(forms[:, None], s.reshape(d * d, d, d), 1, 1)
-            ).reshape(d, d)
+    k = (np.asarray(coeffs) @ sphere_moment(forms[:, None], s.reshape(d * d, d, d), 1, 1)
+         ).reshape(d, d)
+    return np.stack([k.real, k.imag])
 
 
-def _fiber_quad(x, y, k):
-    """z^t K z at fiber points z = x + i y for one complex symmetric K
-    (4m, 4m), x one real point (4m,) or (N, 4m), y real (N, 4m), from real
-    products alone."""
-    d = k.shape[-1]
-    parts = np.concatenate([k.real, k.imag], axis=1)
-    kx, ky = x @ parts, y @ parts
-
-    def dot(u, v):
-        return (np.einsum("...j,...j->...", u[..., :d], v)
-                + 1j * np.einsum("...j,...j->...", u[..., d:], v))
-
-    return dot(kx, x) - dot(ky, y) + 2j * dot(ky, x)
+def _base_point(phi, p_prime):
+    """p_prime as a flat unit vector (4n+4,), n = phi.n; a ValueError names a
+    shape other than (n+1, 4) or (4n+4,), or the residual of (p,p)_E = 1."""
+    x = np.asarray(p_prime, dtype=float)
+    if x.shape not in ((phi.n + 1, 4), (4 * phi.n + 4,)):
+        raise ValueError(f"base point must have shape ({phi.n + 1}, 4) or ({4 * phi.n + 4},) "
+                         f"at n = {phi.n}, got {x.shape}")
+    resid = abs(np.vdot(x, x) - 1.0)
+    _require(_first_failure([("(p,p)_E = 1", resid, resid <= EQ_TOL)]), "base point")
+    return x.ravel()
 
 
-def _fiber_apply(phi, x, frame, config, rotation=1.0):
-    """Unscaled MC of phi(p) (rotation <P(p), A-hat>)^l over sphere points p
-    and unit fiber points z = x + i q at the fixed base point x (4m,), q
-    orthogonal to the rows of ``frame``, conditioned on z.
+def _fiber_apply(phi, x, frame, config):
+    """Unscaled MC of phi(p) <P(p), A-hat>^l over sphere points p and unit
+    fiber points z = x + i q at the fixed base point x (4m,), q orthogonal to
+    the rows of ``frame``, conditioned on z.
 
     Given z the mean over p is exact, sum_j c_j sphere_moment(M_j, M-hat(z),
     l, l), M_j the forms of phi and p^t M-hat(z) p the pairing, so a row
-    draws q alone.  At l = 1 it is z^t K z, K built once per call.
+    draws q alone.  At l = 1 it is z^t K z, K built once per call; above,
+    M-hat(z) = W W^t with column k of W the orbit frame z e_k.
     """
-    m, l = phi.n + 1, phi.l
-    if l == 1:
-        kform = _moment_form(phi._forms, phi.coeffs)
-
-        def sphere_mean(y):
-            return _fiber_quad(x, y, kform)
-    else:
-        coeffs = np.asarray(phi.coeffs)
-
-        def sphere_mean(y):
-            return coeffs @ sphere_moment(phi._forms[:, None], _fiber_factor(x, y), l, l,
-                                          factor=True)
+    l, coeffs, xframe = phi.l, np.asarray(phi.coeffs), _orbit_frames(x[None])
+    kform = _moment_form(phi._forms, coeffs) if l == 1 else None
 
     def integrand(g):
-        return rotation ** l * sphere_mean(_unit_covectors(frame, g))
+        y = _unit_covectors(frame, g)
+        if l == 1:
+            return _quad_forms(kform, x, y)[:, 0]
+        w = np.swapaxes(xframe + 1j * _orbit_frames(y), -1, -2)
+        return coeffs @ sphere_moment(phi._forms[:, None], w, l, l, factor=True)
 
-    return _mc_blocks(integrand, config, (), 4 * m)
+    return _mc_blocks(integrand, config, (), x.size)
 
 
 def t_apply_eigenfunction(phi, p_prime, config, flow_t=None):
@@ -431,25 +418,25 @@ def t_apply_eigenfunction(phi, p_prime, config, flow_t=None):
 
     Evaluates the double integral (base x fiber) as MC over the unit fiber
     points, with the sphere integral (:func:`_fiber_apply`) and the radial
-    direction exact.  With ``flow_t`` the integrand is composed
-    with the classical flow A -> e^(-2it) A, which multiplies the pairing
-    by e^(-2it), and the half-density phase e^(-it(2n+1)) is attached.
+    direction exact.  With ``flow_t`` the integrand is composed with the
+    classical flow A -> e^(-2it) A, which multiplies the pairing's l-th power
+    by the constant e^(-2itl), and the half-density phase e^(-it(2n+1)) is
+    attached.  p_prime is a unit vector, (n+1, 4) or flat.
     """
-    n = phi.n
-    x = np.asarray(p_prime, dtype=float).ravel()
-    rotation, phase = 1.0, 1.0 + 0.0j
-    if flow_t is not None:
-        rotation = np.exp(-2j * flow_t)
-        phase = np.exp(-1j * flow_t * (2 * n + 1))
-    est = _fiber_apply(phi, x, _orbit_frames(x[None])[0], config, rotation)
-    return est.scaled(_t_apply_scale(n, phi.l) * vol_pnh(n) * phase)
+    n, l = phi.n, phi.l
+    x = _base_point(phi, p_prime)
+    phase = (1.0 if flow_t is None
+             else np.exp(-2j * flow_t) ** l * np.exp(-1j * flow_t * (2 * n + 1)))
+    est = _fiber_apply(phi, x, _orbit_frames(x[None])[0], config)
+    return est.scaled(_t_apply_scale(n, l) * vol_pnh(n) * phase)
 
 
 def t_tilde_apply_eigenfunction(phi, p_prime, config):
     """The sphere-descended operator applied to the eigenspace embedding: the
-    fiber covectors q range over the whole sphere orthogonal to p_prime."""
+    fiber covectors q range over the whole sphere orthogonal to p_prime, a
+    unit vector (n+1, 4) or flat."""
     n, l = phi.n, phi.l
-    x = np.asarray(p_prime, dtype=float).ravel()
+    x = _base_point(phi, p_prime)
     scale = (vol_pnh(n) * vol_sphere(4 * n + 2) * math.sqrt(abs(B_S_CONST))
              * 2.0 ** -0.5 * gamma_radial(2 * l + 4 * n + 1.5, 2 * math.pi))
     return _fiber_apply(phi, x, x[None], config).scaled(scale)
@@ -523,8 +510,8 @@ def pairing_gg_mc(fa, fb, config):
     m = n + 1
 
     def integrand(base, g):
-        z = (base + 1j * _unit_covectors(_orbit_frames(base), g)).reshape(-1, m, 4)
-        return fa.eval_sphere(z) * np.conj(fb.eval_sphere(z))
+        y = _unit_covectors(_orbit_frames(base), g)
+        return fa._eval(base, y) * np.conj(fb._eval(base, y))
 
     scale = math.exp(log_radial_gg(n, fa.l + fb.l)) * vol_pnh(n) * vol_sphere(4 * n - 1)
     return _mc_blocks(integrand, config, (4 * m - 1,), 4 * m).scaled(scale)
@@ -562,11 +549,11 @@ def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
 
     def integrand(base, g):
         y = _unit_covectors(_orbit_frames(base), g)
-        fquad = f1.eval_sphere((base + 1j * y).reshape(-1, m, 4))    # homogeneity-2 part of f
+        fquad = f1._eval(base, y)    # homogeneity-2 part of f
         # l = 0 term: (1/b_0) [ const part at homog 0 + linear part at homog 2 ]
         out = inv_b[0] * (fconst * radial[0] + fquad * radial[1])
         # l = 1 term: E_p conj<P, A-hat> <P, A'> against both parts of f
-        core = _fiber_quad(base, -y, kform)
+        core = _quad_forms(kform, base, -y)[:, 0]
         return out + inv_b[1] * (fconst * core * radial[1] + fquad * core * radial[2])
 
     est = _mc_blocks(integrand, config, (4 * m - 1,), 4 * m)

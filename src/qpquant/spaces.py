@@ -24,6 +24,7 @@ from functools import cache
 import numpy as np
 
 from .algebra import (
+    QTABLE,
     complexify,
     complexify_inv,
     fro_norm,
@@ -412,20 +413,15 @@ def tau_h_inv(pt):
 
 # ------------------------------------------------------------------ samplers
 
-# p e_k is a signed permutation of the coefficients of p: entry c of p e_k
-# is _FRAME_SIGN[k, c] * p[_FRAME_INDEX[k, c]]
-_FRAME_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
-_FRAME_SIGN = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, -1.0],
-                        [-1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0]])
-
-
 def sp1_orbit_frame(p):
     """p, p e1, p e2, p e3 stacked on a new leading axis, for p of shape (..., 4).
 
     For a unit p these are orthonormal and span the quaternionic line of p.
+    p e_k = sum_a p_a e_a e_k, one contraction with the product table, laid
+    out (k, c, ...) in memory: the sums over a frame that the fixed-seed
+    reports record are taken in that order.
     """
-    p = np.asarray(p)
-    return np.moveaxis(p[..., _FRAME_INDEX] * _FRAME_SIGN, -2, 0)
+    return np.moveaxis(np.einsum("...a,akc->kc...", p, QTABLE, order="C"), 1, -1)
 
 
 @cache
@@ -433,9 +429,7 @@ def _orbit_frame_matrix(m):
     """The orbit frame as one real (4m, 16m) matrix, the product that
     :func:`_orbit_frames` takes.  Built once per size and read-only."""
     frame = sp1_orbit_frame(np.eye(4 * m).reshape(4 * m, m, 4))
-    out = np.ascontiguousarray(np.moveaxis(frame, 0, 1).reshape(4 * m, 16 * m))
-    out.flags.writeable = False
-    return out
+    return _freeze(np.ascontiguousarray(np.moveaxis(frame, 0, 1).reshape(4 * m, 16 * m)))
 
 
 def _orbit_frames(p):

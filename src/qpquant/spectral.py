@@ -16,8 +16,7 @@ import numpy as np
 
 from .algebra import cbilinear, complexify, qconj, qmul
 from .numerics import sphere_uniform
-from .spaces import (AMatrix, _amatrix_failure, _orbit_frame_matrix, _orbit_frames, _require,
-                     _tau_h_core, random_eh)
+from .spaces import AMatrix, _amatrix_failure, _orbit_frames, _require, _tau_h_core, random_eh
 
 __all__ = [
     "HlFunction",
@@ -112,16 +111,29 @@ def _pair_projector_fiber(p, x, y):
 
     x is one real point (4m,) shared by every row, y real (N, 4m).
     beta(rho(z)) has the blocks rho(z_i theta(z_j)), so the pairing is
-    sum_a w_a^2 with w = <p, z>_H = sum_i theta(p_i) z_i in H (x) C, whose
-    components are w_k = (p e_k).z up to sign.  With F(p) the orbit frame of
-    p, u = F(p) x and v = F(p) y give sum_a w_a^2 = |u|^2 - |v|^2 + 2i u.v;
-    u is one product of p with F_x, the frame matrix applied to x.
+    sum_k w_k^2 with w = <p, z>_H = sum_i theta(p_i) z_i in H (x) C, whose
+    components are w_k = (p e_k).z = +-(z e_k).p.  With F the orbit frame,
+    u = F(x) p and v = F(y) p give sum_k w_k^2 = |u|^2 - |v|^2 + 2i u.v.
     """
     flat = np.reshape(p, y.shape)
-    u = flat @ (_orbit_frame_matrix(x.size // 4).reshape(x.size, 4, -1) @ x)
-    v = np.einsum("nkj,nj->nk", _orbit_frames(flat), y)
+    u = flat @ _orbit_frames(x[None])[0].T
+    v = np.einsum("nkj,nj->nk", _orbit_frames(y), flat)
     return (np.einsum("nk,nk->n", u, u) - np.einsum("nk,nk->n", v, v)
             + 2j * np.einsum("nk,nk->n", u, v))
+
+
+def _quad_forms(stack, x, y=None):
+    """z^t M_k z, (..., K), at z = x + i y for the complex symmetric forms
+    M_k = stack[k] + i stack[K + k], stack (2K, d, d) real: x real (..., d)
+    or one point (d,) for every row of y, y real (..., d) or None for z = x.
+    Each real form S gives z^t S z = x^t S x - y^t S y + 2i y^t S x."""
+    pairs = np.einsum("k...j,...j->...k", x @ stack, x)
+    if y is not None:
+        ys = y @ stack
+        pairs = (pairs - np.einsum("k...j,...j->...k", ys, y)
+                 + 2j * np.einsum("k...j,...j->...k", ys, x))
+    half = len(stack) // 2
+    return pairs[..., :half] + 1j * pairs[..., half:]
 
 
 def quad_form_matrix(a):
@@ -148,22 +160,13 @@ def harmonicity_certificate(a):
 
 
 def laplacian_fd(a, l, p):
-    """Finite-difference flat Laplacian of <P(p), A>^l at the point p, step 1e-4."""
-    h = 1e-4
-    a = np.asarray(a, dtype=complex)
-    p = np.asarray(p, dtype=float).ravel()
-    m = a.shape[0] // 2
-
-    def f(x):
-        return complex(pair_projector_amatrix(x.reshape(m, 4), a) ** l)
-
-    total = 0.0 + 0.0j
-    f0 = f(p)
-    for i in range(p.size):
-        e = np.zeros_like(p)
-        e[i] = h
-        total += f(p + e) + f(p - e) - 2.0 * f0
-    return total / h ** 2
+    """Finite-difference flat Laplacian of <P(p), A>^l at the point p, step 1e-4:
+    the second differences along every axis, all points paired in one call."""
+    h, p = 1e-4, np.asarray(p, dtype=float).ravel()
+    steps = h * np.eye(p.size)
+    pts = np.concatenate([p[None], p + steps, p - steps]).reshape(2 * p.size + 1, -1, 4)
+    f = pair_projector_amatrix(pts, np.asarray(a, dtype=complex)) ** l
+    return complex(np.sum(f[1:] - f[0]) / h ** 2)
 
 
 def sp1_invariance_residual(a, nsamples, rng):
@@ -199,7 +202,7 @@ class HlFunction:
         return np.stack([quad_form_matrix(a) for a in self.amats])
 
     @cached_property
-    def _real_forms(self):  # Re M_k then Im M_k, for real products with real points
+    def _real_forms(self):  # Re M_k then Im M_k, the stack _quad_forms takes
         return np.concatenate([self._forms.real, self._forms.imag])
 
     def eval_sphere(self, p):
@@ -210,12 +213,11 @@ class HlFunction:
         z^t M_k z = <beta(rho(z)), A_k>_C gives the extension at beta(rho(z)).
         """
         flat = np.reshape(p, np.shape(p)[:-2] + (-1,))
-        real = np.isrealobj(flat)  # real-by-complex matmul is slow: split the forms
-        pairs = np.einsum("k...j,...j->...k", flat @ (self._real_forms if real else self._forms),
-                          flat)
-        if real:
-            pairs = pairs[..., :len(self.amats)] + 1j * pairs[..., len(self.amats):]
-        return pairs ** self.l @ np.asarray(self.coeffs)
+        return self._eval(flat.real, flat.imag if np.iscomplexobj(flat) else None)
+
+    def _eval(self, x, y=None):
+        """eval_sphere at the fiber points x + i y from their real parts, flat (..., 4n+4)."""
+        return _quad_forms(self._real_forms, x, y) ** self.l @ np.asarray(self.coeffs)
 
     def eval_amatrix(self, a):
         """sum_k c_k <A, A_k>_C^l at one matrix A (2n+2, 2n+2) of the cotangent model."""

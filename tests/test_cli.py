@@ -107,6 +107,10 @@ def test_exit_codes():
     bad_env = run_cli(["verify", "--suite", "algebra"], env_extra={"QPQUANT_SEED": "abc"})
     assert bad_env.returncode == 2
     assert "configuration error: QPQUANT_SEED='abc' is not a valid int" in bad_env.stderr
+    # an environment default is checked against the flag's choices
+    bad_format = run_cli(["verify", "--suite", "algebra"], env_extra={"QPQUANT_FORMAT": "xml"})
+    assert bad_format.returncode == 2 and bad_format.stdout == ""
+    assert "configuration error: QPQUANT_FORMAT='xml' is not one of json, csv" in bad_format.stderr
 
 
 # cmd ends in the option under test; its field, rule and a valid value
@@ -179,6 +183,18 @@ def test_env_overrides_and_flag_precedence():
     res2 = run_cli(["verify", "--suite", "algebra", "--seed", "9"],
                    env_extra={"QPQUANT_SEED": "7"})
     assert json.loads(res2.stdout)["config"]["seed"] == 9
+
+
+def test_env_is_read_on_every_call(monkeypatch, capsys):
+    # the parser is built once per process; the QPQUANT_* variables are read
+    # by each main() call, and a flag still beats them
+    seeds = []
+    for env_seed, argv in (("7", []), ("11", []), ("11", ["--seed", "3"])):
+        monkeypatch.setenv("QPQUANT_SEED", env_seed)
+        assert cli.main(["verify", "--suite", "algebra", *argv]) == 0
+        seeds.append(json.loads(capsys.readouterr().out)["config"]["seed"])
+    assert seeds == [7, 11, 3]
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_constants_table_csv():

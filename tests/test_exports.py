@@ -1,5 +1,6 @@
-"""Every public name of every qpquant module resolves, star imports work, and
-every qpquant name and command line the benchmark workloads use exists."""
+"""Every public name of every qpquant module resolves, star imports work, no
+module imports a name it never uses, and every qpquant name and command line
+the benchmark workloads use exists."""
 
 import ast
 import dataclasses
@@ -24,6 +25,21 @@ def test_all_names_resolve_and_star_import(name):
     exec(f"from {name} import *", namespace)
     if exported is not None:
         assert set(exported) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_imports_no_unused_name(name):
+    # every name a module imports is read in it or listed in its __all__
+    tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+    imported = {(a.asname or a.name).partition(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for a in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {elt.value for node in tree.body if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+                for elt in node.value.elts}
+    unused = sorted(imported - read - exported)
+    assert not unused, f"{name} imports names it never uses: {unused}"
 
 
 def test_benchmark_workloads_use_existing_names():

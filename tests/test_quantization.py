@@ -228,7 +228,7 @@ def test_matrix_free_pairing_is_the_matrix_pairing(rng):
     # at one base point x for every row: horizontal q (b_l), full-sphere q, and
     # an arbitrary real x with arbitrary imaginary parts
     size = 256
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         m = n + 1
         pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
         base = np.broadcast_to(sphere_uniform(4 * m - 1, rng).reshape(m, 4), (size, m, 4))
@@ -656,6 +656,25 @@ def test_operator_identity_t_tilde(rng):
         target = qz.c_coeff(1, l) * complex(phi.eval_sphere(pprime[None])[0])
         est = qz.t_tilde_apply_eigenfunction(phi, pprime, MCConfig(samples=300_000, seed=70 + l))
         assert abs(est.value - target) <= 0.02 * abs(target)
+
+
+@pytest.mark.parametrize("apply", [qz.t_apply_eigenfunction, qz.t_tilde_apply_eigenfunction])
+def test_operators_refuse_a_bad_base_point(apply, rng):
+    # the base point is a unit vector of shape (n+1, 4) or (4n+4,) at phi.n;
+    # anything else is refused by name, before any sample is drawn
+    phi = spl.random_hl_function(1, 1, 2, rng)
+    pprime = sp.random_es0(1, 1.0, rng).p
+    cfg = MCConfig(samples=1000, seed=5)
+    for bad, reason in ((2.0 * pprime, "(p,p)_E = 1 fails (residual 3.000e+00)"),
+                        (np.full((2, 4), np.nan), "(p,p)_E = 1 fails (residual nan)"),
+                        (np.ones(12) / math.sqrt(12.0), "got (12,)"),
+                        (sp.random_es0(2, 1.0, rng).p, "at n = 1, got (3, 4)"),
+                        (pprime[None], "got (1, 2, 4)")):
+        with pytest.raises(ValueError, match="base point") as err:
+            apply(phi, bad, cfg)
+        assert reason in str(err.value)
+    # the flat and the (n+1, 4) forms of one point give one estimate
+    assert apply(phi, pprime.ravel(), cfg) == apply(phi, pprime, cfg)
 
 
 def test_t_apply_generic_constant(rng):

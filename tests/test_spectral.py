@@ -208,14 +208,65 @@ def test_fixed_base_pairing_equals_the_broadcast_base(n, rng):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_real_points_take_the_real_forms_to_the_complex_route(n, rng):
+    # eval_sphere's one route, the real forms Re M_k and Im M_k, gives at real
+    # points what the complex route gives: the reference pairing by the
+    # pairing tensor, with the complex forms G.A_k.  A real point written as
+    # a complex one, z = p + 0i, gives the same values.
     m = n + 1
     pts = sphere_uniform(4 * m - 1, rng, size=512).reshape(512, m, 4)
     for l in range(3):
         f = spec.random_hl_function(n, l, 3, rng)
-        ref = f.eval_sphere(pts.astype(complex))
+        ref = sum(c * spec.pair_projector_amatrix(pts, a) ** l for c, a in zip(f.coeffs, f.amats))
+        scale = max(1.0, np.abs(ref).max())
         got = f.eval_sphere(pts)
-        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
-        assert abs(f.eval_sphere(pts[0]) - ref[0]) <= 1e-15 * np.abs(ref).max()
+        assert np.abs(got - ref).max() <= 1e-13 * scale
+        assert np.abs(f.eval_sphere(pts.astype(complex)) - got).max() <= 1e-15 * scale
+        assert abs(f.eval_sphere(pts[0]) - ref[0]) <= 1e-13 * scale
+
+
+def _form_stack(amats):
+    """Re M_k then Im M_k, (2K, d, d), for the matrices A_k: the stack
+    _quad_forms takes, with M_k = quad_form_matrix(A_k)."""
+    forms = np.stack([spec.quad_form_matrix(a) for a in amats])
+    return np.concatenate([forms.real, forms.imag])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_quad_forms_are_the_reference_pairing(n, rng):
+    # z^t M_k z from real products alone equals the reference pairing
+    # <(z_i theta(z_j)), A_k>_C by the pairing tensor: at real points, at
+    # complex points z = x + i y, and at one base x shared by every row
+    m, size = n + 1, 256
+    amats = [sp.tau_h(sp.random_eh(n, float(r), rng)).A for r in (0.7, 1.3, 2.0)]
+    stack = _form_stack(amats)
+    x = rng.standard_normal((size, 4 * m))
+    y = rng.standard_normal((size, 4 * m))
+    x0 = sphere_uniform(4 * m - 1, rng)
+    for xs, ys in ((x, None), (x, y), (x0, y)):
+        z = np.broadcast_to(xs, x.shape) + (0.0 if ys is None else 1j * ys)
+        ref = np.stack([spec.pair_projector_amatrix(z.reshape(size, m, 4), a) for a in amats],
+                       axis=-1)
+        got = spec._quad_forms(stack, xs, ys)
+        assert got.shape == (size, 3)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    # one point at a time
+    one = spec._quad_forms(stack, x[0], y[0])
+    assert one.shape == (3,)
+    assert np.abs(one - spec._quad_forms(stack, x, y)[0]).max() <= 1e-14 * np.abs(one).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fiber_factor_is_the_reference_form(n, rng):
+    # the rank-4 factor of the l >= 2 sphere moment, column k the orbit frame
+    # z e_k = x e_k + i y e_k: W W^t is M-hat(z), the symmetrised pairing
+    # form of beta(rho(z)) by the pairing tensor
+    m, size = n + 1, 64
+    x = sphere_uniform(4 * m - 1, rng)
+    y = rng.standard_normal((size, 4 * m))
+    w = np.swapaxes(sp._orbit_frames(x[None]) + 1j * sp._orbit_frames(y), -1, -2)
+    forms = spec._pairing_forms(sp.beta_blocks(rho((x + 1j * y).reshape(size, m, 4))))
+    mhat = 0.5 * (forms + np.swapaxes(forms, -1, -2))
+    assert np.abs(w @ np.swapaxes(w, -1, -2) - mhat).max() <= 1e-13 * np.abs(mhat).max()
 
 
 def test_hl_function_equality_is_identity(rng):
