@@ -181,22 +181,23 @@ def _outside_caller_level():
     return level
 
 
-def _mc_blocks(integrand, config, sphere_dims, normal_dim=None, chi2_dofs=()):
+def _mc_blocks(integrand, config, sphere_dims, normal_dim=None, exp_dim=None):
     """:func:`mc_mean` of ``integrand`` over draws made a whole chunk at a time.
 
     A chunk of ``size`` rows draws ``sphere_uniform(d, rng, size=size)`` for
     each d in ``sphere_dims`` in turn, then ``rng.standard_normal((size,
-    normal_dim))`` if ``normal_dim`` is given, then ``rng.chisquare(k, size)``
-    for each k in ``chi2_dofs``.  ``integrand(*draws)`` runs on
-    consecutive ``_BLOCK_ROWS``-row blocks, so its intermediates stay
-    cache-sized; it must treat rows independently and must not write to its
-    arguments, which are views of the draws.
+    normal_dim))`` if ``normal_dim`` is given, then
+    ``rng.standard_exponential((size, exp_dim))`` if ``exp_dim`` is given.
+    ``integrand(*draws)`` runs on consecutive ``_BLOCK_ROWS``-row blocks, so
+    its intermediates stay cache-sized; it must treat rows independently and
+    must not write to its arguments, which are views of the draws.
     """
     def batch(rng, size):
         rows = [sphere_uniform(d, rng, size=size) for d in sphere_dims]
         if normal_dim is not None:
             rows.append(rng.standard_normal((size, normal_dim)))
-        rows += [rng.chisquare(k, size) for k in chi2_dofs]
+        if exp_dim is not None:
+            rows.append(rng.standard_exponential((size, exp_dim)))
         return np.concatenate([integrand(*(r[i:i + _BLOCK_ROWS] for r in rows))
                                for i in range(0, size, _BLOCK_ROWS)])
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import fro_norm
+from .algebra import fro_norm, rho
 from .numerics import (
     _de_quad,
     _mc_blocks,
@@ -32,9 +32,8 @@ from .numerics import (
     vol_sphere,
 )
 from .spaces import (EQ_TOL, _first_failure, _orbit_frames, _project_out, _require, _tau_h_core,
-                     random_eh)
-from .spectral import (HlFunction, _pair_projector_fiber, _quad_forms, dim_eigenspace, eigenvalue,
-                       quad_form_matrix)
+                     beta_blocks, random_eh)
+from .spectral import HlFunction, _quad_forms, dim_eigenspace, eigenvalue, quad_form_matrix
 
 __all__ = [
     "A_H_CONST",
@@ -110,8 +109,15 @@ def weight_pair_fg(norm_a):
 
 # ------------------------------------------------------- closed-form pieces
 
+def _check_degree(n, l):
+    """Refuse n < 1 or l < 0, before any draw or Gamma factor."""
+    if n < 1 or l < 0:
+        raise ValueError("need n >= 1 and l >= 0")
+
+
 def log_moment_s7(l):
-    """log of the degree-2l moment integral over the seven-sphere."""
+    """log of the degree-2l moment integral over the seven-sphere (n = 1)."""
+    _check_degree(1, l)
     return 4 * LOGPI + log_gamma(l + 1) + log_gamma(1.5) - LOG2 - log_gamma(l + 2.5)
 
 
@@ -122,8 +128,7 @@ def moment_s7(l):
 
 def log_i_coeff(n, l):
     """log I_l: normalized projective-space moment of |<P, A>|^(2l)."""
-    if n < 1 or l < 0:
-        raise ValueError("need n >= 1 and l >= 0")
+    _check_degree(n, l)
     return (-3 * l * LOG2 - LOG2 - 2 * LOGPI + (2 * n - 2) * LOGPI
             + log_gamma(2 * l + 4) - log_gamma(2 * l + 2 * n + 2) + log_moment_s7(l))
 
@@ -137,15 +142,21 @@ def _sphere_moment_mc(n, l, config):
 
     For x ~ N(0, I) the integrand reads |x0|^2 = c1, x0.x1 = sqrt(c1) z,
     |x1|^2 = z^2 + c2 and |x_rest|^2 = c3, independent z ~ N(0, 1), c1 ~ chi2_4,
-    c2 ~ chi2_3, c3 ~ chi2_(4n-4) (Bartlett): the same variable in law.
+    c2 ~ chi2_3, c3 ~ chi2_(4n-4) (Bartlett): the same variable in law.  Each
+    chi-square is drawn as its exact sum of unit exponentials E and a normal z',
+    c1 = 2 (E_1 + E_2), c2 = z'^2 + 2 E_3 and c3 = 2 (E_4 + ... + E_(2n+1)):
+    a row is two normals (z, z') and 2n + 1 exponentials.
     """
-    def integrand(z, c1, c2, c3=0.0):
-        s1 = z[:, 0] ** 2 + c2
-        r2 = c1 + s1 + c3
+    _check_degree(n, l)
+
+    def integrand(z, e):
+        c1 = 2.0 * (e[:, 0] + e[:, 1])
+        s1 = z[:, 0] ** 2 + z[:, 1] ** 2 + 2.0 * e[:, 2]
+        r2 = c1 + s1 + 2.0 * (e[:, 3:] @ np.ones(2 * n - 2))
         a, b = (c1 - s1) / r2, np.sqrt(c1) * z[:, 0] / r2
         return (a * a + 4.0 * b * b) ** l
 
-    return _mc_blocks(integrand, config, (), 1, (4, 3) + ((4 * n - 4,) if n > 1 else ()))
+    return _mc_blocks(integrand, config, (), 2, 2 * n + 1)
 
 
 def i_coeff_mc(n, l, config):
@@ -164,8 +175,7 @@ def log_b_coeff(n, l):
     Gamma-product form of the assembled fiber integral (the defining
     integral fixes the normalization; see b_coeff_mc).
     """
-    if n < 1 or l < 0:
-        raise ValueError("need n >= 1 and l >= 0")
+    _check_degree(n, l)
     return (0.5 * math.log(A_H_CONST(n)) - 0.5 * n * LOG2 + (-4 * l - 3) * LOGPI
             - 2.0 * math.log(2 * l + 2 * n + 1)
             + 2 * log_gamma(l + 1) + 2 * log_gamma(l + 2)
@@ -219,26 +229,29 @@ def b_coeff_mc(n, l, config):
 
     The integrand |<P(p), beta(rho(x + i q))>|^(2l) and the law of the
     sphere point p, the base point x and the unit horizontal covector q at x
-    are Sp(n+1)-invariant, and Sp(n+1) moves every x to x0 = e_0.  So x is
-    fixed at x0, where the horizontal covectors are q = (0, g/|g|),
-    g ~ N(0, I_4n): the same per-sample law, from a sphere point and 4n
-    normals a row.
+    are Sp(n+1)-invariant.  Sp(n+1) moves every x to e_0, and Sp(n), the
+    stabiliser of e_0, every unit horizontal q there to e_1 (e_0, e_1 the
+    first two unit vectors of H^(n+1)); either motion
+    keeps p uniform.  So the value at any (x, q) has the law it has at
+    z_0 = e_0 + i e_1: a row is one sphere point p with value |p^t M_0 p|^(2l),
+    M_0 the form of beta(rho(z_0)) = tau_h(alpha(e_0, e_1)).  This fixes a
+    point, it does not condition on one: the per-sample law is unchanged.
     """
-    m = n + 1
-    x0 = np.eye(4 * m)[0]
+    _check_degree(n, l)
+    z0 = np.zeros((n + 1, 4), dtype=complex)
+    z0[0, 0], z0[1, 0] = 1.0, 1j
+    pairing = HlFunction(n, 1, (beta_blocks(rho(z0)),), (1.0,))
 
-    def integrand(pts, g):
-        q = np.zeros((len(g), 4 * m))
-        q[:, 4:] = g / np.sqrt(np.einsum("nj,nj->n", g, g))[:, None]
-        return np.abs(_pair_projector_fiber(pts, x0, q)) ** (2 * l)
+    def integrand(pts):
+        v = pairing._eval(pts)
+        return (v.real ** 2 + v.imag ** 2) ** l
 
-    return _mc_blocks(integrand, config, (4 * m - 1,), 4 * n).scaled(_b_coeff_mc_scale(n, l))
+    return _mc_blocks(integrand, config, (4 * n + 3,)).scaled(_b_coeff_mc_scale(n, l))
 
 
 def log_a_coeff(n, l):
     """log a_l: the eigenvalue of the mixed-pairing operator composition."""
-    if n < 1 or l < 0:
-        raise ValueError("need n >= 1 and l >= 0")
+    _check_degree(n, l)
     return (0.5 * math.log(abs(B_H_CONST)) + 0.75 * LOG2 - (2 * l + 1.5) * LOGPI
             + log_gamma(l + 1) + log_gamma(l + 2) + log_gamma(l + 2 * n + 0.5)
             - math.log(2 * l + 2 * n + 1) - log_gamma(l + 2 * n))
@@ -268,8 +281,7 @@ def a_coeff_quadrature(n, l):
 
 def log_c_coeff(n, l):
     """log c_l: the eigenvalue of the sphere-descended operator composition."""
-    if n < 1 or l < 0:
-        raise ValueError("need n >= 1 and l >= 0")
+    _check_degree(n, l)
     return (0.5 * math.log(abs(B_S_CONST)) + math.log(vol_pnh(n))
             - math.log(dim_eigenspace(n, l))
             + 0.5 * LOGPI - math.log(4.0) + math.log(vol_sphere(2)) + math.log(vol_sphere(4 * n - 1))
@@ -504,14 +516,16 @@ def pairing_gg_mc(fa, fb, config):
 
     The integrand fa(A) conj(fb(A)) has flat-coordinate homogeneity
     2 (fa.l + fb.l); both are evaluated at unit fiber points z, standing
-    for A-hat = beta(rho(z)), one row block of a chunk at a time.
+    for A-hat = beta(rho(z)), one row block of a chunk at a time; a
+    self-pairing (fb is fa) evaluates fa once.
     """
     n = fa.n
     m = n + 1
 
     def integrand(base, g):
         y = _unit_covectors(_orbit_frames(base), g)
-        return fa._eval(base, y) * np.conj(fb._eval(base, y))
+        va = fa._eval(base, y)
+        return va * np.conj(va if fb is fa else fb._eval(base, y))
 
     scale = math.exp(log_radial_gg(n, fa.l + fb.l)) * vol_pnh(n) * vol_sphere(4 * n - 1)
     return _mc_blocks(integrand, config, (4 * m - 1,), 4 * m).scaled(scale)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import cbilinear, complexify, qconj, qmul
 from .numerics import sphere_uniform
-from .spaces import AMatrix, _amatrix_failure, _orbit_frames, _require, _tau_h_core, random_eh
+from .spaces import AMatrix, _amatrix_failure, _require, _tau_h_core, random_eh
 
 __all__ = [
     "HlFunction",
@@ -103,23 +103,6 @@ def pair_projector_amatrix(p, a):
     rows = np.reshape(p, (-1, 1, p.shape[-2] * 4))
     out = (rows @ _pairing_forms(a) @ np.swapaxes(rows, -1, -2))[:, 0, 0]
     return out if p.ndim == 3 else out[0]
-
-
-def _pair_projector_fiber(p, x, y):
-    """<P(p), beta(rho(z))>_C for sphere points p, (N, m, 4) or flat (N, 4m),
-    at fiber points z = x + i y, without forming either matrix or z.
-
-    x is one real point (4m,) shared by every row, y real (N, 4m).
-    beta(rho(z)) has the blocks rho(z_i theta(z_j)), so the pairing is
-    sum_k w_k^2 with w = <p, z>_H = sum_i theta(p_i) z_i in H (x) C, whose
-    components are w_k = (p e_k).z = +-(z e_k).p.  With F the orbit frame,
-    u = F(x) p and v = F(y) p give sum_k w_k^2 = |u|^2 - |v|^2 + 2i u.v.
-    """
-    flat = np.reshape(p, y.shape)
-    u = flat @ _orbit_frames(x[None])[0].T
-    v = np.einsum("nkj,nj->nk", _orbit_frames(y), flat)
-    return (np.einsum("nk,nk->n", u, u) - np.einsum("nk,nk->n", v, v)
-            + 2j * np.einsum("nk,nk->n", u, v))
 
 
 def _quad_forms(stack, x, y=None):

@@ -223,25 +223,6 @@ def test_batched_projector_is_the_per_direction_loop(n, rng):
         assert rng.standard_normal() == ref_rng.standard_normal()
 
 
-def test_matrix_free_pairing_is_the_matrix_pairing(rng):
-    # <P(p), beta(rho(z))>_C = sum_a <p, z>_H,a^2 without forming beta(rho(z)),
-    # at one base point x for every row: horizontal q (b_l), full-sphere q, and
-    # an arbitrary real x with arbitrary imaginary parts
-    size = 256
-    for n in (1, 2, 3, 4):
-        m = n + 1
-        pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        base = np.broadcast_to(sphere_uniform(4 * m - 1, rng).reshape(m, 4), (size, m, 4))
-        horizontal = _loop_unit_covectors(sp.sp1_orbit_frame(base), rng)
-        full = _loop_unit_covectors(base[None], rng)
-        generic = rng.standard_normal((size + 1, m, 4))
-        for x, y in ((base, horizontal), (base, full),
-                     (np.broadcast_to(generic[0], (size, m, 4)), generic[1:])):
-            ref = spl.pair_projector_amatrix(pts, sp.beta_blocks(alg.rho(x + 1j * y)))
-            got = spl._pair_projector_fiber(pts, x[0].ravel(), y.reshape(size, -1))
-            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-
-
 def _matrix_route_fiber(p, rng, size):
     """A-hat = beta(rho(p + i q)) at uniform unit horizontal q, as a matrix."""
     p = np.broadcast_to(p, (size,) + p.shape[-2:])
@@ -277,12 +258,11 @@ def _kernel_row(n, c0, fquad, core):
             + math.exp(-qz.log_b_coeff(n, 1)) * (c0 * core * radial[1] + fquad * core * radial[2]))
 
 
-def _fixed_base_covectors(rng, n, size):
-    """The unit horizontal covectors (N, m, 4) at x0 = e_0 that b_coeff_mc
-    draws: zeros in the first quaternion, g / |g| after it."""
-    g = rng.standard_normal((size, 4 * n))
-    g /= np.sqrt((g ** 2).sum(axis=1))[:, None]
-    return np.concatenate([np.zeros((size, 4)), g], axis=1).reshape(size, n + 1, 4)
+def _z0(n):
+    """The fixed fiber point z_0 = e_0 + i e_1, (n+1, 4), of b_coeff_mc."""
+    z0 = np.zeros((n + 1, 4), dtype=complex)
+    z0[0, 0], z0[1, 0] = 1.0, 1j
+    return z0
 
 
 def test_matrix_free_oracles_keep_the_matrix_route_draws(rng):
@@ -290,7 +270,7 @@ def test_matrix_free_oracles_keep_the_matrix_route_draws(rng):
     # sphere point exactly; the matrix route, written out here, forms
     # A-hat = beta(rho(z)) and its quadratic form and gives the same estimate
     # from the same draws.  T, T~ and the kernel check draw z alone, b_l a
-    # sphere point and then its covector at the fixed base e_0.
+    # sphere point alone, paired with the fixed fiber point z_0 = e_0 + i e_1.
     n, m, l = 1, 2, 1
     cfg = MCConfig(samples=8192, seed=4242)
     phi = spl.random_hl_function(n, l, 2, rng)
@@ -299,12 +279,11 @@ def test_matrix_free_oracles_keep_the_matrix_route_draws(rng):
     a1 = sp.tau_h(sp.random_eh(n, math.sqrt(2.0), rng)).A
     aprime = sp.tau_h(sp.random_eh(n, math.sqrt(2.0), rng)).A
     c0, c1 = 0.7, 0.4 - 0.3j
-    x0 = np.eye(4 * m)[0].reshape(m, 4)
+    ahat0 = sp.beta_blocks(alg.rho(_z0(n)))
 
     def b_batch(rng, size):
         pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        ahat = sp.beta_blocks(alg.rho(x0 + 1j * _fixed_base_covectors(rng, n, size)))
-        return np.abs(spl.pair_projector_amatrix(pts, ahat)) ** (2 * l)
+        return np.abs(spl.pair_projector_amatrix(pts, ahat0)) ** (2 * l)
 
     def t_batch(f, flow_t):
         def batch(rng, size):
@@ -389,7 +368,7 @@ def test_blocked_oracles_keep_the_complex_route_draws(rng):
 
         def batch(rng, size):
             pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-            z = np.eye(4 * m)[0].reshape(m, 4) + 1j * _fixed_base_covectors(rng, n, size)
+            z = np.broadcast_to(_z0(n), (size, m, 4))
             return np.abs(_complex_pairing(pts, z)) ** (2 * l)
         return batch
 
@@ -437,11 +416,13 @@ def test_blocked_oracles_keep_the_complex_route_draws(rng):
 
     def moment_batch(n, l):
         # the Gram entries of the first 8 of 4n + 4 normal coordinates and
-        # the squared norm of the rest, in Bartlett's form and draw order
+        # the squared norm of the rest, in Bartlett's form, each chi-square
+        # written out as its sum: normals (z, z'), then 2n + 1 exponentials
         def batch(rng, size):
-            z = rng.standard_normal((size, 1))[:, 0]
-            c1, c2 = rng.chisquare(4, size), rng.chisquare(3, size)
-            rest = rng.chisquare(4 * n - 4, size) if n > 1 else 0.0
+            z, zp = rng.standard_normal((size, 2)).T
+            e = rng.standard_exponential((size, 2 * n + 1))
+            c1, c2 = 2.0 * (e[:, 0] + e[:, 1]), zp * zp + 2.0 * e[:, 2]
+            rest = 2.0 * e[:, 3:].sum(axis=1)
             s0, s1, dot = c1, z * z + c2, np.sqrt(c1) * z
             r2 = s0 + s1 + rest
             a, b = (s0 - s1) / r2, dot / r2
@@ -594,12 +575,52 @@ def test_conditioned_oracles_stop_at_their_budget():
 def test_b_coeff_mc_mean_at_one_fiber_point_is_the_closed_form(n, rng):
     # The sphere mean of |<P(p), A-hat>|^(2l) is the same at every unit
     # horizontal fiber point, so at one of them b_coeff_mc's scale times
-    # sphere_moment(conj M-hat, M-hat, l, l) is b_l, with no Monte Carlo.
+    # sphere_moment(conj M-hat, M-hat, l, l) is b_l, with no Monte Carlo:
+    # at a random one and at b_coeff_mc's z_0 = e_0 + i e_1.
     pt = sp.random_es0(n, 1.0, rng)
-    mhat = _complex_hat_forms((pt.p + 1j * pt.q)[None])[0]
-    for l in range(9):
-        got = qz._b_coeff_mc_scale(n, l) * sphere_moment(np.conj(mhat), mhat, l, l)
-        assert abs(got - qz.b_coeff(n, l)) <= 1e-12 * qz.b_coeff(n, l)
+    for z in (pt.p + 1j * pt.q, _z0(n)):
+        mhat = _complex_hat_forms(z[None])[0]
+        for l in range(9):
+            got = qz._b_coeff_mc_scale(n, l) * sphere_moment(np.conj(mhat), mhat, l, l)
+            assert abs(got - qz.b_coeff(n, l)) <= 1e-12 * qz.b_coeff(n, l)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("l", [1, 2])
+def test_mc_oracles_keep_the_per_sample_law(n, l):
+    # b_coeff_mc draws one sphere point against a fixed fiber point, and
+    # i_coeff_mc its chi-squares as sums of exponentials; neither may change
+    # the per-sample law.  The relative standard deviation a sample,
+    # stderr sqrt(N) / |value|, is that of the defining integrand, exactly:
+    # from the degree-4l moments for b_l, from I_(2l) / I_l^2 for I_l.
+    cfg = MCConfig(samples=1 << 18, seed=2525)
+    m0 = spl.quad_form_matrix(sp.beta_blocks(alg.rho(_z0(n))))
+    b_exact = math.sqrt(np.real(sphere_moment(np.conj(m0), m0, 2 * l, 2 * l)
+                                / sphere_moment(np.conj(m0), m0, l, l) ** 2) - 1.0)
+
+    def s(k):
+        return qz.i_coeff(n, k) * 8.0 ** k / qz.vol_pnh(n)
+
+    i_exact = math.sqrt(s(2 * l) / s(l) ** 2 - 1.0)
+    for est, exact in ((qz.b_coeff_mc(n, l, cfg), b_exact), (qz.i_coeff_mc(n, l, cfg), i_exact)):
+        got = est.stderr * math.sqrt(est.samples) / abs(est.value)
+        assert abs(got - exact) <= 0.03 * exact
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: qz.i_coeff_mc(0, 1, cfg),
+    lambda cfg: qz.i_coeff_mc(1, -1, cfg),
+    lambda cfg: qz.moment_s7_mc(-1, cfg),
+    lambda cfg: qz.b_coeff_mc(0, 1, cfg),
+    lambda cfg: qz.b_coeff_mc(1, -1, cfg),
+    lambda cfg: qz.moment_s7(-1),
+], ids=["i_coeff_mc-n0", "i_coeff_mc-l-1", "moment_s7_mc-l-1", "b_coeff_mc-n0",
+        "b_coeff_mc-l-1", "moment_s7-l-1"])
+def test_oracles_refuse_bad_n_and_l(call):
+    # the Monte Carlo oracles refuse what their closed forms refuse, before
+    # any draw: a 1-sample run of a draw-first oracle would not raise
+    with pytest.raises(ValueError, match=r"need n >= 1 and l >= 0"):
+        call(MCConfig(samples=1, seed=0))
 
 
 def _random_sp(m, rng):

@@ -192,21 +192,6 @@ def test_random_hl_functions_evaluate(rng):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_fixed_base_pairing_equals_the_broadcast_base(n, rng):
-    # one base point x for every row: the pairing with the matrix beta(rho(z))
-    # of each row's z = x + i y, the base broadcast to the rows
-    m, size = n + 1, 512
-    pts = sphere_uniform(4 * m - 1, rng, size=size)
-    x = sphere_uniform(4 * m - 1, rng)
-    y = rng.standard_normal((size, 4 * m))
-    z = (np.broadcast_to(x, y.shape) + 1j * y).reshape(size, m, 4)
-    ref = spec.pair_projector_amatrix(pts.reshape(size, m, 4), sp.beta_blocks(rho(z)))
-    for p in (pts, pts.reshape(size, m, 4)):
-        got = spec._pair_projector_fiber(p, x, y)
-        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_real_points_take_the_real_forms_to_the_complex_route(n, rng):
     # eval_sphere's one route, the real forms Re M_k and Im M_k, gives at real
     # points what the complex route gives: the reference pairing by the
