@@ -316,9 +316,9 @@ def suite_quantization(cfg, rng, check):
     worst_b = max(abs(qz.b_coeff(cfg.n, l) - qz.b_coeff_semianalytic(cfg.n, l))
                   / qz.b_coeff(cfg.n, l) for l in range(lo, hi + 1))
     check("bcoeff-assemblies", "two assemblies of the norm constant", worst_b, 0.0, 1e-8 * t)
-    est = qz.b_coeff_mc(1, 1, cfg.mc(salt=17))
+    est = qz.b_coeff_mc(cfg.n, 1, cfg.mc(salt=17))
     check("bcoeff-mc", "defining integral of the norm constant",
-          est.value, qz.b_coeff(1, 1), 1e-12, stderr=est.stderr)
+          est.value, qz.b_coeff(cfg.n, 1), 1e-12, stderr=est.stderr)
     worst_a = max(abs(qz.a_coeff(cfg.n, l) - qz.a_coeff_quadrature(cfg.n, l))
                   / qz.a_coeff(cfg.n, l) for l in range(6))
     check("acoeff-quadrature", "diagonal fiber integral vs quadrature",

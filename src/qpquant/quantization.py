@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import fro_norm, rho
+from .algebra import fro_norm
 from .numerics import (
     _de_quad,
     _mc_blocks,
@@ -32,7 +32,7 @@ from .numerics import (
     vol_sphere,
 )
 from .spaces import (EQ_TOL, _first_failure, _orbit_frames, _project_out, _require, _tau_h_core,
-                     beta_blocks, random_eh)
+                     random_eh)
 from .spectral import HlFunction, _quad_forms, dim_eigenspace, eigenvalue, quad_form_matrix
 
 __all__ = [
@@ -233,20 +233,14 @@ def b_coeff_mc(n, l, config):
     stabiliser of e_0, every unit horizontal q there to e_1 (e_0, e_1 the
     first two unit vectors of H^(n+1)); either motion
     keeps p uniform.  So the value at any (x, q) has the law it has at
-    z_0 = e_0 + i e_1: a row is one sphere point p with value |p^t M_0 p|^(2l),
-    M_0 the form of beta(rho(z_0)) = tau_h(alpha(e_0, e_1)).  This fixes a
+    z_0 = e_0 + i e_1, that of |p^t M_0 p|^(2l) with p uniform and M_0 the
+    form of beta(rho(z_0)) = tau_h(alpha(e_0, e_1)).  M_0 is
+    [[I_4, i I_4], [i I_4, -I_4]] on the first two quaternions and 0 elsewhere,
+    so |p^t M_0 p|^2 = (|p_0|^2 - |p_1|^2)^2 + 4 (p_0.p_1)^2: the integrand of
+    the I_l sphere moment, drawn by :func:`_sphere_moment_mc`.  This fixes a
     point, it does not condition on one: the per-sample law is unchanged.
     """
-    _check_degree(n, l)
-    z0 = np.zeros((n + 1, 4), dtype=complex)
-    z0[0, 0], z0[1, 0] = 1.0, 1j
-    pairing = HlFunction(n, 1, (beta_blocks(rho(z0)),), (1.0,))
-
-    def integrand(pts):
-        v = pairing._eval(pts)
-        return (v.real ** 2 + v.imag ** 2) ** l
-
-    return _mc_blocks(integrand, config, (4 * n + 3,)).scaled(_b_coeff_mc_scale(n, l))
+    return _sphere_moment_mc(n, l, config).scaled(_b_coeff_mc_scale(n, l))
 
 
 def log_a_coeff(n, l):

@@ -136,12 +136,15 @@ def test_lmax_below_zero_is_a_configuration_error(cmd, value):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_quantization_suite_passes_beyond_n2(n):
-    # every suite, the n = 2 constant and the config echo run above n = 2
+    # every suite, the n = 2 constant and the config echo run above n = 2,
+    # and bcoeff-mc runs at the report's n
     res = run_cli(["verify", "--suite", "all", "--seed", "42", "--n", str(n)])
     assert res.returncode == 0
     rep = json.loads(res.stdout)
     assert rep["config"]["n"] == n
     assert "a-proj-n2" in [c["id"] for c in rep["checks"]]
+    bmc = next(c for c in rep["checks"] if c["id"] == "bcoeff-mc")
+    assert bmc["expected"] == cli.qz.b_coeff(n, 1)
     # the exactly constant l = 0 moment meets its closed form at a few ulps
     l0 = next(c for c in rep["checks"] if c["id"] == "moment-mc-l0")
     assert l0["stderr"] == 0.0 and l0["tolerance"] == 1e-14 * abs(l0["expected"])

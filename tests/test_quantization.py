@@ -74,10 +74,12 @@ def test_b_coeff_two_assemblies_and_mc():
             s = qz.b_coeff_semianalytic(n, l)
             assert abs(c - s) <= 1e-8 * c
             assert c > 0
-    for l in (0, 1):
-        est = qz.b_coeff_mc(1, l, MCConfig(samples=150_000, seed=7))
-        assert est.stderr <= 0.01 * est.value + 1e-30
-        assert est.within(qz.b_coeff(1, l), nsigma=3.0, floor=1e-12 * est.value)
+    # criterion 11's sqrt(2) erratum is asserted up to n = 4
+    for n in (1, 2, 3, 4):
+        for l in (0, 1):
+            est = qz.b_coeff_mc(n, l, MCConfig(samples=150_000, seed=7))
+            assert est.stderr <= 0.01 * est.value + 1e-30
+            assert est.within(qz.b_coeff(n, l), nsigma=3.0, floor=1e-12 * est.value)
 
 
 def test_b_coeff_growth_rate():
@@ -265,12 +267,30 @@ def _z0(n):
     return z0
 
 
+def _moment_batch(n, l):
+    """The I_l sphere moment's batch, unscaled: the Gram entries of the first
+    8 of 4n + 4 normal coordinates and the squared norm of the rest, in
+    Bartlett's form, each chi-square written out as its sum: normals (z, z'),
+    then 2n + 1 exponentials."""
+    def batch(rng, size):
+        z, zp = rng.standard_normal((size, 2)).T
+        e = rng.standard_exponential((size, 2 * n + 1))
+        c1, c2 = 2.0 * (e[:, 0] + e[:, 1]), zp * zp + 2.0 * e[:, 2]
+        rest = 2.0 * e[:, 3:].sum(axis=1)
+        s0, s1, dot = c1, z * z + c2, np.sqrt(c1) * z
+        r2 = s0 + s1 + rest
+        a, b = (s0 - s1) / r2, dot / r2
+        return (a * a + 4.0 * b * b) ** l
+    return batch
+
+
 def test_matrix_free_oracles_keep_the_matrix_route_draws(rng):
     # The oracles pair fiber points z directly and take the mean over the
     # sphere point exactly; the matrix route, written out here, forms
     # A-hat = beta(rho(z)) and its quadratic form and gives the same estimate
-    # from the same draws.  T, T~ and the kernel check draw z alone, b_l a
-    # sphere point alone, paired with the fixed fiber point z_0 = e_0 + i e_1.
+    # from the same draws.  T, T~ and the kernel check draw z alone; b_l
+    # draws the I_l moment's variates, the law of its integrand at the fixed
+    # fiber point z_0 = e_0 + i e_1 (test_b_coeff_mc_form_is_the_moment_form).
     n, m, l = 1, 2, 1
     cfg = MCConfig(samples=8192, seed=4242)
     phi = spl.random_hl_function(n, l, 2, rng)
@@ -279,11 +299,6 @@ def test_matrix_free_oracles_keep_the_matrix_route_draws(rng):
     a1 = sp.tau_h(sp.random_eh(n, math.sqrt(2.0), rng)).A
     aprime = sp.tau_h(sp.random_eh(n, math.sqrt(2.0), rng)).A
     c0, c1 = 0.7, 0.4 - 0.3j
-    ahat0 = sp.beta_blocks(alg.rho(_z0(n)))
-
-    def b_batch(rng, size):
-        pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-        return np.abs(spl.pair_projector_amatrix(pts, ahat0)) ** (2 * l)
 
     def t_batch(f, flow_t):
         def batch(rng, size):
@@ -309,9 +324,7 @@ def test_matrix_free_oracles_keep_the_matrix_route_draws(rng):
     flow_phase = np.exp(-1j * 0.7 * (2 * n + 1))
     tilde_scale = _tilde_scale(n, l)
     cases = [
-        (qz.b_coeff_mc(n, l, cfg), b_batch,
-         math.exp(qz.log_radial_gg(n, 2 * l)) * qz.vol_pnh(n) ** 2 * vol_sphere(4 * n - 1)
-         / spl.dim_eigenspace(n, l)),
+        (qz.b_coeff_mc(n, l, cfg), _moment_batch(n, l), qz._b_coeff_mc_scale(n, l)),
         (qz.t_apply_eigenfunction(phi, pprime, cfg), t_batch(phi, None), t_scale),
         (qz.t_apply_eigenfunction(phi, pprime, cfg, flow_t=0.7), t_batch(phi, 0.7),
          t_scale * flow_phase),
@@ -363,19 +376,6 @@ def test_blocked_oracles_keep_the_complex_route_draws(rng):
     def horizontal(p):
         return sp.sp1_orbit_frame(p)
 
-    def b_batch(n, l):
-        m = n + 1
-
-        def batch(rng, size):
-            pts = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-            z = np.broadcast_to(_z0(n), (size, m, 4))
-            return np.abs(_complex_pairing(pts, z)) ** (2 * l)
-        return batch
-
-    def b_scale(n, l):
-        return (math.exp(qz.log_radial_gg(n, 2 * l)) * qz.vol_pnh(n) ** 2
-                * vol_sphere(4 * n - 1) / spl.dim_eigenspace(n, l))
-
     def t_batch(phi, pprime, dirs_of, flow_t=None):
         def batch(rng, size):
             mhat = _complex_hat_forms(_complex_fiber_points(pprime, dirs_of, rng, size))
@@ -414,21 +414,6 @@ def test_blocked_oracles_keep_the_complex_route_draws(rng):
             return fz * np.conj(fz)
         return batch
 
-    def moment_batch(n, l):
-        # the Gram entries of the first 8 of 4n + 4 normal coordinates and
-        # the squared norm of the rest, in Bartlett's form, each chi-square
-        # written out as its sum: normals (z, z'), then 2n + 1 exponentials
-        def batch(rng, size):
-            z, zp = rng.standard_normal((size, 2)).T
-            e = rng.standard_exponential((size, 2 * n + 1))
-            c1, c2 = 2.0 * (e[:, 0] + e[:, 1]), zp * zp + 2.0 * e[:, 2]
-            rest = 2.0 * e[:, 3:].sum(axis=1)
-            s0, s1, dot = c1, z * z + c2, np.sqrt(c1) * z
-            r2 = s0 + s1 + rest
-            a, b = (s0 - s1) / r2, dot / r2
-            return (a * a + 4.0 * b * b) ** l
-        return batch
-
     n, l = 1, 1
     phi = spl.random_hl_function(n, l, 2, rng)
     pprime = sp.random_es0(n, 1.0, rng).p
@@ -442,8 +427,8 @@ def test_blocked_oracles_keep_the_complex_route_draws(rng):
     phi1 = spl.HlFunction(n=n, l=1, amats=tuple(sp.tau_h(sp.random_eh(
         n, math.sqrt(2.0), orth_rng)).A for _ in range(2)), coeffs=(0.8j, c1))
     cases = [
-        (qz.b_coeff_mc(1, 1, cfg), b_batch(1, 1), b_scale(1, 1)),
-        (qz.b_coeff_mc(2, 1, cfg), b_batch(2, 1), b_scale(2, 1)),
+        (qz.b_coeff_mc(1, 1, cfg), _moment_batch(1, 1), qz._b_coeff_mc_scale(1, 1)),
+        (qz.b_coeff_mc(2, 1, cfg), _moment_batch(2, 1), qz._b_coeff_mc_scale(2, 1)),
         (qz.t_apply_eigenfunction(phi, pprime, cfg), t_batch(phi, pprime, horizontal),
          t_scale),
         (qz.t_apply_eigenfunction(phi, pprime, cfg, flow_t=0.7),
@@ -456,8 +441,8 @@ def test_blocked_oracles_keep_the_complex_route_draws(rng):
          math.exp(qz.log_radial_gg(n, 3)) * qz.vol_pnh(n) * vol_sphere(4 * n - 1)),
         (qz.pairing_gg_mc(phi1, phi1, cfg), pairing_batch(n, phi1),
          math.exp(qz.log_radial_gg(n, 2)) * qz.vol_pnh(n) * vol_sphere(4 * n - 1)),
-        (qz.i_coeff_mc(2, 2, cfg), moment_batch(2, 2), qz.vol_pnh(2) / 64.0),
-        (qz.moment_s7_mc(1, cfg), moment_batch(1, 1), vol_sphere(7)),
+        (qz.i_coeff_mc(2, 2, cfg), _moment_batch(2, 2), qz.vol_pnh(2) / 64.0),
+        (qz.moment_s7_mc(1, cfg), _moment_batch(1, 1), vol_sphere(7)),
     ]
     for got, batch, scale in cases:
         ref = mc_mean(batch, cfg).scaled(scale)
@@ -583,6 +568,25 @@ def test_b_coeff_mc_mean_at_one_fiber_point_is_the_closed_form(n, rng):
         for l in range(9):
             got = qz._b_coeff_mc_scale(n, l) * sphere_moment(np.conj(mhat), mhat, l, l)
             assert abs(got - qz.b_coeff(n, l)) <= 1e-12 * qz.b_coeff(n, l)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_b_coeff_mc_form_is_the_moment_form(n, rng):
+    # b_coeff_mc draws the I_l moment's variable: the form of
+    # beta(rho(z_0)) is [[I_4, i I_4], [i I_4, -I_4]] on the first two
+    # quaternions and 0 elsewhere, so the reference pairing at z_0 gives
+    # |<P(p), A-hat_0>|^2 = (|p_0|^2 - |p_1|^2)^2 + 4 (p_0.p_1)^2
+    m = n + 1
+    ahat0 = sp.beta_blocks(alg.rho(_z0(n)))
+    form = np.zeros((4 * m, 4 * m), dtype=complex)
+    form[:8, :8] = np.kron([[1.0, 1j], [1j, -1.0]], np.eye(4))
+    assert np.abs(spl.quad_form_matrix(ahat0) - form).max() == 0.0
+    pts = sphere_uniform(4 * m - 1, rng, size=256).reshape(256, m, 4)
+    p0, p1 = pts[:, 0], pts[:, 1]
+    moment = ((p0 ** 2).sum(1) - (p1 ** 2).sum(1)) ** 2 + 4.0 * (p0 * p1).sum(1) ** 2
+    pairing = np.abs(spl.pair_projector_amatrix(pts, ahat0)) ** 2
+    for l in (1, 2):
+        assert (np.abs(pairing ** l - moment ** l) <= 1e-12 * moment ** l).all()
 
 
 @pytest.mark.parametrize("n", [1, 2])
