@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import fro_norm
+from .algebra import fro_norm, quat_conj_c
 from .numerics import (
     _de_quad,
     _mc_blocks,
@@ -33,7 +33,7 @@ from .numerics import (
 )
 from .spaces import (EQ_TOL, _first_failure, _orbit_frames, _project_out, _require, _tau_h_core,
                      random_eh)
-from .spectral import HlFunction, _quad_forms, dim_eigenspace, eigenvalue, quad_form_matrix
+from .spectral import HlFunction, dim_eigenspace, eigenvalue
 
 __all__ = [
     "A_H_CONST",
@@ -369,21 +369,6 @@ def _t_apply_scale(n, degree):
     return _fg_fiber_weight(n, gamma_radial(2 * degree + 4 * n, 2 * math.pi))
 
 
-def _moment_form(forms, coeffs):
-    """K (4m, 4m) with z^t K z = sum_j c_j sphere_moment(M_j, M-hat(z), 1, 1)
-    for every z, as the real stack (Re K, Im K) that :func:`spectral._quad_forms`
-    takes: the moment is linear in its second form, and M-hat(z) =
-    sum_ab z_a z_b S_ab with S_ab = sum_k (e_a e_k)(e_b e_k)^t, so K_ab is the
-    moment taken at S_ab, symmetrised."""
-    d = forms.shape[-1]
-    e = _orbit_frames(np.eye(d))
-    s = np.einsum("ika,jkb->abij", e, e)
-    s = 0.5 * (s + np.swapaxes(s, 0, 1))
-    k = (np.asarray(coeffs) @ sphere_moment(forms[:, None], s.reshape(d * d, d, d), 1, 1)
-         ).reshape(d, d)
-    return np.stack([k.real, k.imag])
-
-
 def _base_point(phi, p_prime):
     """p_prime as a flat unit vector (4n+4,), n = phi.n; a ValueError names a
     shape other than (n+1, 4) or (4n+4,), or the residual of (p,p)_E = 1."""
@@ -403,16 +388,23 @@ def _fiber_apply(phi, x, frame, config):
 
     Given z the mean over p is exact, sum_j c_j sphere_moment(M_j, M-hat(z),
     l, l), M_j the forms of phi and p^t M-hat(z) p the pairing, so a row
-    draws q alone.  At l = 1 it is z^t K z, K built once per call; above,
+    draws q alone.  At l <= 1 it is kappa_l phi(z), kappa_l = (8/(d(d+2)))^l,
+    d = 4m: by Wick's fourth moment it is (tr M_j tr M-hat + 2 tr(M_j M-hat))
+    / (d(d+2)) at l = 1, where tr M-hat(z) = 4 z^t z = 0 and, every form being
+    invariant under p -> p e_k, tr(M_j M-hat(z)) = 4 z^t M_j z.  At l = 1 phi
+    is evaluated as its one combined generator sum_j c_j A_j.  Above,
     M-hat(z) = W W^t with column k of W the orbit frame z e_k.
     """
     l, coeffs, xframe = phi.l, np.asarray(phi.coeffs), _orbit_frames(x[None])
-    kform = _moment_form(phi._forms, coeffs) if l == 1 else None
+    kappa = (8.0 / (x.size * (x.size + 2))) ** l
+    if l == 1:
+        phi = HlFunction(n=phi.n, l=1, amats=(sum(c * a for c, a in zip(coeffs, phi.amats)),),
+                         coeffs=(1.0,))
 
     def integrand(g):
         y = _unit_covectors(frame, g)
-        if l == 1:
-            return _quad_forms(kform, x, y)[:, 0]
+        if l <= 1:
+            return kappa * phi._eval(x, y)
         w = np.swapaxes(xframe + 1j * _orbit_frames(y), -1, -2)
         return coeffs @ sphere_moment(phi._forms[:, None], w, l, l, factor=True)
 
@@ -506,23 +498,27 @@ def kernel_diag(n, norm_a):
 
 def pairing_gg_mc(fa, fb, config):
     """MC of the weighted holomorphic pairing <fa, fb> of two eigenspace
-    functions (HlFunction) on PnH with n = fa.n.
+    functions (HlFunction) on PnH with n = fa.n, or of two sums over degrees,
+    tuples of HlFunctions.
 
-    The integrand fa(A) conj(fb(A)) has flat-coordinate homogeneity
-    2 (fa.l + fb.l); both are evaluated at unit fiber points z, standing
-    for A-hat = beta(rho(z)), one row block of a chunk at a time; a
-    self-pairing (fb is fa) evaluates fa once.
+    The (l, l') term fa_l(A) conj(fb_l'(A)) has flat-coordinate homogeneity
+    2 (l + l') and takes the radial integral log_radial_gg(n, l + l').  Each
+    function is evaluated once per row block of a chunk, at unit fiber points
+    z standing for A-hat = beta(rho(z)); so a self-pairing evaluates fa once.
     """
-    n = fa.n
-    m = n + 1
+    fa, fb = (f if isinstance(f, tuple) else (f,) for f in (fa, fb))
+    n = fa[0].n
+    # the first term's radial factor scales the mean, so one pair rounds as one term did
+    ref = log_radial_gg(n, fa[0].l + fb[0].l)
+    terms = [(a, b, math.exp(log_radial_gg(n, a.l + b.l) - ref)) for a in fa for b in fb]
 
     def integrand(base, g):
         y = _unit_covectors(_orbit_frames(base), g)
-        va = fa._eval(base, y)
-        return va * np.conj(va if fb is fa else fb._eval(base, y))
+        vals = {id(f): f._eval(base, y) for f in fa + fb}
+        return sum(w * vals[id(a)] * np.conj(vals[id(b)]) for a, b, w in terms)
 
-    scale = math.exp(log_radial_gg(n, fa.l + fb.l)) * vol_pnh(n) * vol_sphere(4 * n - 1)
-    return _mc_blocks(integrand, config, (4 * m - 1,), 4 * m).scaled(scale)
+    scale = math.exp(ref) * vol_pnh(n) * vol_sphere(4 * n - 1)
+    return _mc_blocks(integrand, config, (4 * n + 3,), 4 * n + 4).scaled(scale)
 
 
 def orthogonality_check(n, l, lp, config, rng):
@@ -541,31 +537,21 @@ def _kernel_test_function(c0, phi1_amats, phi1_coeffs, a_prime, n):
 
 
 def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
-    """Verify f(A') = <f, R(., A')> for f = c0 + sum c_k <., A_k> by MC over
-    unit fiber points z = x + i q, x the base point and q horizontal at x.
+    """Verify f(A') = <f, R(., A')> for f = c0 + sum c_k <., A_k>: one weighted
+    pairing (:func:`pairing_gg_mc`) of f with the degree <= 1 kernel terms.
 
-    The sphere integral of the l = 1 core conj<P(p), A-hat> <P(p), A'> is
-    exact given z: sphere_moment(M', M-hat(conj z), 1, 1) = conj(z)^t K' conj(z),
-    M' = quad_form_matrix(A').  Returns (f_value, reconstruction MCEstimate).
+    Given the fiber point z, the l-th term is the sphere mean of
+    <P(p), A-hat(z)>^l conj<P(p), A'>^l / b_l, which at l <= 1 is
+    kappa_l <z, quat_conj_c(A')>^l / b_l (:func:`_fiber_apply`; the form
+    of quat_conj_c(A') is conj(M'), M' that of A').  Returns (f_value,
+    reconstruction MCEstimate).
     """
     a_prime, f1, f_at_aprime = _kernel_test_function(c0, phi1_amats, phi1_coeffs, a_prime, n)
-    m = n + 1
-    kform = _moment_form(quad_form_matrix(a_prime)[None], (1.0,))
-    fconst = complex(c0)
-    inv_b = [math.exp(-log_b_coeff(n, 0)), math.exp(-log_b_coeff(n, 1))]
-    radial = [math.exp(log_radial_gg(n, k)) for k in range(3)]
-
-    def integrand(base, g):
-        y = _unit_covectors(_orbit_frames(base), g)
-        fquad = f1._eval(base, y)    # homogeneity-2 part of f
-        # l = 0 term: (1/b_0) [ const part at homog 0 + linear part at homog 2 ]
-        out = inv_b[0] * (fconst * radial[0] + fquad * radial[1])
-        # l = 1 term: E_p conj<P, A-hat> <P, A'> against both parts of f
-        core = _quad_forms(kform, base, -y)[:, 0]
-        return out + inv_b[1] * (fconst * core * radial[1] + fquad * core * radial[2])
-
-    est = _mc_blocks(integrand, config, (4 * m - 1,), 4 * m)
-    return f_at_aprime, est.scaled(vol_pnh(n) ** 2 * vol_sphere(4 * n - 1))
+    kappa = 8.0 / ((4 * n + 4) * (4 * n + 6))
+    f = (HlFunction(n=n, l=0, amats=(a_prime,), coeffs=(complex(c0),)), f1)
+    r = tuple(HlFunction(n=n, l=l, amats=(quat_conj_c(a_prime),),
+                         coeffs=(kappa ** l / b_coeff(n, l),)) for l in (0, 1))
+    return f_at_aprime, pairing_gg_mc(f, r, config).scaled(vol_pnh(n))
 
 
 def kernel_norm_bound_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):

@@ -199,7 +199,11 @@ class HlFunction:
         return self._eval(flat.real, flat.imag if np.iscomplexobj(flat) else None)
 
     def _eval(self, x, y=None):
-        """eval_sphere at the fiber points x + i y from their real parts, flat (..., 4n+4)."""
+        """eval_sphere at the fiber points x + i y from their real parts, flat (..., 4n+4);
+        at l = 0 the constant sum c_k on every row, with no form built."""
+        if self.l == 0:
+            rows = np.broadcast_shapes(np.shape(x)[:-1], () if y is None else np.shape(y)[:-1])
+            return np.full(rows, np.sum(self.coeffs), dtype=complex)[()]
         return _quad_forms(self._real_forms, x, y) ** self.l @ np.asarray(self.coeffs)
 
     def eval_amatrix(self, a):

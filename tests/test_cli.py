@@ -150,6 +150,16 @@ def test_quantization_suite_passes_beyond_n2(n):
     assert l0["stderr"] == 0.0 and l0["tolerance"] == 1e-14 * abs(l0["expected"])
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_verify_all_passes_in_process(n, capsys, monkeypatch):
+    # every suite passes in process above n = 1, and the report echoes n
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    assert cli.main(["verify", "--suite", "all", "--seed", "42", "--n", str(n)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["config"]["n"] == n
+    assert {c["status"] for c in rep["checks"]} == {"pass"}
+
+
 def test_op_identity_gate_is_at_least_four_sigma(monkeypatch):
     # at --seed 42 both op-identity-l* estimates run to a relative stderr of
     # at most 0.005, so their fixed 0.02 gate on the relative error is >= 4 sigma

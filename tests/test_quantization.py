@@ -364,6 +364,30 @@ def _complex_hat_forms(z):
     return np.einsum("nik,njk->nij", w, w)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_degree_one_fiber_mean_is_phi(n, rng):
+    # At a unit fiber point z = x + i y with x orthogonal to y, the sphere
+    # mean of phi(p) <P(p), A-hat(z)> is 8/(d(d+2)) phi(z), d = 4n + 4: Wick's
+    # fourth moment with tr M-hat(z) = 4 z^t z = 0.  For A-model and for
+    # arbitrary complex generators, at horizontal and at whole-sphere y; with
+    # no Monte Carlo, the oracle of T, T~ and the kernel check at l = 1.
+    m, d, size = n + 1, 4 * n + 4, 32
+    gens = rng.standard_normal((2, 2 * m, 2 * m)) + 1j * rng.standard_normal((2, 2 * m, 2 * m))
+    phis = [spl.random_hl_function(n, 1, 3, rng),
+            spl.HlFunction(n=n, l=1, amats=tuple(gens), coeffs=(0.6 - 1.1j, 1.3))]
+    base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
+    for dirs_of in (sp.sp1_orbit_frame, lambda p: p[None]):
+        z = _complex_fiber_points(base, dirs_of, rng, size)
+        for phi in phis:
+            want = 8.0 / (d * (d + 2)) * _matrix_route_phi(phi, z)
+            got = _sphere_mean_of_phi(phi, _complex_hat_forms(z))
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # the degree-1 kernel term's generator: the form of quat_conj_c(A') is conj(M')
+    aprime = sp.tau_h(sp.random_eh(n, math.sqrt(2.0), rng)).A
+    assert np.abs(spl.quad_form_matrix(alg.quat_conj_c(aprime))
+                  - np.conj(spl.quad_form_matrix(aprime))).max() == 0.0
+
+
 def test_blocked_oracles_keep_the_complex_route_draws(rng):
     # 65,536 + 5,000 samples: the second chunk ends in a partial row block.
     # Each oracle agrees with its whole-chunk complex-point batch, written
@@ -592,23 +616,25 @@ def test_b_coeff_mc_form_is_the_moment_form(n, rng):
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("l", [1, 2])
 def test_mc_oracles_keep_the_per_sample_law(n, l):
-    # b_coeff_mc draws one sphere point against a fixed fiber point, and
-    # i_coeff_mc its chi-squares as sums of exponentials; neither may change
-    # the per-sample law.  The relative standard deviation a sample,
-    # stderr sqrt(N) / |value|, is that of the defining integrand, exactly:
-    # from the degree-4l moments for b_l, from I_(2l) / I_l^2 for I_l.
-    cfg = MCConfig(samples=1 << 18, seed=2525)
+    # i_coeff_mc draws its chi-squares as sums of exponentials, and may not
+    # change the per-sample law: the relative standard deviation a sample,
+    # stderr sqrt(N) / |value|, is that of the defining integrand, exactly,
+    # from I_(2l) / I_l^2.  b_coeff_mc draws the same variable
+    # (test_b_coeff_mc_form_is_the_moment_form): the ratio of its integrand's
+    # degree-4l and squared degree-2l sphere moments at M_0 is the same number.
     m0 = spl.quad_form_matrix(sp.beta_blocks(alg.rho(_z0(n))))
-    b_exact = math.sqrt(np.real(sphere_moment(np.conj(m0), m0, 2 * l, 2 * l)
-                                / sphere_moment(np.conj(m0), m0, l, l) ** 2) - 1.0)
+    b_ratio = np.real(sphere_moment(np.conj(m0), m0, 2 * l, 2 * l)
+                      / sphere_moment(np.conj(m0), m0, l, l) ** 2)
 
     def s(k):
         return qz.i_coeff(n, k) * 8.0 ** k / qz.vol_pnh(n)
 
-    i_exact = math.sqrt(s(2 * l) / s(l) ** 2 - 1.0)
-    for est, exact in ((qz.b_coeff_mc(n, l, cfg), b_exact), (qz.i_coeff_mc(n, l, cfg), i_exact)):
-        got = est.stderr * math.sqrt(est.samples) / abs(est.value)
-        assert abs(got - exact) <= 0.03 * exact
+    i_ratio = s(2 * l) / s(l) ** 2
+    assert abs(b_ratio - i_ratio) <= 1e-12 * i_ratio
+    exact = math.sqrt(i_ratio - 1.0)
+    est = qz.i_coeff_mc(n, l, MCConfig(samples=1 << 18, seed=2525))
+    got = est.stderr * math.sqrt(est.samples) / abs(est.value)
+    assert abs(got - exact) <= 0.03 * exact
 
 
 @pytest.mark.parametrize("call", [

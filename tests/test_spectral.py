@@ -209,6 +209,28 @@ def test_real_points_take_the_real_forms_to_the_complex_route(n, rng):
         assert abs(f.eval_sphere(pts[0]) - ref[0]) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_degree_zero_eval_is_the_coefficient_sum(n, rng):
+    # at l = 0 every row is sum c_k, with the dtype and row shape of the
+    # forms route, at real and at complex points; no form is built
+    m, size = n + 1, 8
+    amats = [sp.tau_h(sp.random_eh(n, 1.0, rng)).A for _ in range(3)]
+    coeffs = (0.3, -1.2 + 0.5j, 2.0)
+    f = spec.HlFunction(n=n, l=0, amats=tuple(amats), coeffs=coeffs)
+    x = rng.standard_normal((size, 4 * m))
+    y = rng.standard_normal((size, 4 * m))
+    for xs, ys in ((x, None), (x, y), (x[0], y), (x[0], None)):
+        ref = spec._quad_forms(_form_stack(amats), xs, ys) ** 0 @ np.asarray(coeffs)
+        got = f._eval(xs, ys)
+        assert got.dtype == ref.dtype == complex and np.shape(got) == np.shape(ref)
+        assert np.abs(got - sum(coeffs)).max() <= 1e-15
+    pts = x.reshape(size, m, 4)
+    for p in (pts, pts + 1j * y.reshape(size, m, 4), pts[0]):
+        assert np.shape(f.eval_sphere(p)) == p.shape[:-2]
+    assert isinstance(f.eval_sphere(pts[0]), complex)
+    assert "_forms" not in vars(f)
+
+
 def _form_stack(amats):
     """Re M_k then Im M_k, (2K, d, d), for the matrices A_k: the stack
     _quad_forms takes, with M_k = quad_form_matrix(A_k)."""
