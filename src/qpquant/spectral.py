@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
-from .algebra import cbilinear, complexify, qconj, qmul
+from .algebra import cbilinear, qconj, qmul, rho, sharp
 from .numerics import sphere_uniform
-from .spaces import AMatrix, _amatrix_failure, _require, _tau_h_core, random_eh
+from .spaces import AMatrix, _amatrix_failure, _require, _tau_h_core, beta_blocks, random_eh
 
 __all__ = [
     "HlFunction",
@@ -66,43 +66,16 @@ def sphere_descent_residual(n, l):
     return eigenvalue(n, l) - k * (k + 4 * n + 2)
 
 
-@cache
-def _pairing_tensor(m):
-    """The pairing tensor G, (4m^2, 16m^2) complex: row cd holds
-    cbilinear(complexify(e_a theta(e_b)), E_cd) over the basis products, E_cd
-    the matrix units, so <(p_i theta(q_j)), A>_C = p^t (G.A) q with G.A the
-    (4m, 4m) reshape of A.ravel() @ G.  Built once per size and read-only."""
-    basis = np.eye(4 * m).reshape(4 * m, m, 4)
-    prods = complexify(qmul(basis[:, None, :, None], qconj(basis)[:, None]))
-    units = np.eye(4 * m * m).reshape(-1, 1, 1, 2 * m, 2 * m)
-    out = cbilinear(prods, units).reshape(4 * m * m, -1)
-    out.flags.writeable = False
-    return out
-
-
-def _pairing_forms(a):
-    """G.A, (4m, 4m), for one matrix A (2m, 2m), or (N, 4m, 4m) for a batch.
-    Each is one (1, 4m^2) row times G, so a batch row is bitwise the form of
-    its matrix alone."""
-    a = np.asarray(a)
-    m = a.shape[-1] // 2
-    forms = np.reshape(a, a.shape[:-2] + (1, -1)) @ _pairing_tensor(m)
-    return forms.reshape(a.shape[:-2] + (4 * m, 4 * m))
-
-
 def pair_projector_amatrix(p, a):
-    """<P(p), A>_C = <(p_i theta(p_j)), A>_C for points p, one or a batch
-    (N, m, 4), P(p) the projector of p.
+    """<P(p), A>_C = tr(complexify(P(p)) A^sharp)/2 for points p, one or a batch
+    (N, m, 4), P(p) = (p_i theta(p_j)) the projector of p.
 
-    A is either one fixed matrix or a batch (N, 2m, 2m) paired row by row
-    with the batch of p.  The pairing is p^t (G.A) p with G the cached
-    pairing tensor.  Complex points give the complex-bilinear extension,
-    p^t M p with M = quad_form_matrix(A).
+    complexify(P(p)) is the B-model matrix beta(rho(p)), since
+    rho(theta(x)) = adj rho(x).  A is one fixed matrix or a batch
+    (N, 2m, 2m), broadcast against the points.  Complex points give the
+    complex-bilinear extension, z^t M z with M = quad_form_matrix(A).
     """
-    p = np.asarray(p)
-    rows = np.reshape(p, (-1, 1, p.shape[-2] * 4))
-    out = (rows @ _pairing_forms(a) @ np.swapaxes(rows, -1, -2))[:, 0, 0]
-    return out if p.ndim == 3 else out[0]
+    return cbilinear(beta_blocks(rho(p)), a)
 
 
 def _quad_forms(stack, x, y=None):
@@ -119,11 +92,21 @@ def _quad_forms(stack, x, y=None):
     return pairs[..., :half] + 1j * pairs[..., half:]
 
 
+# rho(e_a theta(e_b)), (4, 4, 2, 2): the blocks of complexify(P(p)) per basis pair
+_RHO_PRODS = rho(qmul(np.eye(4)[:, None], qconj(np.eye(4))))
+_RHO_PRODS.flags.writeable = False
+
+
 def quad_form_matrix(a):
-    """Complex symmetric M with <(p_i theta(p_j)), A>_C = p^t M p, p in R^(4m):
-    the tensor contraction G.A, symmetrised."""
-    forms = _pairing_forms(np.asarray(a, dtype=complex))
-    return 0.5 * (forms + forms.T)
+    """Complex symmetric M with <P(p), A>_C = p^t M p, p in R^(4m), for one
+    matrix A (2m, 2m) or a batch (..., 2m, 2m):
+    M[(i,a),(j,b)] = tr(rho(e_a theta(e_b)) (A^sharp)_ji)/2, symmetrised."""
+    sh = sharp(a)
+    m = sh.shape[-1] // 2
+    blocks = sh.reshape(sh.shape[:-2] + (m, 2, m, 2))
+    forms = 0.5 * np.einsum("abpq,...jqip->...iajb", _RHO_PRODS, blocks)
+    forms = forms.reshape(sh.shape[:-2] + (4 * m, 4 * m))
+    return 0.5 * (forms + np.swapaxes(forms, -1, -2))
 
 
 def harmonicity_certificate(a):
@@ -180,9 +163,9 @@ class HlFunction:
 
     @cached_property
     def _forms(self):
-        # the stacked quad_form_matrix(A_k), built on first use; not a field,
-        # so repr sees only the generators
-        return np.stack([quad_form_matrix(a) for a in self.amats])
+        # the forms quad_form_matrix(A_k) of the stacked generators, built on
+        # first use; not a field, so repr sees only the generators
+        return quad_form_matrix(np.stack(self.amats))
 
     @cached_property
     def _real_forms(self):  # Re M_k then Im M_k, the stack _quad_forms takes

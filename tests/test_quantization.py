@@ -237,13 +237,6 @@ def _matrix_route_phi(phi, pts):
                for c, a in zip(phi.coeffs, phi.amats))
 
 
-def _hat_forms(ahat):
-    """M-hat (N, 4m, 4m) with <P(p), A-hat> = p^t M-hat p, one per matrix of
-    the stack A-hat, by the pairing tensor."""
-    forms = spl._pairing_forms(ahat)
-    return 0.5 * (forms + np.swapaxes(forms, -1, -2))
-
-
 def _sphere_mean_of_phi(phi, mhat):
     """sum_j c_j E_p (p^t M_j p)^l (p^t M-hat p)^l row by row, M_j the forms of
     phi's generators: the mean over sphere points p of phi(p) <P(p), A-hat>^l."""
@@ -305,18 +298,19 @@ def test_matrix_free_oracles_keep_the_matrix_route_draws(rng):
             ahat = _matrix_route_fiber(pprime, rng, size)
             if flow_t is not None:
                 ahat = np.exp(-2j * flow_t) * ahat
-            return _sphere_mean_of_phi(f, _hat_forms(ahat))
+            return _sphere_mean_of_phi(f, spl.quad_form_matrix(ahat))
         return batch
 
     def t_tilde_batch(rng, size):
         base = np.broadcast_to(pprime, (size, m, 4))
         ahat = sp.beta_blocks(alg.rho(base + 1j * _loop_unit_covectors(base[None], rng)))
-        return _sphere_mean_of_phi(phi, _hat_forms(ahat))
+        return _sphere_mean_of_phi(phi, spl.quad_form_matrix(ahat))
 
     def kernel_batch(rng, size):
         base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
         ahat = _matrix_route_fiber(base, rng, size)
-        core = sphere_moment(spl.quad_form_matrix(aprime), np.conj(_hat_forms(ahat)), 1, 1)
+        core = sphere_moment(spl.quad_form_matrix(aprime), np.conj(spl.quad_form_matrix(ahat)),
+                             1, 1)
         fquad = c1 * alg.cbilinear(ahat, a1)
         return _kernel_row(n, c0, fquad, core)
 

@@ -8,7 +8,7 @@ import pytest
 
 from qpquant import spectral as spec
 from qpquant import spaces as sp
-from qpquant.algebra import rho
+from qpquant.algebra import cbilinear, complexify, qconj, qmul, rho
 from qpquant.numerics import sphere_uniform
 
 
@@ -98,19 +98,54 @@ def test_pairing_batched_amatrix_matches_fixed(rng):
     rep = spec.pair_projector_amatrix(pts, np.broadcast_to(amats[0], amats.shape))
     assert np.abs(rep - spec.pair_projector_amatrix(pts, amats[0])).max() \
         <= 1e-14 * np.abs(rep).max()
+    # one point against a batch of N matrices gives N values, one per matrix
+    one = spec.pair_projector_amatrix(pts[0], amats)
+    assert one.shape == (20,)
+    assert np.array_equal(one, [spec.pair_projector_amatrix(pts[0], a) for a in amats])
+
+
+def _pairing_tensor_oracle(m):
+    """The pairing tensor G, (4m^2, 16m^2): row cd holds
+    cbilinear(complexify(e_a theta(e_b)), E_cd) over the basis products
+    (i, a), (j, b), E_cd the matrix units, so that the (4m, 4m) reshape of
+    A.ravel() @ G is the pairing form of A before symmetrisation."""
+    basis = np.eye(4 * m).reshape(4 * m, m, 4)
+    prods = complexify(qmul(basis[:, None, :, None], qconj(basis)[:, None]))
+    units = np.eye(4 * m * m).reshape(-1, 1, 1, 2 * m, 2 * m)
+    return cbilinear(prods, units).reshape(4 * m * m, -1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_projector_is_beta_of_rho_and_forms_are_the_tensor_contraction(n, rng):
+    # what the pairing rests on: complexify((z_i theta(z_j))) = beta(rho(z)),
+    # since rho(theta(x)) = adj rho(x), here for complex z
+    m, d = n + 1, 2 * n + 2
+    z = rng.standard_normal((16, m, 4)) + 1j * rng.standard_normal((16, m, 4))
+    proj = complexify(qmul(z[:, :, None], qconj(z)[:, None]))
+    via_beta = sp.beta_blocks(rho(z))
+    assert np.abs(via_beta - proj).max() <= 1e-14 * np.abs(proj).max()
+    # quad_form_matrix is the symmetrised contraction of A with the tensor,
+    # exactly, for A-model and generic complex matrices, batched or one at a time
+    g = _pairing_tensor_oracle(m)
+    amodel = np.stack([sp.tau_h(sp.random_eh(n, 1.3, rng)).A for _ in range(6)])
+    generic = rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
+    for batch in (amodel, generic):
+        forms = (batch.reshape(6, 1, -1) @ g).reshape(6, 4 * m, 4 * m)
+        expect = 0.5 * (forms + np.swapaxes(forms, -1, -2))
+        got = spec.quad_form_matrix(batch)
+        assert got.shape == (6, 4 * m, 4 * m)
+        assert np.abs(got - expect).max() == 0.0
+        for a, row in zip(batch, got):
+            assert np.array_equal(spec.quad_form_matrix(a), row)
 
 
 def _polarized_pairing(p, a, q):
-    """<(p_i theta(q_j)), A>_C = p^t (G.A) q for points p and q of the same
-    shape, one or a batch (N, m, 4), by the products of the projector pairing."""
-    rows = np.reshape(p, (-1, 1, p.shape[-2] * 4))
-    cols = np.reshape(q, rows.shape)
-    out = (rows @ spec._pairing_forms(a) @ np.swapaxes(cols, -1, -2))[:, 0, 0]
-    return out if p.ndim == 3 else out[0]
+    """<(p_i theta(q_j)), A>_C for points p and q of the same shape, one or a
+    batch (N, m, 4): complexify(p_i theta(q_j)) is beta_blocks(rho(p), rho(q))."""
+    return cbilinear(sp.beta_blocks(rho(p), rho(q)), a)
 
 
 def test_polarized_pairing_matches_complexified_product(rng):
-    from qpquant.algebra import cbilinear, complexify, qconj, qmul
     for n in (1, 2, 3):
         amats = np.stack([sp.tau_h(sp.random_eh(n, 1.3, rng)).A for _ in range(20)])
         pts, qts = rng.standard_normal((2, 20, n + 1, 4))
@@ -129,9 +164,6 @@ def test_polarized_pairing_matches_complexified_product(rng):
         # q = p is the projector pairing
         assert np.array_equal(_polarized_pairing(pts, amats, pts),
                               spec.pair_projector_amatrix(pts, amats))
-        # the pairing tensor is built once per size and read-only
-        g = spec._pairing_tensor(n + 1)
-        assert g is spec._pairing_tensor(n + 1) and not g.flags.writeable
 
 
 def test_harmonicity_certificate_canonical_and_random(rng):
@@ -172,7 +204,6 @@ def test_sp1_invariance(rng):
     # r = e0 acts trivially, exactly
     p = sp.random_es0(1, 1.0, rng).p
     e0 = np.array([1.0, 0.0, 0.0, 0.0])
-    from qpquant.algebra import qmul
     assert np.all(qmul(p, np.broadcast_to(e0, p.shape)) == p)
     # the mixed (p_i theta(q_j)) comparator is genuinely not invariant
     pt = sp.random_es0(1, 1.0, rng)
@@ -194,8 +225,8 @@ def test_random_hl_functions_evaluate(rng):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_real_points_take_the_real_forms_to_the_complex_route(n, rng):
     # eval_sphere's one route, the real forms Re M_k and Im M_k, gives at real
-    # points what the complex route gives: the reference pairing by the
-    # pairing tensor, with the complex forms G.A_k.  A real point written as
+    # points what the complex route gives: the reference pairing by its
+    # definition through beta(rho(p)).  A real point written as
     # a complex one, z = p + 0i, gives the same values.
     m = n + 1
     pts = sphere_uniform(4 * m - 1, rng, size=512).reshape(512, m, 4)
@@ -241,7 +272,7 @@ def _form_stack(amats):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_quad_forms_are_the_reference_pairing(n, rng):
     # z^t M_k z from real products alone equals the reference pairing
-    # <(z_i theta(z_j)), A_k>_C by the pairing tensor: at real points, at
+    # <(z_i theta(z_j)), A_k>_C through beta(rho(z)): at real points, at
     # complex points z = x + i y, and at one base x shared by every row
     m, size = n + 1, 256
     amats = [sp.tau_h(sp.random_eh(n, float(r), rng)).A for r in (0.7, 1.3, 2.0)]
@@ -266,13 +297,12 @@ def test_quad_forms_are_the_reference_pairing(n, rng):
 def test_fiber_factor_is_the_reference_form(n, rng):
     # the rank-4 factor of the l >= 2 sphere moment, column k the orbit frame
     # z e_k = x e_k + i y e_k: W W^t is M-hat(z), the symmetrised pairing
-    # form of beta(rho(z)) by the pairing tensor
+    # form quad_form_matrix(beta(rho(z)))
     m, size = n + 1, 64
     x = sphere_uniform(4 * m - 1, rng)
     y = rng.standard_normal((size, 4 * m))
     w = np.swapaxes(sp._orbit_frames(x[None]) + 1j * sp._orbit_frames(y), -1, -2)
-    forms = spec._pairing_forms(sp.beta_blocks(rho((x + 1j * y).reshape(size, m, 4))))
-    mhat = 0.5 * (forms + np.swapaxes(forms, -1, -2))
+    mhat = spec.quad_form_matrix(sp.beta_blocks(rho((x + 1j * y).reshape(size, m, 4))))
     assert np.abs(w @ np.swapaxes(w, -1, -2) - mhat).max() <= 1e-13 * np.abs(mhat).max()
 
 
@@ -286,7 +316,6 @@ def test_hl_function_equality_is_identity(rng):
 
 
 def test_pairing_of_complex_points_is_the_bilinear_extension(rng):
-    from qpquant.algebra import cbilinear, rho
     for n in (1, 2):
         m = n + 1
         a = sp.tau_h(sp.random_eh(n, 1.3, rng)).A
