@@ -27,10 +27,8 @@ from .spaces import (
     BTuple,
     SphereCovector,
     _adj2,
-    _alpha_core,
     _orbit_frames,
-    _sphere_covector_failure,
-    _tau_h_core,
+    _tau_h_alpha_core,
     _tau_h_inv_core,
     _tau_s_core,
     _tau_s_inv_core,
@@ -546,13 +544,12 @@ def geodesic_flow_pair(pt, t):
     if abs(float(np.sqrt(np.sum(q * q))) - 1.0) > 1e-10:
         raise ValueError("flow comparison needs a unit-speed covector")
     if not in_sphere_covector(pt):
-        reason = _sphere_covector_failure(p, q)[0]
-        raise ValueError(f"point is not in the sphere covector space: {reason}")
+        raise ValueError(f"point is not in the sphere covector space: {pt._failure}")
     # times t, then 0 for the start point: the rotation of the (p, q) plane keeps
     # |p| = 1, (p, q)_E = 0 and a non-vertical q, so each point is in E_S by construction
     ts = np.append(t, 0.0).reshape(-1, 1, 1)
     c, s = np.cos(ts), np.sin(ts)
-    a = _tau_h_core(*_alpha_core(p * c + q * s, q * c - p * s))
+    a = _tau_h_alpha_core(p * c + q * s, q * c - p * s)
     a_t = a[:-1].reshape(np.shape(t) + a.shape[1:]).copy()  # a view would hold the stack
     return a_t, np.exp(-2j * np.reshape(t, np.shape(t) + (1, 1))) * a[-1]
 

@@ -402,8 +402,10 @@ def _fiber_apply(phi, x, frame, config):
                          coeffs=(1.0,))
 
     def integrand(g):
+        if l == 0:  # the constant sum c_j: only the row count of g is read
+            return phi._eval(x, g)
         y = _unit_covectors(frame, g)
-        if l <= 1:
+        if l == 1:
             return kappa * phi._eval(x, y)
         w = np.swapaxes(xframe + 1j * _orbit_frames(y), -1, -2)
         return coeffs @ sphere_moment(phi._forms[:, None], w, l, l, factor=True)

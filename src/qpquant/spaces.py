@@ -13,13 +13,17 @@ Points of the four models:
 The maps alpha, beta, tau_s, tau_h (and the inverses of the tau's) move
 points between these models; ``beta(tau_s(x)) == tau_h(alpha(x))`` exactly
 on the horizontal locus and provably not elsewhere.
+
+A point's arrays are read-only views of a private copy, so a point cannot
+change after it is made, and each point tests its membership once: the maps
+and the predicates read the verdict it cached.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -76,9 +80,11 @@ MAX_TRIES = 64
 
 
 def _freeze(a):
+    """A read-only view of a private read-only copy of a: neither the caller's
+    array nor the view's flags can change it."""
     a = np.array(a, copy=True)
     a.flags.writeable = False
-    return a
+    return a.view()
 
 
 def blocks_to_coords(blocks):
@@ -109,6 +115,11 @@ class SphereCovector:
     def n(self):
         return self.p.shape[0] - 1
 
+    @cached_property
+    def _failure(self):
+        """The first failed condition of E_S, or None, tested once."""
+        return _sphere_covector_failure(self.p, self.q)[0]
+
 
 @dataclass(frozen=True)
 class CotangentPointH:
@@ -130,6 +141,12 @@ class CotangentPointH:
         """Jordan-algebra norm ||Q|| = sqrt(tr(Q o Q))."""
         return float(np.sqrt(np.sum(self.Q ** 2)))
 
+    @cached_property
+    def _checked(self):
+        """The first failed condition of E_H, or None, and tau_h(P, Q), which
+        the test builds: computed once."""
+        return _cotangent_h_failure(self.P, self.Q)
+
 
 @dataclass(frozen=True)
 class BTuple:
@@ -149,6 +166,11 @@ class BTuple:
         """Ambient coordinate vector (z_0..z_{2n+1}, w_0..w_{2n+1})."""
         return blocks_to_coords(self.B)
 
+    @cached_property
+    def _failure(self):
+        """The first failed condition of the B-model, or None, tested once."""
+        return _btuple_failure(self.B)
+
     @property
     def norm(self):
         return fro_norm(self.B)
@@ -166,6 +188,11 @@ class AMatrix:
     @property
     def n(self):
         return self.A.shape[0] // 2 - 1
+
+    @cached_property
+    def _failure(self):
+        """The first failed condition of the A-model, or None, tested once."""
+        return _amatrix_failure(self.A)
 
     @property
     def norm(self):
@@ -203,7 +230,7 @@ def _sphere_covector_failure(p, q, tol=EQ_TOL, horizontal=False):
 
 def in_sphere_covector(pt):
     """(p,p)_E = 1, (p,q)_E = 0, and q + p (q,p)_H != 0."""
-    return _sphere_covector_failure(pt.p, pt.q)[0] is None
+    return pt._failure is None
 
 
 def in_sphere_covector0(pt):
@@ -227,7 +254,7 @@ def _cotangent_h_failure(P, Q):
 
 def in_cotangent_h(pt):
     """tr P = 1, P o P = P, P o Q = Q/2, Q != 0, Q^3 = ||Q||^2 Q / 2."""
-    return _cotangent_h_failure(pt.P, pt.Q)[0] is None
+    return pt._checked[0] is None
 
 
 def _btuple_failure(b, horizontal=False):
@@ -253,7 +280,7 @@ def _btuple_failure(b, horizontal=False):
 
 def in_btuple_space(pt):
     """sum(det B_i) = 0 and z, w linearly independent."""
-    return _btuple_failure(pt.B) is None
+    return pt._failure is None
 
 
 def in_btuple_space0(pt):
@@ -284,7 +311,7 @@ def _amatrix_failure(a):
 
 def in_amatrix_space(pt):
     """J A = A^t J, A^2 = 0, numerical rank 2."""
-    return _amatrix_failure(pt.A) is None
+    return pt._failure is None
 
 
 # --------------------------------------------------------------------- maps
@@ -297,7 +324,7 @@ def _alpha_core(p, q):
 
 def alpha(pt):
     """(p, q) -> (P, Q) with P = (p_i theta(p_j)), Q = (p_i theta(q_j) + q_i theta(p_j))."""
-    _require(_sphere_covector_failure(pt.p, pt.q)[0], "point is not in the sphere covector space")
+    _require(pt._failure, "point is not in the sphere covector space")
     return CotangentPointH(*_alpha_core(pt.p, pt.q))
 
 
@@ -310,7 +337,7 @@ def _tau_s_core(p, q):
 
 def tau_s(pt):
     """(p, q) -> B_i = rho(|q| p_i + q_i i); ||B||^2 = 4 |q|^2."""
-    _require(_sphere_covector_failure(pt.p, pt.q)[0], "point is not in the sphere covector space")
+    _require(pt._failure, "point is not in the sphere covector space")
     return BTuple(_tau_s_core(pt.p, pt.q))
 
 
@@ -329,9 +356,24 @@ def _tau_h_core(P, Q):
     return _tau_h_parts(P, Q)[0]
 
 
+def _tau_h_alpha_core(p, q):
+    """A of tau_h(alpha(p, q)) on (..., m, 4) arrays, with no membership test,
+    through rho blocks: rho(theta(x)) = adj rho(x), so complexify(P) = beta(rho(p))
+    and complexify(Q) = beta(rho(p), rho(q)) + beta(rho(q), rho(p)).  One beta of
+    the blocks of p and q side by side, (..., 2m, 2, 2), holds all three
+    products.  cq = complexify(Q) is hermitian, so ||Q||^2 = |cq|^2 / 2 = tr(cq^2) / 2."""
+    k = 2 * p.shape[-2]
+    blocks = beta_blocks(rho(np.concatenate([p, q], axis=-2)))
+    cp, cq = blocks[..., :k, :k], blocks[..., :k, k:] + blocks[..., k:, :k]
+    cq2 = cq @ cq
+    nq2 = 0.5 * np.trace(cq2, axis1=-2, axis2=-1).real
+    nq2 = nq2[..., None, None] if nq2.ndim else nq2  # one point: a scalar, cheaper to broadcast
+    return nq2 * cp - cq2 + (1j / np.sqrt(2.0)) * np.sqrt(nq2) * cq
+
+
 def tau_h(pt):
     """(P, Q) -> A = ||Q||^2 rho(P) - rho(Q)^2 + i ||Q|| rho(Q) / sqrt(2)."""
-    reason, a = _cotangent_h_failure(pt.P, pt.Q)
+    reason, a = pt._checked
     _require(reason, "point is not in the cotangent-bundle model")
     return AMatrix(a)
 
@@ -362,7 +404,7 @@ def beta_blocks(b, c=None):
 
 def beta(pt):
     """B -> A with blocks A_ij = -B_i J B_j^t J = B_i adj(B_j)."""
-    _require(_btuple_failure(pt.B), "tuple is not in the B-model space")
+    _require(pt._failure, "tuple is not in the B-model space")
     return AMatrix(beta_blocks(pt.B))
 
 
@@ -379,7 +421,7 @@ def tau_s_inv(pt):
     Rejects tuples whose recovered point sits within ``BOUNDARY_TOL`` of the
     boundary where the sphere-covector membership degenerates.
     """
-    _require(_btuple_failure(pt.B), "tuple is not in the B-model space")
+    _require(pt._failure, "tuple is not in the B-model space")
     # p is undefined where q vanishes; that tuple is rejected next
     with np.errstate(divide="ignore", invalid="ignore"):
         p, q = _tau_s_inv_core(pt.B)
@@ -407,7 +449,7 @@ def _tau_h_inv_core(a):
 
 def tau_h_inv(pt):
     """Recover (P, Q) from A using the quaternionic real/imaginary parts."""
-    _require(_amatrix_failure(pt.A), "matrix is not in the A-model space")
+    _require(pt._failure, "matrix is not in the A-model space")
     return CotangentPointH(*_tau_h_inv_core(pt.A))
 
 
@@ -492,12 +534,13 @@ def random_eh(n, qnorm_j, rng):
 
 def random_sl2(rng):
     """Haar-ish sample of SL(2, C) via a normalized complexified quaternion."""
-    while True:
+    for _ in range(MAX_TRIES):
         r = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         g = rho(r)
         d = np.linalg.det(g)
         if abs(d) > 1e-6:
             return g / np.sqrt(d)
+    raise RuntimeError("degenerate draws while sampling SL(2, C)")
 
 
 # -------------------------------------------------------------- serialization

@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import cbilinear, qconj, qmul, rho, sharp
 from .numerics import sphere_uniform
-from .spaces import AMatrix, _amatrix_failure, _require, _tau_h_core, beta_blocks, random_eh
+from .spaces import AMatrix, _require, _tau_h_core, beta_blocks, random_eh
 
 __all__ = [
     "HlFunction",
@@ -116,7 +116,7 @@ def harmonicity_certificate(a):
     Laplacian: Delta(q^l) = l(l-1) q^(l-2) <grad q, grad q> + l q^(l-1) tr.
     """
     pt = a if isinstance(a, AMatrix) else AMatrix(a)
-    _require(_amatrix_failure(pt.A), "matrix fails the cotangent-model membership")
+    _require(pt._failure, "matrix fails the cotangent-model membership")
     m = quad_form_matrix(pt.A)
     scale = max(1.0, float(np.abs(m).max()))
     trace_residual = abs(np.trace(m)) / scale

@@ -722,9 +722,14 @@ def test_operators_refuse_a_bad_base_point(apply, rng):
     assert apply(phi, pprime.ravel(), cfg) == apply(phi, pprime, cfg)
 
 
-def test_t_apply_generic_constant(rng):
+def test_t_apply_generic_constant(rng, monkeypatch):
     # T applied to the l = 0 eigenfunction phi = 1 is independent of the base
-    # point and equals a_0
+    # point and equals a_0; no fiber covector is projected, since phi reads
+    # only the row count of the draws
+    def no_covectors(*args):
+        raise AssertionError("l = 0 projected fiber covectors")
+
+    monkeypatch.setattr(qz, "_unit_covectors", no_covectors)
     one = spl.HlFunction(n=1, l=0, amats=(sp.tau_h(sp.random_eh(1, 1.0, rng)).A,),
                          coeffs=(1.0,))
     cfg = MCConfig(samples=2000, seed=3)

@@ -151,6 +151,112 @@ def test_cores_on_stacks_equal_the_public_maps(rng, n):
         assert (A[k] == sp.tau_h(cp).A).all() and (B[k] == sp.tau_s(pt).B).all()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tau_h_alpha_core_is_tau_h_of_alpha(rng, n):
+    # complexify(P) = beta(rho(p)) and complexify(Q) = beta(rho(p), rho(q)) +
+    # beta(rho(q), rho(p)) hold for any (p, q), horizontal or not
+    for draw in (lambda: sp.random_es0(n, float(rng.uniform(0.3, 2.0)), rng),
+                 lambda: sp.random_es_generic(n, rng)):
+        pts = [draw() for _ in range(6)]
+        p = np.stack([pt.p for pt in pts]).reshape(2, 3, n + 1, 4)
+        q = np.stack([pt.q for pt in pts]).reshape(2, 3, n + 1, 4)
+        a, want = sp._tau_h_alpha_core(p, q), sp._tau_h_core(*sp._alpha_core(p, q))
+        assert a.shape == (2, 3, 2 * n + 2, 2 * n + 2)
+        for k, pt in enumerate(pts):
+            row, ref = a[divmod(k, 3)], want[divmod(k, 3)]
+            assert (row == sp._tau_h_alpha_core(pt.p, pt.q)).all()
+            assert np.abs(row - ref).max() <= 1e-14 * fro_norm(ref)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(sp, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sp, name, counting)
+    return calls
+
+
+def test_each_point_tests_its_membership_once(rng, monkeypatch):
+    from qpquant import geometry as geo
+    calls = _counting(monkeypatch, "_sphere_covector_failure")
+    pt = sp.random_es0(1, 1.0, rng)
+    for t in np.arange(32) * 0.1:
+        geo.geodesic_flow_pair(pt, float(t))
+    assert len(calls) == 1
+    pt = sp.random_es0(2, 1.3, rng)
+    for _ in range(3):
+        sp.tau_s(pt), sp.alpha(pt)
+    assert sp.in_sphere_covector(pt) and len(calls) == 2
+    calls = _counting(monkeypatch, "_cotangent_h_failure")
+    cp = sp.alpha(pt)
+    assert sp.tau_h(cp).A.tobytes() == sp.tau_h(cp).A.tobytes() and sp.in_cotangent_h(cp)
+    assert len(calls) == 1
+
+
+def test_points_off_the_model_raise_the_same_reason_every_call(rng):
+    pt = sp.random_es0(1, 1.0, rng)
+    cp, bt = sp.alpha(pt), sp.tau_s(pt)
+    cases = [(sp.alpha, sp.SphereCovector(1.01 * pt.p, pt.q), "sphere covector space"),
+             (sp.tau_s, sp.SphereCovector(1.01 * pt.p, pt.q), "sphere covector space"),
+             (sp.tau_h, sp.CotangentPointH(2.0 * cp.P, cp.Q), "cotangent-bundle model"),
+             (sp.beta, sp.BTuple(bt.B * np.array([1.0, 1.1])[:, None, None]), "B-model space"),
+             (sp.tau_s_inv, sp.BTuple(np.stack([bt.B[0], bt.B[0]])), "B-model space"),
+             (sp.tau_h_inv, sp.AMatrix(2.0 * np.eye(4)), "A-model space")]
+    for public_map, bad, name in cases:
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(ValueError, match=name) as err:
+                public_map(bad)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+
+
+def test_point_arrays_are_private_and_read_only(rng):
+    pt = sp.random_es0(1, 1.0, rng)
+    cp = sp.alpha(pt)
+    for obj, field in ((pt, "p"), (pt, "q"), (cp, "P"), (cp, "Q"),
+                       (sp.tau_s(pt), "B"), (sp.tau_h(cp), "A")):
+        arr = getattr(obj, field)
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the caller's arrays stay the caller's: changing them after construction
+    # moves neither the point nor the verdict it computes later
+    p, q = pt.p.copy(), pt.q.copy()
+    first, later = sp.SphereCovector(p, q), sp.SphereCovector(p, q)
+    assert sp.in_sphere_covector(first)
+    p *= 1.01
+    assert (first.p == pt.p).all() and (later.p == pt.p).all()
+    assert sp.in_sphere_covector(first) and sp.in_sphere_covector(later)
+    b = sp.tau_s(pt).B.copy()
+    bt = sp.BTuple(b)
+    b[0] = 0.0
+    assert sp.in_btuple_space(bt) and (bt.B == sp.tau_s(pt).B).all()
+
+
+def test_random_sl2_gives_up_on_degenerate_draws():
+    class Zeros:
+        draws = 0
+
+        def standard_normal(self, size):
+            self.draws += 1
+            return np.zeros(size)
+
+    zeros = Zeros()
+    with pytest.raises(RuntimeError, match="degenerate draws while sampling SL"):
+        sp.random_sl2(zeros)
+    assert zeros.draws == 2 * sp.MAX_TRIES
+    g = sp.random_sl2(np.random.default_rng(7))
+    r = np.random.default_rng(7).standard_normal(8)
+    want = rho(r[:4] + 1j * r[4:])
+    assert np.abs(g - want / np.sqrt(np.linalg.det(want))).max() == 0.0
+
+
 def test_public_maps_keep_their_membership_tests(rng):
     pt = sp.random_es0(1, 1.0, rng)
     long_p = sp.SphereCovector(1.01 * pt.p, pt.q)
