@@ -31,9 +31,9 @@ from .numerics import (
     vol_pnh,
     vol_sphere,
 )
-from .spaces import (EQ_TOL, _first_failure, _orbit_frames, _project_out, _require, _tau_h_core,
-                     random_eh)
-from .spectral import HlFunction, dim_eigenspace, eigenvalue
+from .spaces import (EQ_TOL, _first_failure, _orbit_frames, _project_out, _require, _tau_s_core,
+                     beta_blocks, random_es0)
+from .spectral import HlFunction, _check_degree, dim_eigenspace, eigenvalue
 
 __all__ = [
     "A_H_CONST",
@@ -108,12 +108,6 @@ def weight_pair_fg(norm_a):
 
 
 # ------------------------------------------------------- closed-form pieces
-
-def _check_degree(n, l):
-    """Refuse n < 1 or l < 0, before any draw or Gamma factor."""
-    if n < 1 or l < 0:
-        raise ValueError("need n >= 1 and l >= 0")
-
 
 def log_moment_s7(l):
     """log of the degree-2l moment integral over the seven-sphere (n = 1)."""
@@ -510,6 +504,8 @@ def pairing_gg_mc(fa, fb, config):
     """
     fa, fb = (f if isinstance(f, tuple) else (f,) for f in (fa, fb))
     n = fa[0].n
+    if any(f.n != n for f in fa + fb):
+        raise ValueError(f"need functions of one n, got n = {sorted({f.n for f in fa + fb})}")
     # the first term's radial factor scales the mean, so one pair rounds as one term did
     ref = log_radial_gg(n, fa[0].l + fb[0].l)
     terms = [(a, b, math.exp(log_radial_gg(n, a.l + b.l) - ref)) for a in fa for b in fb]
@@ -524,9 +520,9 @@ def pairing_gg_mc(fa, fb, config):
 
 
 def orthogonality_check(n, l, lp, config, rng):
-    """Pairing between degree-l and degree-l' generators; -> 0 for l != l'."""
-    cps = [random_eh(n, math.sqrt(2.0), rng) for _ in range(2)]
-    a1, a2 = (_tau_h_core(cp.P, cp.Q) for cp in cps)
+    """Pairing between degree-l and degree-l' generators beta(tau_s(x)); -> 0 for l != l'."""
+    pts = [random_es0(n, 1.0, rng) for _ in range(2)]
+    a1, a2 = (beta_blocks(_tau_s_core(pt.p, pt.q)) for pt in pts)
     return pairing_gg_mc(HlFunction(n=n, l=l, amats=(a1,), coeffs=(1.0,)),
                          HlFunction(n=n, l=lp, amats=(a2,), coeffs=(1.0,)), config)
 

@@ -242,14 +242,15 @@ def _cotangent_h_failure(P, Q):
     """First failed condition of E_H, or None, and tau_h(P, Q).  complexify is an
     injective *-homomorphism, so for cp = rho(P) and cq = rho(Q) the conditions
     read Re tr cp / 2 = 1, cp^2 = cp, cp cq + cq cp = cq and cq^3 = ||Q||^2 cq / 2."""
-    a, nq, cp, cq, cq2 = _tau_h_parts(P, Q)
-    s = max(1.0, abs(Q).max())
+    nq, cp, cq = np.sqrt(np.sum(Q ** 2)), complexify(P), complexify(Q)
+    cq2, s = cq @ cq, max(1.0, abs(Q).max())
     tr, pp = abs(0.5 * cp.trace().real - 1.0), abs(cp @ cp - cp).max()
     pq, q3 = abs(cp @ cq + cq @ cp - cq).max(), abs(cq2 @ cq - 0.5 * nq ** 2 * cq).max()
-    return _first_failure([("tr P = 1", tr, tr <= EQ_TOL), ("P o P = P", pp, pp <= EQ_TOL),
-                           ("P o Q = Q/2", pq, pq <= 2.0 * EQ_TOL * s),
-                           ("Q != 0", nq ** 2, nq ** 2 > EQ_TOL),
-                           ("Q^3 = ||Q||^2 Q/2", q3, q3 <= EQ_TOL * s ** 3)]), a
+    reason = _first_failure([("tr P = 1", tr, tr <= EQ_TOL), ("P o P = P", pp, pp <= EQ_TOL),
+                             ("P o Q = Q/2", pq, pq <= 2.0 * EQ_TOL * s),
+                             ("Q != 0", nq ** 2, nq ** 2 > EQ_TOL),
+                             ("Q^3 = ||Q||^2 Q/2", q3, q3 <= EQ_TOL * s ** 3)])
+    return reason, _tau_h_from(cp, cq, cq2, nq)
 
 
 def in_cotangent_h(pt):
@@ -341,19 +342,10 @@ def tau_s(pt):
     return BTuple(_tau_s_core(pt.p, pt.q))
 
 
-def _tau_h_parts(P, Q):
-    """A of tau_h on (..., m, m, 4) arrays, with no membership test, and the
-    ||Q||, rho(P), rho(Q) and rho(Q)^2 it is made of."""
-    nq = np.sqrt(np.sum(Q ** 2, axis=(-3, -2, -1)))
-    nq = nq[..., None, None] if nq.ndim else nq  # one point: a scalar, cheaper to broadcast
-    cp, cq = complexify(P), complexify(Q)
-    cq2 = cq @ cq
-    return nq ** 2 * cp - cq2 + (1j / np.sqrt(2.0)) * nq * cq, nq, cp, cq, cq2
-
-
-def _tau_h_core(P, Q):
-    """A of tau_h on (..., m, m, 4) arrays, with no membership test."""
-    return _tau_h_parts(P, Q)[0]
+def _tau_h_from(cp, cq, cq2, nq):
+    """A = ||Q||^2 cp - cq^2 + i ||Q|| cq / sqrt(2) of tau_h, the one assembly of
+    it, from cp = complexify(P), cq = complexify(Q), cq^2 and ||Q||."""
+    return nq ** 2 * cp - cq2 + (1j / np.sqrt(2.0)) * nq * cq
 
 
 def _tau_h_alpha_core(p, q):
@@ -366,9 +358,8 @@ def _tau_h_alpha_core(p, q):
     blocks = beta_blocks(rho(np.concatenate([p, q], axis=-2)))
     cp, cq = blocks[..., :k, :k], blocks[..., :k, k:] + blocks[..., k:, :k]
     cq2 = cq @ cq
-    nq2 = 0.5 * np.trace(cq2, axis1=-2, axis2=-1).real
-    nq2 = nq2[..., None, None] if nq2.ndim else nq2  # one point: a scalar, cheaper to broadcast
-    return nq2 * cp - cq2 + (1j / np.sqrt(2.0)) * np.sqrt(nq2) * cq
+    nq = np.sqrt(0.5 * np.trace(cq2, axis1=-2, axis2=-1).real)[..., None, None]
+    return _tau_h_from(cp, cq, cq2, nq)
 
 
 def tau_h(pt):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import cbilinear, qconj, qmul, rho, sharp
 from .numerics import sphere_uniform
-from .spaces import AMatrix, _require, _tau_h_core, beta_blocks, random_eh
+from .spaces import AMatrix, _require, _tau_s_core, beta_blocks, random_es0
 
 __all__ = [
     "HlFunction",
@@ -33,21 +33,25 @@ __all__ = [
 ]
 
 
+def _check_degree(n, l):
+    """Refuse n < 1 or l < 0, before any draw or Gamma factor."""
+    if n < 1 or l < 0:
+        raise ValueError(f"need n >= 1 and l >= 0, got n = {n}, l = {l}")
+
+
 def dim_eigenspace(n, l):
     """Dimension of the l-th Laplacian eigenspace, an exact integer.
 
     2n (2l+2n+1) C(l+2n, 2n)^2 / ((2n+1)(l+1)(l+2n)); the division is exact.
     """
-    if n < 1 or l < 0:
-        raise ValueError("need n >= 1 and l >= 0")
+    _check_degree(n, l)
     return (2 * n * (2 * l + 2 * n + 1) * math.comb(l + 2 * n, 2 * n) ** 2
             // ((2 * n + 1) * (l + 1) * (l + 2 * n)))
 
 
 def eigenvalue(n, l):
     """Laplacian eigenvalue 4 l (2n + 1 + l)."""
-    if n < 1 or l < 0:
-        raise ValueError("need n >= 1 and l >= 0")
+    _check_degree(n, l)
     return 4.0 * l * (2 * n + 1 + l)
 
 
@@ -161,6 +165,14 @@ class HlFunction:
     amats: tuple
     coeffs: tuple
 
+    def __post_init__(self):
+        _check_degree(self.n, self.l)
+        if len(self.coeffs) != len(self.amats):
+            raise ValueError(f"coeffs has {len(self.coeffs)} entries for {len(self.amats)} amats")
+        if {np.shape(a) for a in self.amats} != {(2 * self.n + 2,) * 2}:
+            raise ValueError(f"amats must be one or more {(2 * self.n + 2,) * 2} matrices at "
+                             f"n = {self.n}, got shapes {[np.shape(a) for a in self.amats]}")
+
     @cached_property
     def _forms(self):
         # the forms quad_form_matrix(A_k) of the stacked generators, built on
@@ -195,8 +207,8 @@ class HlFunction:
 
 
 def random_hl_function(n, l, k, rng):
-    """Random element of the l-th eigenspace as a k-term generator span."""
-    gens = [random_eh(n, np.sqrt(2.0), rng) for _ in range(k)]
+    """Random element of the l-th eigenspace, a k-term span of beta(tau_s(x)) = tau_h(alpha(x))."""
+    pts = [random_es0(n, 1.0, rng) for _ in range(k)]
     coeffs = rng.standard_normal(k) if l > 0 else np.abs(rng.standard_normal(k))
-    return HlFunction(n=n, l=l, amats=tuple(_tau_h_core(cp.P, cp.Q) for cp in gens),
+    return HlFunction(n=n, l=l, amats=tuple(beta_blocks(_tau_s_core(pt.p, pt.q)) for pt in pts),
                       coeffs=tuple(coeffs.tolist()))

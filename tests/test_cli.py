@@ -84,33 +84,48 @@ def test_spectral_suite_dims_and_schema():
         assert c["status"] in ("pass", "fail")
 
 
-def test_exit_codes():
-    ok = run_cli(["verify", "--suite", "algebra", "--seed", "1"])
-    assert ok.returncode == 0
-    bad = run_cli(["verify", "--suite", "not-a-suite"])
-    assert bad.returncode == 2
-    bad2 = run_cli(["verify", "--l-range", "zz"])
-    assert bad2.returncode == 2
+def main_in_process(argv, capsys):
+    """cli.main(argv) in this process: (exit code, stdout, stderr).  An
+    argparse error raises SystemExit, whose code is the exit code."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_exit_codes(capsys, monkeypatch):
+    for var in ("QPQUANT_SEED", "QPQUANT_FORMAT"):
+        monkeypatch.delenv(var, raising=False)
+    assert main_in_process(["verify", "--suite", "algebra", "--seed", "1"], capsys)[0] == 0
+    assert main_in_process(["verify", "--suite", "not-a-suite"], capsys)[0] == 2
+    assert main_in_process(["verify", "--l-range", "zz"], capsys)[0] == 2
     for cmd in (["verify", "--suite", "quantization"], ["constants"]):
-        inverted = run_cli([*cmd, "--l-range", "3..1"])
-        assert inverted.returncode == 2 and inverted.stdout == ""
-        assert "'3..1' is not a range A..B" in inverted.stderr
+        code, out, err = main_in_process([*cmd, "--l-range", "3..1"], capsys)
+        assert code == 2 and out == ""
+        assert "'3..1' is not a range A..B" in err
     # b_l leaves the double range at l = 79 for n = 1; l = 78 is the last row
-    overflow = run_cli(["constants", "--n", "1", "--l-range", "79..79"])
-    assert overflow.returncode == 2 and overflow.stdout == ""
-    assert "configuration error:" in overflow.stderr and "l=79" in overflow.stderr
-    assert run_cli(["constants", "--n", "1", "--l-range", "78..78"]).returncode == 0
+    code, out, err = main_in_process(["constants", "--n", "1", "--l-range", "79..79"], capsys)
+    assert code == 2 and out == ""
+    assert "configuration error:" in err and "l=79" in err
+    assert main_in_process(["constants", "--n", "1", "--l-range", "78..78"], capsys)[0] == 0
     # constants and kernel take only the options they read
     for cmd in (["constants", "--samples", "5"], ["kernel", "--format", "csv"]):
-        unread = run_cli(cmd)
-        assert unread.returncode == 2 and "unrecognized arguments" in unread.stderr
+        code, _, err = main_in_process(cmd, capsys)
+        assert code == 2 and "unrecognized arguments" in err
+    # an environment default is checked against the flag's choices
+    monkeypatch.setenv("QPQUANT_FORMAT", "xml")
+    code, out, err = main_in_process(["verify", "--suite", "algebra"], capsys)
+    assert code == 2 and out == ""
+    assert "configuration error: QPQUANT_FORMAT='xml' is not one of json, csv" in err
+
+
+def test_entry_point_exits_with_the_configuration_error_code():
+    # python -m qpquant.cli exits with main()'s return value
     bad_env = run_cli(["verify", "--suite", "algebra"], env_extra={"QPQUANT_SEED": "abc"})
     assert bad_env.returncode == 2
     assert "configuration error: QPQUANT_SEED='abc' is not a valid int" in bad_env.stderr
-    # an environment default is checked against the flag's choices
-    bad_format = run_cli(["verify", "--suite", "algebra"], env_extra={"QPQUANT_FORMAT": "xml"})
-    assert bad_format.returncode == 2 and bad_format.stdout == ""
-    assert "configuration error: QPQUANT_FORMAT='xml' is not one of json, csv" in bad_format.stderr
 
 
 # cmd ends in the option under test; its field, rule and a valid value
@@ -134,30 +149,30 @@ def test_lmax_below_zero_is_a_configuration_error(cmd, value):
     assert run_cli([*cmd, valid]).returncode == 0
 
 
-@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("n", [3])
 def test_quantization_suite_passes_beyond_n2(n):
-    # every suite, the n = 2 constant and the config echo run above n = 2,
-    # and bcoeff-mc runs at the report's n
+    # the entry point runs every suite above n = 2 and echoes n; the checks
+    # themselves are asserted in process (test_verify_all_passes_in_process)
     res = run_cli(["verify", "--suite", "all", "--seed", "42", "--n", str(n)])
     assert res.returncode == 0
-    rep = json.loads(res.stdout)
+    assert json.loads(res.stdout)["config"]["n"] == n
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_verify_all_passes_in_process(n, capsys, monkeypatch):
+    # every suite passes in process above n = 1, and the report echoes n;
+    # the n = 2 constant runs, and bcoeff-mc runs at the report's n
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    assert cli.main(["verify", "--suite", "all", "--seed", "42", "--n", str(n)]) == 0
+    rep = json.loads(capsys.readouterr().out)
     assert rep["config"]["n"] == n
+    assert {c["status"] for c in rep["checks"]} == {"pass"}
     assert "a-proj-n2" in [c["id"] for c in rep["checks"]]
     bmc = next(c for c in rep["checks"] if c["id"] == "bcoeff-mc")
     assert bmc["expected"] == cli.qz.b_coeff(n, 1)
     # the exactly constant l = 0 moment meets its closed form at a few ulps
     l0 = next(c for c in rep["checks"] if c["id"] == "moment-mc-l0")
     assert l0["stderr"] == 0.0 and l0["tolerance"] == 1e-14 * abs(l0["expected"])
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_verify_all_passes_in_process(n, capsys, monkeypatch):
-    # every suite passes in process above n = 1, and the report echoes n
-    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
-    assert cli.main(["verify", "--suite", "all", "--seed", "42", "--n", str(n)]) == 0
-    rep = json.loads(capsys.readouterr().out)
-    assert rep["config"]["n"] == n
-    assert {c["status"] for c in rep["checks"]} == {"pass"}
 
 
 def test_op_identity_gate_is_at_least_four_sigma(monkeypatch):

@@ -351,6 +351,22 @@ def test_geodesic_flow(rng):
 
 
 @pytest.mark.parametrize("n", [1, 2])
+def test_geodesic_flow_maps_through_tau_h_alpha_off_the_horizontal_locus(rng, n):
+    # beta(tau_s) scales by e^(-2it) along the flow at every point, so the
+    # check compares tau_h(alpha) of the flowed points, which misses the
+    # scaling where q has a vertical part
+    pt = sp.random_es_generic(n, rng)
+    pt = sp.SphereCovector(pt.p, pt.q / np.sqrt(np.sum(pt.q ** 2)))
+    times = np.linspace(0.3, 2.7, 5)
+    a_t, a_flow = geo.geodesic_flow_pair(pt, times)
+    for k, t in enumerate(times):
+        c, s = math.cos(t), math.sin(t)
+        want = sp.tau_h(sp.alpha(sp.SphereCovector(pt.p * c + pt.q * s, pt.q * c - pt.p * s))).A
+        assert np.abs(a_t[k] - want).max() <= 1e-14 * alg.fro_norm(want)
+    assert np.abs(a_t - a_flow).max() > 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 2])
 def test_geodesic_flow_times_array_matches_float_loop(rng, n):
     pt = sp.random_es0(n, 1.0, rng)
     times = np.linspace(-1.0, 4.0, 7)

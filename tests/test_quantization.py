@@ -839,6 +839,30 @@ def test_kernel_norm_bound(rng):
         assert lhs <= bound + slack
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_orthogonality_generators_are_tau_h_of_alpha_of_the_same_draws(n, monkeypatch):
+    seen = []
+    monkeypatch.setattr(qz, "pairing_gg_mc", lambda fa, fb, config: seen.append((fa, fb)))
+    qz.orthogonality_check(n, 1, 2, MCConfig(samples=1, seed=0), np.random.default_rng(3))
+    replay = np.random.default_rng(3)
+    (fa, fb), = seen
+    for f, l in ((fa, 1), (fb, 2)):
+        want = sp.tau_h(sp.alpha(sp.random_es0(n, 1.0, replay))).A
+        assert f.n == n and f.l == l and f.coeffs == (1.0,)
+        assert np.abs(f.amats[0] - want).max() <= 1e-14 * alg.fro_norm(want)
+
+
+def test_pairing_refuses_functions_of_different_n(rng, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("pairing_gg_mc drew samples")
+
+    monkeypatch.setattr(qz, "_mc_blocks", no_draws)
+    f1, f2 = spl.random_hl_function(1, 1, 1, rng), spl.random_hl_function(2, 1, 1, rng)
+    for fa, fb in ((f1, f2), (f2, f1), ((f1, f1), (f1, f2))):
+        with pytest.raises(ValueError, match="one n"):
+            qz.pairing_gg_mc(fa, fb, MCConfig(samples=1, seed=0))
+
+
 def test_orthogonality_of_degrees(rng):
     est = qz.orthogonality_check(1, 0, 1, MCConfig(samples=200_000, seed=111), rng)
     assert abs(est.value) <= 3.0 * est.stderr

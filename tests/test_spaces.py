@@ -143,29 +143,31 @@ def test_cores_on_stacks_equal_the_public_maps(rng, n):
     pts = [sp.random_es0(n, float(rng.uniform(0.3, 2.0)), rng) for _ in range(5)]
     p, q = np.stack([pt.p for pt in pts]), np.stack([pt.q for pt in pts])
     P, Q = sp._alpha_core(p, q)
-    A, B = sp._tau_h_core(P, Q), sp._tau_s_core(p, q)
+    A, B = sp._tau_h_alpha_core(p, q), sp._tau_s_core(p, q)
     assert A.shape == (5, 2 * n + 2, 2 * n + 2) and B.shape == (5, n + 1, 2, 2)
     for k, pt in enumerate(pts):
-        cp = sp.alpha(pt)
-        assert (P[k] == cp.P).all() and (Q[k] == cp.Q).all()
-        assert (A[k] == sp.tau_h(cp).A).all() and (B[k] == sp.tau_s(pt).B).all()
+        cp, want = sp.alpha(pt), sp.tau_h(sp.alpha(pt)).A
+        assert (P[k] == cp.P).all() and (Q[k] == cp.Q).all() and (B[k] == sp.tau_s(pt).B).all()
+        assert (A[k] == sp._tau_h_alpha_core(pt.p, pt.q)).all()
+        assert np.abs(A[k] - want).max() <= 1e-14 * fro_norm(want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_tau_h_alpha_core_is_tau_h_of_alpha(rng, n):
-    # complexify(P) = beta(rho(p)) and complexify(Q) = beta(rho(p), rho(q)) +
-    # beta(rho(q), rho(p)) hold for any (p, q), horizontal or not
+    # complexify(P) = beta(rho(p)), complexify(Q) = beta(rho(p), rho(q)) +
+    # beta(rho(q), rho(p)) and ||Q||^2 = tr(complexify(Q)^2) / 2 hold for any
+    # (p, q), horizontal or not; 2 |q|^2 is ||Q||^2 on the horizontal locus only
     for draw in (lambda: sp.random_es0(n, float(rng.uniform(0.3, 2.0)), rng),
                  lambda: sp.random_es_generic(n, rng)):
         pts = [draw() for _ in range(6)]
         p = np.stack([pt.p for pt in pts]).reshape(2, 3, n + 1, 4)
         q = np.stack([pt.q for pt in pts]).reshape(2, 3, n + 1, 4)
-        a, want = sp._tau_h_alpha_core(p, q), sp._tau_h_core(*sp._alpha_core(p, q))
+        a = sp._tau_h_alpha_core(p, q)
         assert a.shape == (2, 3, 2 * n + 2, 2 * n + 2)
         for k, pt in enumerate(pts):
-            row, ref = a[divmod(k, 3)], want[divmod(k, 3)]
+            row, want = a[divmod(k, 3)], sp.tau_h(sp.alpha(pt)).A
             assert (row == sp._tau_h_alpha_core(pt.p, pt.q)).all()
-            assert np.abs(row - ref).max() <= 1e-14 * fro_norm(ref)
+            assert np.abs(row - want).max() <= 1e-14 * fro_norm(want)
 
 
 def _counting(monkeypatch, name):

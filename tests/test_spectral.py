@@ -306,6 +306,33 @@ def test_fiber_factor_is_the_reference_form(n, rng):
     assert np.abs(w @ np.swapaxes(w, -1, -2) - mhat).max() <= 1e-13 * np.abs(mhat).max()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_hl_generators_are_tau_h_of_alpha_of_the_same_draws(n):
+    # each generator is beta(tau_s(x)), which is tau_h(alpha(x)) at the
+    # horizontal draw x = random_es0(n, 1, rng); the coefficients come after
+    f = spec.random_hl_function(n, 2, 3, np.random.default_rng(7 + n))
+    replay = np.random.default_rng(7 + n)
+    want = [sp.tau_h(sp.alpha(sp.random_es0(n, 1.0, replay))).A for _ in range(3)]
+    assert f.coeffs == tuple(replay.standard_normal(3).tolist())
+    for a, ref in zip(f.amats, want):
+        assert np.abs(a - ref).max() <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_hl_function_refuses_bad_fields(rng):
+    # each field is checked when the function is made, not at its first evaluation
+    a = sp.tau_h(sp.random_eh(1, 1.0, rng)).A
+    cases = [({"n": 1, "l": -1, "amats": (a,), "coeffs": (1.0,)}, "l = -1"),
+             ({"n": 0, "l": 1, "amats": (a,), "coeffs": (1.0,)}, "n = 0"),
+             ({"n": 1, "l": 1, "amats": (a, a), "coeffs": (1.0,)}, "coeffs"),
+             ({"n": 1, "l": 1, "amats": (a,), "coeffs": (1.0, 2.0)}, "coeffs"),
+             ({"n": 1, "l": 1, "amats": (), "coeffs": ()}, "amats"),
+             ({"n": 2, "l": 1, "amats": (a,), "coeffs": (1.0,)}, "amats"),
+             ({"n": 1, "l": 1, "amats": (a[:3, :3],), "coeffs": (1.0,)}, "amats")]
+    for kwargs, field in cases:
+        with pytest.raises(ValueError, match=field):
+            spec.HlFunction(**kwargs)
+
+
 def test_hl_function_equality_is_identity(rng):
     f = spec.random_hl_function(1, 2, 3, rng)
     g = spec.HlFunction(n=f.n, l=f.l, amats=tuple(a.copy() for a in f.amats),
