@@ -149,7 +149,7 @@ def test_lmax_below_zero_is_a_configuration_error(cmd, value):
     assert run_cli([*cmd, valid]).returncode == 0
 
 
-@pytest.mark.parametrize("n", [3])
+@pytest.mark.parametrize("n", [3, 4])
 def test_quantization_suite_passes_beyond_n2(n):
     # the entry point runs every suite above n = 2 and echoes n; the checks
     # themselves are asserted in process (test_verify_all_passes_in_process)
