@@ -32,8 +32,8 @@ from .numerics import (
     vol_sphere,
 )
 from .spaces import (EQ_TOL, _first_failure, _orbit_frames, _project_out, _require, _tau_s_core,
-                     beta_blocks, random_es0)
-from .spectral import HlFunction, _check_degree, dim_eigenspace, eigenvalue
+                     beta_blocks, random_es0, sp1_orbit_frame)
+from .spectral import HlFunction, _check_degree, _quad_forms, dim_eigenspace, eigenvalue
 
 __all__ = [
     "A_H_CONST",
@@ -199,17 +199,37 @@ def b_coeff_semianalytic(n, l):
 
 
 def _unit_covectors(frames, g):
-    """Uniform unit vectors (N, 4m) orthogonal to the orthonormal rows of
-    frames, (N, k, 4m) row by row or (k, 4m) for every row, made from the
-    normal draws g (N, 4m).
+    """Uniform unit vectors (N, 4m) orthogonal, row by row, to the orthonormal
+    rows of frames (N, k, 4m), made from the normal draws g (N, 4m).
 
     The orbit frames of p give the horizontal covectors q at p, and the unit
-    fiber point z = p + i q with beta(rho(z)) = tau_h(alpha(p, q)); p alone
-    gives the whole cotangent sphere.
+    fiber point z = p + i q with beta(rho(z)) = tau_h(alpha(p, q)).  Only
+    :func:`pairing_gg_mc` projects, as its base point moves every row (a
+    basis per row would cost more); T and T~ draw in :func:`_fiber_basis`.
     """
     q = _project_out(frames, g)
     q /= np.sqrt(np.einsum("nj,nj->n", q, q))[:, None]
     return q
+
+
+def _fiber_basis(x, tangent=False):
+    """Orthonormal rows spanning the horizontal space at the unit base point
+    x (4m,), 4m - 4 of them, or with ``tangent`` the tangent space of the
+    sphere at x: x e_1, x e_2, x e_3 first, 4m - 1 rows.
+
+    Quaternionic Gram-Schmidt with no LAPACK: the coordinate vector of each
+    slot but x's largest, j, less its part along the orbit frames so far, is
+    normalised and enters with its own orbit frame.  The squared pivots
+    multiply to |x_j|^2 >= 1/m, so none is below 1/m.
+    """
+    pts = x.reshape(-1, 4)
+    m, frames = len(pts), sp1_orbit_frame(pts).reshape(4, -1)
+    for i in np.delete(np.arange(m), np.argmax((pts ** 2).sum(1))):
+        v = -(frames[:, 4 * i] @ frames)
+        v[4 * i] += 1.0
+        frames = np.concatenate([frames, sp1_orbit_frame(v.reshape(m, 4) / math.sqrt(v @ v))
+                                 .reshape(4, -1)])
+    return frames[1 if tangent else 4:]
 
 
 def _b_coeff_mc_scale(n, l):
@@ -375,36 +395,39 @@ def _base_point(phi, p_prime):
     return x.ravel()
 
 
-def _fiber_apply(phi, x, frame, config):
+def _fiber_apply(phi, x, basis, config):
     """Unscaled MC of phi(p) <P(p), A-hat>^l over sphere points p and unit
-    fiber points z = x + i q at the fixed base point x (4m,), q orthogonal to
-    the rows of ``frame``, conditioned on z.
+    fiber points z = x + i y at the fixed base point x (4m,), conditioned on
+    z: y = g C, g uniform on S^(k-1) (k variates a row) and C = ``basis``
+    (k, 4m) orthonormal rows, so y is uniform on their span's unit sphere.
 
     Given z the mean over p is exact, sum_j c_j sphere_moment(M_j, M-hat(z),
-    l, l), M_j the forms of phi and p^t M-hat(z) p the pairing, so a row
-    draws q alone.  At l <= 1 it is kappa_l phi(z), kappa_l = (8/(d(d+2)))^l,
-    d = 4m: by Wick's fourth moment it is (tr M_j tr M-hat + 2 tr(M_j M-hat))
-    / (d(d+2)) at l = 1, where tr M-hat(z) = 4 z^t z = 0 and, every form being
-    invariant under p -> p e_k, tr(M_j M-hat(z)) = 4 z^t M_j z.  At l = 1 phi
-    is evaluated as its one combined generator sum_j c_j A_j.  Above,
-    M-hat(z) = W W^t with column k of W the orbit frame z e_k.
+    l, l), M_j the forms of phi and p^t M-hat(z) p the pairing.  At l <= 1 it
+    is kappa_l phi(z), kappa_l = (8/(d(d+2)))^l, d = 4m: by Wick's fourth
+    moment it is (tr M_j tr M-hat + 2 tr(M_j M-hat)) / (d(d+2)) at l = 1,
+    where tr M-hat(z) = 4 z^t z = 0 and, every form being invariant under
+    p -> p e_k, tr(M_j M-hat(z)) = 4 z^t M_j z.  At l = 1 the form M =
+    sum_j c_j M_j (times kappa_1) is restricted to the fiber once per call,
+    z^t M z = x^t M x - g^t (C M C^t) g + 2i g.(C M x).  Above, M-hat(z) =
+    W W^t with column k of W the orbit frame z e_k.
     """
     l, coeffs, xframe = phi.l, np.asarray(phi.coeffs), _orbit_frames(x[None])
-    kappa = (8.0 / (x.size * (x.size + 2))) ** l
-    if l == 1:
-        phi = HlFunction(n=phi.n, l=1, amats=(sum(c * a for c, a in zip(coeffs, phi.amats)),),
-                         coeffs=(1.0,))
+    if l == 1:  # kappa_1 M restricted to the fiber
+        form = 8.0 / (x.size * (x.size + 2)) * np.tensordot(coeffs, phi._forms, 1)
+        cm = basis @ form
+        restricted, cmx = cm @ basis.T, 2.0 * (cm @ x)
+        xmx, stack = x @ form @ x, np.stack([restricted.real, restricted.imag])
+        cross = np.stack([-cmx.imag, cmx.real], axis=1)  # g @ cross: 2i g.(C M x) as (re, im)
 
     def integrand(g):
         if l == 0:  # the constant sum c_j: only the row count of g is read
             return phi._eval(x, g)
-        y = _unit_covectors(frame, g)
         if l == 1:
-            return kappa * phi._eval(x, y)
-        w = np.swapaxes(xframe + 1j * _orbit_frames(y), -1, -2)
+            return xmx - _quad_forms(stack, g)[:, 0] + (g @ cross).view(complex)[:, 0]
+        w = np.swapaxes(xframe + 1j * _orbit_frames(g @ basis), -1, -2)
         return coeffs @ sphere_moment(phi._forms[:, None], w, l, l, factor=True)
 
-    return _mc_blocks(integrand, config, (), x.size)
+    return _mc_blocks(integrand, config, (len(basis) - 1,))
 
 
 def t_apply_eigenfunction(phi, p_prime, config, flow_t=None):
@@ -421,19 +444,19 @@ def t_apply_eigenfunction(phi, p_prime, config, flow_t=None):
     x = _base_point(phi, p_prime)
     phase = (1.0 if flow_t is None
              else np.exp(-2j * flow_t) ** l * np.exp(-1j * flow_t * (2 * n + 1)))
-    est = _fiber_apply(phi, x, _orbit_frames(x[None])[0], config)
+    est = _fiber_apply(phi, x, _fiber_basis(x), config)
     return est.scaled(_t_apply_scale(n, l) * vol_pnh(n) * phase)
 
 
 def t_tilde_apply_eigenfunction(phi, p_prime, config):
     """The sphere-descended operator applied to the eigenspace embedding: the
-    fiber covectors q range over the whole sphere orthogonal to p_prime, a
-    unit vector (n+1, 4) or flat."""
+    fiber covectors q range over the whole unit sphere orthogonal to p_prime,
+    a unit vector (n+1, 4) or flat, drawn in its tangent basis."""
     n, l = phi.n, phi.l
     x = _base_point(phi, p_prime)
     scale = (vol_pnh(n) * vol_sphere(4 * n + 2) * math.sqrt(abs(B_S_CONST))
              * 2.0 ** -0.5 * gamma_radial(2 * l + 4 * n + 1.5, 2 * math.pi))
-    return _fiber_apply(phi, x, x[None], config).scaled(scale)
+    return _fiber_apply(phi, x, _fiber_basis(x, tangent=True), config).scaled(scale)
 
 
 # ----------------------------------------------------------- flow identity

@@ -475,13 +475,10 @@ def _orbit_frames(p):
 
 
 def _project_out(frames, q):
-    """q (N, 4m) minus its components along the orthonormal rows of frames,
-    all k at once: (N, k, 4m) row by row, or (k, 4m) the same for every row,
-    two matrix products.  The orbit frames of p leave the horizontal part of
-    q at p; p alone, p.reshape(N, 1, 4m), leaves its part tangent to the
-    sphere."""
-    if frames.ndim == 2:
-        return q - (q @ frames.T) @ frames
+    """q (N, 4m) minus its components along the orthonormal rows of frames
+    (N, k, 4m), row by row and all k at once, two products.  The orbit frames
+    of p leave the horizontal part of q at p; p alone, p.reshape(N, 1, 4m),
+    leaves its part tangent to the sphere."""
     coeffs = np.einsum("nkj,nj->nk", frames, q)
     return q - np.einsum("nk,nkj->nj", coeffs, frames)
 

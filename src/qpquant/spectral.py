@@ -9,6 +9,7 @@ invariance, sphere eigenvalue descent).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,7 +35,11 @@ __all__ = [
 
 
 def _check_degree(n, l):
-    """Refuse n < 1 or l < 0, before any draw or Gamma factor."""
+    """Refuse n and l that are not integers, n < 1 or l < 0, before any draw or Gamma factor."""
+    try:
+        n, l = operator.index(n), operator.index(l)
+    except TypeError:
+        raise ValueError(f"need integer n and l, got n = {n!r}, l = {l!r}") from None
     if n < 1 or l < 0:
         raise ValueError(f"need n >= 1 and l >= 0, got n = {n}, l = {l}")
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from qpquant import algebra as alg
+from qpquant import numerics as nm
 from qpquant import quantization as qz
 from qpquant import spaces as sp
 from qpquant import spectral as spl
@@ -232,6 +233,15 @@ def _matrix_route_fiber(p, rng, size):
     return sp.beta_blocks(alg.rho(p + 1j * q))
 
 
+def _basis_fiber_points(p, tangent, rng, size):
+    """The fiber points z = p + i y, (N, m, 4), of a whole chunk at the fixed
+    base point p (m, 4): y = g C, g uniform on S^(k-1) and C the library's
+    fiber basis at p, k = 4n rows or, with ``tangent``, 4n + 3."""
+    basis = qz._fiber_basis(p.ravel(), tangent)
+    g = sphere_uniform(len(basis) - 1, rng, size=size)
+    return p + 1j * (g @ basis).reshape((size,) + p.shape)
+
+
 def _matrix_route_phi(phi, pts):
     return sum(c * spl.pair_projector_amatrix(pts, a) ** phi.l
                for c, a in zip(phi.coeffs, phi.amats))
@@ -281,9 +291,11 @@ def test_matrix_free_oracles_keep_the_matrix_route_draws(rng):
     # The oracles pair fiber points z directly and take the mean over the
     # sphere point exactly; the matrix route, written out here, forms
     # A-hat = beta(rho(z)) and its quadratic form and gives the same estimate
-    # from the same draws.  T, T~ and the kernel check draw z alone; b_l
-    # draws the I_l moment's variates, the law of its integrand at the fixed
-    # fiber point z_0 = e_0 + i e_1 (test_b_coeff_mc_form_is_the_moment_form).
+    # from the same draws.  T, T~ and the kernel check draw z alone: T and T~
+    # as g on S^(k-1) through the fiber basis at p', the kernel check as a
+    # projected covector at its own base point.  b_l draws the I_l moment's
+    # variates, the law of its integrand at the fixed fiber point
+    # z_0 = e_0 + i e_1 (test_b_coeff_mc_form_is_the_moment_form).
     n, m, l = 1, 2, 1
     cfg = MCConfig(samples=8192, seed=4242)
     phi = spl.random_hl_function(n, l, 2, rng)
@@ -293,18 +305,13 @@ def test_matrix_free_oracles_keep_the_matrix_route_draws(rng):
     aprime = sp.tau_h(sp.random_eh(n, math.sqrt(2.0), rng)).A
     c0, c1 = 0.7, 0.4 - 0.3j
 
-    def t_batch(f, flow_t):
+    def t_batch(f, flow_t, tangent=False):
         def batch(rng, size):
-            ahat = _matrix_route_fiber(pprime, rng, size)
+            ahat = sp.beta_blocks(alg.rho(_basis_fiber_points(pprime, tangent, rng, size)))
             if flow_t is not None:
                 ahat = np.exp(-2j * flow_t) * ahat
             return _sphere_mean_of_phi(f, spl.quad_form_matrix(ahat))
         return batch
-
-    def t_tilde_batch(rng, size):
-        base = np.broadcast_to(pprime, (size, m, 4))
-        ahat = sp.beta_blocks(alg.rho(base + 1j * _loop_unit_covectors(base[None], rng)))
-        return _sphere_mean_of_phi(phi, spl.quad_form_matrix(ahat))
 
     def kernel_batch(rng, size):
         base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
@@ -324,7 +331,8 @@ def test_matrix_free_oracles_keep_the_matrix_route_draws(rng):
          t_scale * flow_phase),
         (qz.t_apply_eigenfunction(phi2, pprime, cfg, flow_t=0.7), t_batch(phi2, 0.7),
          qz._t_apply_scale(n, 2) * qz.vol_pnh(n) * flow_phase),
-        (qz.t_tilde_apply_eigenfunction(phi, pprime, cfg), t_tilde_batch, tilde_scale),
+        (qz.t_tilde_apply_eigenfunction(phi, pprime, cfg), t_batch(phi, None, True),
+         tilde_scale),
         (qz.kernel_reproduce_check(c0, [a1], [c1], aprime, n, cfg)[1], kernel_batch,
          qz.vol_pnh(n) ** 2 * vol_sphere(4 * n - 1)),
     ]
@@ -382,21 +390,85 @@ def test_degree_one_fiber_mean_is_phi(n, rng):
                   - np.conj(spl.quad_form_matrix(aprime))).max() == 0.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fiber_basis_spans_the_fiber(n, rng):
+    # T's basis spans the horizontal space at x and T~'s the tangent space of
+    # the sphere: orthonormal rows, 4n or 4n + 3 of them, off the orbit frame
+    # of x or off x, and a function of x alone.  At random x, on a coordinate
+    # axis, and with two slots of equal norm, a tie for the dropped slot.
+    m = n + 1
+    tie = np.zeros(4 * m)
+    tie[:8] = sphere_uniform(3, rng, size=2).ravel() / math.sqrt(2.0)
+    for x in [sphere_uniform(4 * m - 1, rng) for _ in range(3)] + [np.eye(4 * m)[0], tie]:
+        for tangent, off in ((False, sp._orbit_frames(x[None])[0]), (True, x[None])):
+            basis = qz._fiber_basis(x, tangent)
+            assert basis.shape == (4 * n + 3 * tangent, 4 * m)
+            assert np.abs(basis @ basis.T - np.eye(len(basis))).max() <= 1e-14
+            assert np.abs(basis @ off.T).max() <= 1e-14
+            assert np.array_equal(basis, qz._fiber_basis(x.copy(), tangent))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_restricted_degree_one_row_is_phi_at_the_fiber_point(n, rng, monkeypatch):
+    # The l = 1 row of T and T~ restricts the combined form to the fiber once
+    # per call.  On the same draws g it is kappa_1 phi(x + i g C), phi evaluated
+    # at the complex points by HlFunction: no Monte Carlo, both bases.
+    m, d = n + 1, 4 * n + 4
+    monkeypatch.setattr(qz, "_mc_blocks", lambda integrand, config, dims: integrand)
+    gens = rng.standard_normal((3, 2 * m, 2 * m)) + 1j * rng.standard_normal((3, 2 * m, 2 * m))
+    phis = [spl.random_hl_function(n, 1, 3, rng),
+            spl.HlFunction(n=n, l=1, amats=tuple(gens), coeffs=(0.6 - 1.1j, 1.3, -0.4j))]
+    x = sphere_uniform(4 * m - 1, rng)
+    for tangent in (False, True):
+        basis = qz._fiber_basis(x, tangent)
+        g = sphere_uniform(len(basis) - 1, rng, size=64)
+        for phi in phis:
+            row = qz._fiber_apply(phi, x, basis, None)(g)
+            want = 8.0 / (d * (d + 2)) * phi.eval_sphere((x + 1j * (g @ basis)).reshape(64, m, 4))
+            assert np.abs(row - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_fiber_oracles_draw_k_variates_a_row(rng, monkeypatch):
+    # Each chunk of T consumes exactly sphere_uniform(4n - 1) rows of its
+    # generator, and each chunk of T~ sphere_uniform(4n + 2) rows, at every
+    # degree: 4n + 4 normals and a projection would leave it elsewhere.
+    real_mc_mean, checked = nm.mc_mean, []
+
+    def spy(batch, config):
+        for size in (4096, 5000):
+            got, ref = np.random.default_rng(size), np.random.default_rng(size)
+            batch(got, size)
+            sphere_uniform(k - 1, ref, size=size)
+            assert got.bit_generator.state == ref.bit_generator.state
+        checked.append(k)
+        return real_mc_mean(batch, config)
+
+    monkeypatch.setattr(nm, "mc_mean", spy)
+    for n in (1, 2):
+        x = sp.random_es0(n, 1.0, rng).p
+        for l in (0, 1, 2):
+            phi = spl.random_hl_function(n, l, 2, rng)
+            for apply, k in ((qz.t_apply_eigenfunction, 4 * n),
+                             (qz.t_tilde_apply_eigenfunction, 4 * n + 3)):
+                apply(phi, x, MCConfig(samples=100, seed=1))
+    assert checked == [4, 7] * 3 + [8, 11] * 3
+
+
 def test_blocked_oracles_keep_the_complex_route_draws(rng):
     # 65,536 + 5,000 samples: the second chunk ends in a partial row block.
     # Each oracle agrees with its whole-chunk complex-point batch, written
     # out here, on the same draws: for T, T~ and the kernel check the fiber
-    # points alone, with the mean over sphere points taken by sphere_moment
-    # on the whole matrix M-hat(z).
+    # points alone (T and T~ in the fiber basis at p'), with the mean over
+    # sphere points taken by sphere_moment on the whole matrix M-hat(z).
     cfg = MCConfig(samples=65_536 + 5_000, seed=9090)
     c0, c1 = 0.7, 0.4 - 0.3j
 
     def horizontal(p):
         return sp.sp1_orbit_frame(p)
 
-    def t_batch(phi, pprime, dirs_of, flow_t=None):
+    def t_batch(phi, pprime, tangent, flow_t=None):
         def batch(rng, size):
-            mhat = _complex_hat_forms(_complex_fiber_points(pprime, dirs_of, rng, size))
+            mhat = _complex_hat_forms(_basis_fiber_points(pprime, tangent, rng, size))
             if flow_t is not None:
                 mhat = np.exp(-2j * flow_t) * mhat
             return _sphere_mean_of_phi(phi, mhat)
@@ -447,12 +519,11 @@ def test_blocked_oracles_keep_the_complex_route_draws(rng):
     cases = [
         (qz.b_coeff_mc(1, 1, cfg), _moment_batch(1, 1), qz._b_coeff_mc_scale(1, 1)),
         (qz.b_coeff_mc(2, 1, cfg), _moment_batch(2, 1), qz._b_coeff_mc_scale(2, 1)),
-        (qz.t_apply_eigenfunction(phi, pprime, cfg), t_batch(phi, pprime, horizontal),
-         t_scale),
+        (qz.t_apply_eigenfunction(phi, pprime, cfg), t_batch(phi, pprime, False), t_scale),
         (qz.t_apply_eigenfunction(phi, pprime, cfg, flow_t=0.7),
-         t_batch(phi, pprime, horizontal, 0.7), t_scale * np.exp(-1j * 0.7 * (2 * n + 1))),
-        (qz.t_tilde_apply_eigenfunction(phi, pprime, cfg),
-         t_batch(phi, pprime, lambda p: p[None]), tilde_scale),
+         t_batch(phi, pprime, False, 0.7), t_scale * np.exp(-1j * 0.7 * (2 * n + 1))),
+        (qz.t_tilde_apply_eigenfunction(phi, pprime, cfg), t_batch(phi, pprime, True),
+         tilde_scale),
         (qz.kernel_reproduce_check(c0, [a1], [c1], aprime, n, cfg)[1],
          kernel_batch(n, a1, aprime), qz.vol_pnh(n) ** 2 * vol_sphere(4 * n - 1)),
         (qz.orthogonality_check(n, 1, 2, cfg, rng), orthogonality_batch(n, 1, 2, *orth_a),
@@ -724,12 +795,12 @@ def test_operators_refuse_a_bad_base_point(apply, rng):
 
 def test_t_apply_generic_constant(rng, monkeypatch):
     # T applied to the l = 0 eigenfunction phi = 1 is independent of the base
-    # point and equals a_0; no fiber covector is projected, since phi reads
-    # only the row count of the draws
-    def no_covectors(*args):
-        raise AssertionError("l = 0 projected fiber covectors")
+    # point and equals a_0; no quadratic form is built, since phi reads only
+    # the row count of the draws
+    def no_forms(*args):
+        raise AssertionError("l = 0 built a quadratic form")
 
-    monkeypatch.setattr(qz, "_unit_covectors", no_covectors)
+    monkeypatch.setattr(spl, "quad_form_matrix", no_forms)
     one = spl.HlFunction(n=1, l=0, amats=(sp.tau_h(sp.random_eh(1, 1.0, rng)).A,),
                          coeffs=(1.0,))
     cfg = MCConfig(samples=2000, seed=3)

@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from qpquant import quantization as qz
 from qpquant import spectral as spec
 from qpquant import spaces as sp
 from qpquant.algebra import cbilinear, complexify, qconj, qmul, rho
@@ -331,6 +332,21 @@ def test_hl_function_refuses_bad_fields(rng):
     for kwargs, field in cases:
         with pytest.raises(ValueError, match=field):
             spec.HlFunction(**kwargs)
+
+
+def test_degrees_must_be_integers(rng):
+    # a non-integer degree is refused by name, not rounded into a Gamma
+    # factor or left to math.comb; numpy integers are integers
+    a = sp.tau_h(sp.random_eh(1, 1.0, rng)).A
+    calls = [lambda: spec.eigenvalue(1, 1.5), lambda: qz.i_coeff(1, 1.5),
+             lambda: spec.dim_eigenspace(1, 1.5),
+             lambda: spec.HlFunction(n=1, l=1.5, amats=(a,), coeffs=(1.0,))]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"need integer n and l, got n = 1, l = 1\.5"):
+            call()
+    with pytest.raises(ValueError, match=r"got n = 2\.0, l = 1"):
+        spec.dim_eigenspace(2.0, 1)
+    assert spec.eigenvalue(np.int64(1), np.int32(2)) == 40.0
 
 
 def test_hl_function_equality_is_identity(rng):
