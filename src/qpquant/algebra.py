@@ -50,6 +50,8 @@ QTABLE[2, 3, 1] = 1.0
 QTABLE[3, 1, 2] = 1.0
 QTABLE[3, 2, 1] = -1.0
 QTABLE.flags.writeable = False
+# the table with (a, b) flattened: the flattened outer product of a and b times it is ab
+_QTABLE16 = QTABLE.reshape(16, 4)
 
 # rho(e_a) as 2x2 complex matrices
 RHO_BASIS = np.zeros((4, 2, 2), dtype=complex)
@@ -61,8 +63,10 @@ RHO_BASIS.flags.writeable = False
 
 
 def qmul(a, b):
-    """Quaternion product on trailing length-4 axes; broadcasts."""
-    return np.einsum("...a,...b,abc->...c", a, b, QTABLE)
+    """Quaternion product on trailing length-4 axes; broadcasts.  The outer
+    product of the coefficients times the flattened structure table."""
+    outer = np.asarray(a)[..., :, None] * np.asarray(b)[..., None, :]
+    return outer.reshape(outer.shape[:-2] + (16,)) @ _QTABLE16
 
 
 def qconj(a):
@@ -100,8 +104,10 @@ def rho_inv(mat):
 
 
 def qmat_mul(x, y):
-    """Product of quaternion matrices, shapes (..., m, k, 4) x (..., k, m, 4)."""
-    return np.einsum("...ika,...kjb,abc->...ijc", x, y, QTABLE)
+    """Product of quaternion matrices, shapes (..., m, k, 4) x (..., k, m, 4): the
+    coefficient products summed over k, times the flattened structure table."""
+    outer = np.einsum("...ika,...kjb->...ijab", x, y)
+    return outer.reshape(outer.shape[:-2] + (16,)) @ _QTABLE16
 
 
 def theta_transpose(x):
@@ -124,13 +130,23 @@ def inner_r(x, y):
     return float(qtrace(jordan(x, y))[..., 0])
 
 
+@cache
+def _complexify_map(m):
+    """complexify of (m, m, 4) coefficients as one (4m^2, 4m^2) complex matrix
+    acting on the flattened coefficients, built once per size and read-only."""
+    blocks = rho(np.eye(4 * m * m).reshape(-1, m, m, 4))
+    out = blocks.transpose(0, 1, 3, 2, 4).reshape(4 * m * m, 4 * m * m)
+    out.flags.writeable = False
+    return out
+
+
 def complexify(x):
-    """Blockwise rho embedding M(m, H (x) C) -> M(2m, C)."""
-    x = np.asarray(x, dtype=complex)
+    """Blockwise rho embedding M(m, H (x) C) -> M(2m, C): the flattened
+    coefficients times the cached complexify map of their size."""
+    x = np.asarray(x)
     m = x.shape[-3]
-    blocks = rho(x)
-    out = blocks.transpose(tuple(range(blocks.ndim - 4)) + (-4, -2, -3, -1))
-    return out.reshape(x.shape[:-3] + (2 * m, 2 * m))
+    flat = x.reshape(x.shape[:-3] + (4 * m * m,))
+    return (flat @ _complexify_map(m)).reshape(x.shape[:-3] + (2 * m, 2 * m))
 
 
 def complexify_inv(a):

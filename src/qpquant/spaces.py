@@ -22,6 +22,7 @@ and the predicates read the verdict it cached.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -79,10 +80,10 @@ BOUNDARY_TOL = 1e-8
 MAX_TRIES = 64
 
 
-def _freeze(a):
-    """A read-only view of a private read-only copy of a: neither the caller's
-    array nor the view's flags can change it."""
-    a = np.array(a, copy=True)
+def _freeze(a, dtype):
+    """A read-only view of a private read-only copy of a as dtype: neither the
+    caller's array nor the view's flags can change it."""
+    a = np.array(a, dtype=dtype)
     a.flags.writeable = False
     return a.view()
 
@@ -108,8 +109,8 @@ class SphereCovector:
     q: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _freeze(np.asarray(self.p, dtype=float)))
-        object.__setattr__(self, "q", _freeze(np.asarray(self.q, dtype=float)))
+        object.__setattr__(self, "p", _freeze(self.p, float))
+        object.__setattr__(self, "q", _freeze(self.q, float))
 
     @property
     def n(self):
@@ -129,8 +130,8 @@ class CotangentPointH:
     Q: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "P", _freeze(np.asarray(self.P, dtype=float)))
-        object.__setattr__(self, "Q", _freeze(np.asarray(self.Q, dtype=float)))
+        object.__setattr__(self, "P", _freeze(self.P, float))
+        object.__setattr__(self, "Q", _freeze(self.Q, float))
 
     @property
     def n(self):
@@ -155,7 +156,7 @@ class BTuple:
     B: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "B", _freeze(np.asarray(self.B, dtype=complex)))
+        object.__setattr__(self, "B", _freeze(self.B, complex))
 
     @property
     def n(self):
@@ -183,7 +184,7 @@ class AMatrix:
     A: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "A", _freeze(np.asarray(self.A, dtype=complex)))
+        object.__setattr__(self, "A", _freeze(self.A, complex))
 
     @property
     def n(self):
@@ -218,10 +219,10 @@ def _sphere_covector_failure(p, q, tol=EQ_TOL, horizontal=False):
     pf, qf = p.reshape(-1), q.reshape(-1)
     pp, pq, frame = abs(pf @ pf - 1.0), pf @ qf, _orbit_frames(pf[None])[0]
     coeffs = frame @ qf  # (p e_k, q)_E: the components of <p, q>_H
-    hor = np.sqrt(((qf - coeffs @ frame + 2.0 * pq * pf).reshape(-1, 4) ** 2).sum(-1).max())
+    hor = math.sqrt(((qf - coeffs @ frame + 2.0 * pq * pf).reshape(-1, 4) ** 2).sum(-1).max())
     checks = [("(p,p)_E = 1", pp, pp <= tol), ("(p,q)_E = 0", abs(pq), abs(pq) <= tol)]
     if horizontal:
-        nq, vert = np.sqrt(qf @ qf), abs(coeffs).max()
+        nq, vert = math.sqrt(qf @ qf), abs(coeffs).max()
         checks += [("q != 0", nq, nq > tol), ("<q,p>_H = 0", vert, vert <= tol)]
     else:
         checks.append(("q + p <q,p>_H != 0", hor, hor > tol))
@@ -241,14 +242,16 @@ def in_sphere_covector0(pt):
 def _cotangent_h_failure(P, Q):
     """First failed condition of E_H, or None, and tau_h(P, Q).  complexify is an
     injective *-homomorphism, so for cp = rho(P) and cq = rho(Q) the conditions
-    read Re tr cp / 2 = 1, cp^2 = cp, cp cq + cq cp = cq and cq^3 = ||Q||^2 cq / 2."""
-    nq, cp, cq = np.sqrt(np.sum(Q ** 2)), complexify(P), complexify(Q)
-    cq2, s = cq @ cq, max(1.0, abs(Q).max())
-    tr, pp = abs(0.5 * cp.trace().real - 1.0), abs(cp @ cp - cp).max()
-    pq, q3 = abs(cp @ cq + cq @ cp - cq).max(), abs(cq2 @ cq - 0.5 * nq ** 2 * cq).max()
+    read Re tr cp / 2 = 1, cp^2 = cp, cp cq + cq cp = cq and cq^3 = ||Q||^2 cq / 2.
+    One complexify of (P, Q) stacked, and one product gives cp^2, cp cq, cq cp, cq^2."""
+    nq, c = math.sqrt(np.vdot(Q, Q)), complexify(np.array([P, Q]))
+    cp, cq, s = c[0], c[1], max(1.0, abs(Q).max())
+    (cp2, cpq), (cqp, cq2) = c[:, None] @ c[None, :]
+    tr, pp = abs(0.5 * cp.trace().real - 1.0), abs(cp2 - cp).max()
+    pq, q3 = abs(cpq + cqp - cq).max(), abs(cq2 @ cq - 0.5 * nq ** 2 * cq).max()
     reason = _first_failure([("tr P = 1", tr, tr <= EQ_TOL), ("P o P = P", pp, pp <= EQ_TOL),
                              ("P o Q = Q/2", pq, pq <= 2.0 * EQ_TOL * s),
-                             ("Q != 0", nq ** 2, nq ** 2 > EQ_TOL),
+                             ("Q != 0", nq, nq > EQ_TOL),
                              ("Q^3 = ||Q||^2 Q/2", q3, q3 <= EQ_TOL * s ** 3)])
     return reason, _tau_h_from(cp, cq, cq2, nq)
 
@@ -269,9 +272,9 @@ def _btuple_failure(b, horizontal=False):
         z, w, zz, ww = w, z, ww, zz
     zw = np.vdot(z, w)
     wp = w - z * (zw / max(zz, 1e-300))
-    smax2 = 0.5 * (zz + ww + np.sqrt((zz - ww) ** 2 + 4.0 * abs(zw) ** 2))
-    ratio = np.sqrt(zz * np.vdot(wp, wp).real) / max(smax2, 1e-300)
-    dsum = abs(np.sum(b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]))
+    smax2 = 0.5 * (zz + ww + math.sqrt((zz - ww) ** 2 + 4.0 * abs(zw) ** 2))
+    ratio = math.sqrt(zz * np.vdot(wp, wp).real) / max(smax2, 1e-300)
+    dsum = abs((b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]).sum())
     tol = EQ_TOL * max(1.0, zz + ww)
     checks = [("sum det B_i = 0", dsum, dsum <= tol), ("z, w independent", ratio, ratio > RANK_TOL)]
     if horizontal:
@@ -298,10 +301,9 @@ def _amatrix_failure(a):
     """First failed condition of the A-model (J A = A^t J, A^2 = 0, numerical rank 2),
     or None.  For the singular values s_0 >= s_1 >= s_2 (s_2 = 0 for 2 x 2 input)
     the rank residual is s_1 / s_0 if that is too small, else s_2 / s_0."""
-    jj = jmat(a.shape[0] // 2)
-    scale = max(1.0, fro_norm(a))
+    jj, s = jmat(a.shape[0] // 2), np.linalg.svd(a, compute_uv=False)
+    scale = max(1.0, math.sqrt(s @ s))  # the Frobenius norm of a
     sym, sq = np.abs(jj @ a - a.T @ jj).max(), np.abs(a @ a).max()
-    s = np.linalg.svd(a, compute_uv=False)
     s2 = s[2] if len(s) > 2 else 0.0
     two, below_three = s[1] > RANK_TOL * s[0], s2 <= RANK_TOL * s[0]
     return _first_failure([("J A = A^t J", sym, sym <= EQ_TOL * scale),
@@ -318,9 +320,11 @@ def in_amatrix_space(pt):
 # --------------------------------------------------------------------- maps
 
 def _alpha_core(p, q):
-    """(P, Q) of alpha on (..., m, 4) arrays, with no membership test."""
-    tp, tq = qconj(p)[..., None, :, :], qconj(q)[..., None, :, :]
-    return qmul(p[..., None, :], tp), qmul(p[..., None, :], tq) + qmul(q[..., None, :], tp)
+    """(P, Q) of alpha on (..., m, 4) arrays, with no membership test.  x = (p, p, q, p)
+    stacked: one qmul of x[:3] by theta(x[1:]) gives p theta(p), p theta(q), q theta(p)."""
+    x = np.array([p, p, q, p])
+    prods = qmul(x[:3, ..., :, None, :], qconj(x[1:, ..., None, :, :]))
+    return prods[0], prods[1] + prods[2]
 
 
 def alpha(pt):
@@ -331,7 +335,7 @@ def alpha(pt):
 
 def _tau_s_core(p, q):
     """Blocks B of tau_s on (..., m, 4) arrays, with no membership test."""
-    nq = np.sqrt(np.sum(q ** 2, axis=(-2, -1)))
+    nq = np.sqrt((q ** 2).sum(axis=(-2, -1)))
     nq = nq[..., None, None] if nq.ndim else nq  # one point: a scalar, cheaper to broadcast
     return rho(nq * p.astype(complex) + 1j * q)
 
@@ -369,14 +373,14 @@ def tau_h(pt):
     return AMatrix(a)
 
 
+# the signs that turn the reversed transpose [[d, b], [c, a]] into the adjugate
+_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+_ADJ_SIGNS.flags.writeable = False
+
+
 def _adj2(b):
     """Adjugate of 2x2 blocks: [[d, -b], [-c, a]]; equals -J B^t J."""
-    out = np.empty_like(b)
-    out[..., 0, 0] = b[..., 1, 1]
-    out[..., 1, 1] = b[..., 0, 0]
-    out[..., 0, 1] = -b[..., 0, 1]
-    out[..., 1, 0] = -b[..., 1, 0]
-    return out
+    return np.swapaxes(b[..., ::-1, ::-1], -1, -2) * _ADJ_SIGNS
 
 
 def beta_blocks(b, c=None):
@@ -462,7 +466,7 @@ def _orbit_frame_matrix(m):
     """The orbit frame as one real (4m, 16m) matrix, the product that
     :func:`_orbit_frames` takes.  Built once per size and read-only."""
     frame = sp1_orbit_frame(np.eye(4 * m).reshape(4 * m, m, 4))
-    return _freeze(np.ascontiguousarray(np.moveaxis(frame, 0, 1).reshape(4 * m, 16 * m)))
+    return _freeze(np.ascontiguousarray(np.moveaxis(frame, 0, 1).reshape(4 * m, 16 * m)), float)
 
 
 def _orbit_frames(p):
@@ -489,7 +493,7 @@ def random_es0(n, qnorm_val, rng):
     for _ in range(MAX_TRIES):
         p = sphere_uniform(4 * m - 1, rng).reshape(m, 4)
         q = _project_out(_orbit_frames(p[None]), rng.standard_normal((1, 4 * m))).reshape(m, 4)
-        nq = np.sqrt(np.sum(q ** 2))
+        nq = math.sqrt((q ** 2).sum())
         if nq > 1e-8:
             return SphereCovector(p, q * (qnorm_val / nq))
     raise RuntimeError("degenerate draws while sampling the horizontal space")

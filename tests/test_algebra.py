@@ -1,6 +1,7 @@
 """Quaternion algebra, the 2x2 complex embedding, and the trace forms."""
 
 import numpy as np
+import pytest
 
 from qpquant import algebra as alg
 
@@ -139,3 +140,64 @@ def test_cbilinear_conventions(rng):
     jj = alg.jmat(3)
     assert jj is alg.jmat(3) and not jj.flags.writeable
     assert np.array_equal(jj, np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]]))
+
+
+# the three-operand einsum definitions the kernels replaced, kept as oracles
+def qmul_ref(a, b):
+    return np.einsum("...a,...b,abc->...c", a, b, alg.QTABLE)
+
+
+def qmat_mul_ref(x, y):
+    return np.einsum("...ika,...kjb,abc->...ijc", x, y, alg.QTABLE)
+
+
+def complexify_ref(x):
+    x = np.asarray(x, dtype=complex)
+    m = x.shape[-3]
+    blocks = alg.rho(x)
+    out = blocks.transpose(tuple(range(blocks.ndim - 4)) + (-4, -2, -3, -1))
+    return out.reshape(x.shape[:-3] + (2 * m, 2 * m))
+
+
+def draw(rng, shape, complex_):
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if complex_ else x
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_qmul_is_its_einsum_definition(rng, complex_):
+    for sa, sb in [((4,), (4,)), ((3, 1, 4), (1, 3, 4)), ((65_536, 4), (65_536, 4))]:
+        a, b = draw(rng, sa, complex_), draw(rng, sb, complex_)
+        got, want = alg.qmul(a, b), qmul_ref(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(a).max() * np.abs(b).max()
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_qmat_mul_is_its_einsum_definition(rng, complex_):
+    for m in (1, 2, 3, 4):
+        x, y = draw(rng, (m, m, 4), complex_), draw(rng, (m, m, 4), complex_)
+        got, want = alg.qmat_mul(x, y), qmat_mul_ref(x, y)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.abs(got - want).max() <= 1e-15 * m * np.abs(x).max() * np.abs(y).max()
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_complexify_is_its_blockwise_definition(rng, complex_):
+    # every entry of complexify(x) is one or two signed coefficients of x, so
+    # the product with the cached map adds only exact zeros to them
+    for shape in [(2, 2, 4), (3, 3, 4), (50, 3, 3, 4), (2, 5, 4, 4, 4)]:
+        x = draw(rng, shape, complex_)
+        got = alg.complexify(x)
+        assert got.dtype == complex and np.array_equal(got, complexify_ref(x))
+
+
+def test_kernel_tables_are_read_only_and_built_once():
+    assert not alg._QTABLE16.flags.writeable
+    assert np.array_equal(alg._QTABLE16, alg.QTABLE.reshape(16, 4))
+    for m in (1, 2, 3):
+        cmap = alg._complexify_map(m)
+        assert cmap is alg._complexify_map(m) and not cmap.flags.writeable
+        assert cmap.shape == (4 * m * m, 4 * m * m)
+        assert np.array_equal(cmap, complexify_ref(np.eye(4 * m * m).reshape(-1, m, m, 4))
+                              .reshape(4 * m * m, -1))

@@ -49,7 +49,7 @@ def eh_oracle(pt):
     if np.max(np.abs(jordan(P, Q) - 0.5 * Q)) > EQ_TOL * max(1.0, np.max(np.abs(Q))):
         return False
     nq2 = np.sum(Q ** 2)
-    if nq2 <= EQ_TOL:
+    if np.sqrt(nq2) <= EQ_TOL:
         return False
     q3 = qmat_mul(qmat_mul(Q, Q), Q)
     return bool(np.max(np.abs(q3 - 0.5 * nq2 * Q)) <= EQ_TOL * scale)
@@ -269,6 +269,24 @@ def test_public_maps_name_the_failed_condition(rng):
     for public_map, bad, message in cases:
         with pytest.raises(ValueError, match=message):
             public_map(bad)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_small_covectors_pass_both_routes_to_the_a_model(n, rng):
+    # E_H tests ||Q|| != 0 with the threshold E_S uses for |q|, and ||Q||^2 = 2 |q|^2,
+    # so tau_h(alpha(x)) takes every horizontal x that beta(tau_s(x)) takes
+    for size in (1e-9, 1e-6, 6e-6):
+        pt = sp.random_es0(n, size, rng)
+        assert verdict("E_H", sp.alpha(pt))
+        lhs, rhs = sp.tau_h(sp.alpha(pt)).A, sp.beta(sp.tau_s(pt)).A
+        assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(rhs).max()
+    # a Q of Jordan norm 1e-11 is still refused
+    pt = sp.random_es0(n, 1e-11 / np.sqrt(2.0), rng)
+    tiny = sp.CotangentPointH(*sp._alpha_core(pt.p, pt.q))
+    assert abs(tiny.qnorm_j - 1e-11) <= 1e-24
+    assert rejects("E_H", tiny, "Q != 0")
+    with pytest.raises(ValueError, match=r"cotangent-bundle model: Q != 0 fails \(residual 1\.000e-11"):
+        sp.tau_h(tiny)
 
 
 @pytest.mark.parametrize("condition", ["J A = A^t J", "A^2 = 0", "rank A = 2"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qpquant import spaces as sp
-from qpquant.algebra import fro_norm, hinner, qmat_mul, rho
+from qpquant.algebra import QTABLE, fro_norm, hinner, qconj, qmat_mul, rho
 from qpquant.numerics import sphere_uniform
 
 
@@ -150,6 +150,37 @@ def test_cores_on_stacks_equal_the_public_maps(rng, n):
         assert (P[k] == cp.P).all() and (Q[k] == cp.Q).all() and (B[k] == sp.tau_s(pt).B).all()
         assert (A[k] == sp._tau_h_alpha_core(pt.p, pt.q)).all()
         assert np.abs(A[k] - want).max() <= 1e-14 * fro_norm(want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_alpha_core_is_its_three_products(rng, n):
+    # P = p_i theta(p_j) and Q = p_i theta(q_j) + q_i theta(p_j), three qmuls
+    # by the einsum definition, on one point and on a batch, horizontal or not
+    def qmul_ref(a, b):
+        return np.einsum("...a,...b,abc->...c", a, b, QTABLE)
+
+    pts = [sp.random_es0(n, float(rng.uniform(0.3, 2.0)), rng) for _ in range(3)]
+    pts += [sp.random_es_generic(n, rng) for _ in range(3)]
+    p, q = np.stack([pt.p for pt in pts]), np.stack([pt.q for pt in pts])
+    for pp, qq in [(p, q), (p[0], q[0])]:
+        tp, tq = qconj(pp)[..., None, :, :], qconj(qq)[..., None, :, :]
+        want_P = qmul_ref(pp[..., None, :], tp)
+        want_Q = qmul_ref(pp[..., None, :], tq) + qmul_ref(qq[..., None, :], tp)
+        P, Q = sp._alpha_core(pp, qq)
+        assert P.shape == want_P.shape and Q.shape == want_Q.shape
+        scale = np.abs(qq).max()
+        assert np.abs(P - want_P).max() <= 1e-15 and np.abs(Q - want_Q).max() <= 2e-15 * scale
+
+
+def test_adj2_is_the_scattered_adjugate(rng):
+    for b in (rng.standard_normal((3, 2, 2)), rng.standard_normal((4, 5, 2, 2))
+              + 1j * rng.standard_normal((4, 5, 2, 2)), rng.standard_normal((2, 2))):
+        want = np.empty_like(b)
+        want[..., 0, 0], want[..., 1, 1] = b[..., 1, 1], b[..., 0, 0]
+        want[..., 0, 1], want[..., 1, 0] = -b[..., 0, 1], -b[..., 1, 0]
+        got = sp._adj2(b)
+        assert got.dtype == b.dtype and np.array_equal(got, want)
+    assert not sp._ADJ_SIGNS.flags.writeable
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
