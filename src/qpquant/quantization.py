@@ -395,11 +395,18 @@ def _base_point(phi, p_prime):
     return x.ravel()
 
 
+def _kappa1(d):
+    """kappa_1 = 8 / (d (d + 2)), the factor the sphere mean over S^(d-1)
+    puts on a degree-one pairing at a fiber point (see _fiber_apply)."""
+    return 8.0 / (d * (d + 2))
+
+
 def _fiber_apply(phi, x, basis, config):
     """Unscaled MC of phi(p) <P(p), A-hat>^l over sphere points p and unit
     fiber points z = x + i y at the fixed base point x (4m,), conditioned on
     z: y = g C, g uniform on S^(k-1) (k variates a row) and C = ``basis``
     (k, 4m) orthonormal rows, so y is uniform on their span's unit sphere.
+    At l = 0 every row is the constant sum c_j and nothing is drawn.
 
     Given z the mean over p is exact, sum_j c_j sphere_moment(M_j, M-hat(z),
     l, l), M_j the forms of phi and p^t M-hat(z) p the pairing.  At l <= 1 it
@@ -411,19 +418,19 @@ def _fiber_apply(phi, x, basis, config):
     z^t M z = x^t M x - g^t (C M C^t) g + 2i g.(C M x).  Above, M-hat(z) =
     W W^t with column k of W the orbit frame z e_k.
     """
+    if phi.l == 0:  # a (rows, 0) normal draw consumes no variates and carries the row count
+        return _mc_blocks(phi._eval, config, (), 0)
     l, coeffs, xframe = phi.l, np.asarray(phi.coeffs), _orbit_frames(x[None])
     if l == 1:  # kappa_1 M restricted to the fiber
-        form = 8.0 / (x.size * (x.size + 2)) * np.tensordot(coeffs, phi._forms, 1)
+        form = _kappa1(x.size) * np.tensordot(coeffs, phi._forms, 1)
         cm = basis @ form
         restricted, cmx = cm @ basis.T, 2.0 * (cm @ x)
         xmx, stack = x @ form @ x, np.stack([restricted.real, restricted.imag])
         cross = np.stack([-cmx.imag, cmx.real], axis=1)  # g @ cross: 2i g.(C M x) as (re, im)
 
     def integrand(g):
-        if l == 0:  # the constant sum c_j: only the row count of g is read
-            return phi._eval(x, g)
-        if l == 1:
-            return xmx - _quad_forms(stack, g)[:, 0] + (g @ cross).view(complex)[:, 0]
+        if l == 1:  # the einsum is not contiguous, so the difference makes the complex view
+            return xmx + (g @ cross - _quad_forms(stack, g)).view(complex)[:, 0]
         w = np.swapaxes(xframe + 1j * _orbit_frames(g @ basis), -1, -2)
         return coeffs @ sphere_moment(phi._forms[:, None], w, l, l, factor=True)
 
@@ -521,9 +528,10 @@ def pairing_gg_mc(fa, fb, config):
     tuples of HlFunctions.
 
     The (l, l') term fa_l(A) conj(fb_l'(A)) has flat-coordinate homogeneity
-    2 (l + l') and takes the radial integral log_radial_gg(n, l + l').  Each
-    function is evaluated once per row block of a chunk, at unit fiber points
-    z standing for A-hat = beta(rho(z)); so a self-pairing evaluates fa once.
+    2 (l + l') and takes the radial integral log_radial_gg(n, l + l').  Each row
+    block of a chunk forms its unit fiber points z = x + i q once, standing for
+    A-hat = beta(rho(z)), and evaluates each function there once; so a
+    self-pairing evaluates fa once.
     """
     fa, fb = (f if isinstance(f, tuple) else (f,) for f in (fa, fb))
     n = fa[0].n
@@ -534,8 +542,9 @@ def pairing_gg_mc(fa, fb, config):
     terms = [(a, b, math.exp(log_radial_gg(n, a.l + b.l) - ref)) for a in fa for b in fb]
 
     def integrand(base, g):
-        y = _unit_covectors(_orbit_frames(base), g)
-        vals = {id(f): f._eval(base, y) for f in fa + fb}
+        z = np.empty(base.shape, complex)  # one allocation: z.real, z.imag set in place
+        z.real, z.imag = base, _unit_covectors(_orbit_frames(base), g)
+        vals = {id(f): f._eval(z) for f in fa + fb}
         return sum(w * vals[id(a)] * np.conj(vals[id(b)]) for a, b, w in terms)
 
     scale = math.exp(ref) * vol_pnh(n) * vol_sphere(4 * n - 1)
@@ -568,7 +577,7 @@ def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
     reconstruction MCEstimate).
     """
     a_prime, f1, f_at_aprime = _kernel_test_function(c0, phi1_amats, phi1_coeffs, a_prime, n)
-    kappa = 8.0 / ((4 * n + 4) * (4 * n + 6))
+    kappa = _kappa1(4 * n + 4)
     f = (HlFunction(n=n, l=0, amats=(a_prime,), coeffs=(complex(c0),)), f1)
     r = tuple(HlFunction(n=n, l=l, amats=(quat_conj_c(a_prime),),
                          coeffs=(kappa ** l / b_coeff(n, l),)) for l in (0, 1))

@@ -275,7 +275,7 @@ def _btuple_failure(b, horizontal=False):
     smax2 = 0.5 * (zz + ww + math.sqrt((zz - ww) ** 2 + 4.0 * abs(zw) ** 2))
     ratio = math.sqrt(zz * np.vdot(wp, wp).real) / max(smax2, 1e-300)
     dsum = abs((b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]).sum())
-    tol = EQ_TOL * max(1.0, zz + ww)
+    tol = EQ_TOL * (zz + ww)
     checks = [("sum det B_i = 0", dsum, dsum <= tol), ("z, w independent", ratio, ratio > RANK_TOL)]
     if horizontal:
         checks += [("z* w = 0", abs(zw), abs(zw) <= tol), ("|z| = |w|", zz - ww, zz - ww <= tol)]
@@ -302,7 +302,7 @@ def _amatrix_failure(a):
     or None.  For the singular values s_0 >= s_1 >= s_2 (s_2 = 0 for 2 x 2 input)
     the rank residual is s_1 / s_0 if that is too small, else s_2 / s_0."""
     jj, s = jmat(a.shape[0] // 2), np.linalg.svd(a, compute_uv=False)
-    scale = max(1.0, math.sqrt(s @ s))  # the Frobenius norm of a
+    scale = math.sqrt(s @ s)  # the Frobenius norm of a
     sym, sq = np.abs(jj @ a - a.T @ jj).max(), np.abs(a @ a).max()
     s2 = s[2] if len(s) > 2 else 0.0
     two, below_three = s[1] > RANK_TOL * s[0], s2 <= RANK_TOL * s[0]

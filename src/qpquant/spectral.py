@@ -87,18 +87,11 @@ def pair_projector_amatrix(p, a):
     return cbilinear(beta_blocks(rho(p)), a)
 
 
-def _quad_forms(stack, x, y=None):
-    """z^t M_k z, (..., K), at z = x + i y for the complex symmetric forms
-    M_k = stack[k] + i stack[K + k], stack (2K, d, d) real: x real (..., d)
-    or one point (d,) for every row of y, y real (..., d) or None for z = x.
-    Each real form S gives z^t S z = x^t S x - y^t S y + 2i y^t S x."""
-    pairs = np.einsum("k...j,...j->...k", x @ stack, x)
-    if y is not None:
-        ys = y @ stack
-        pairs = (pairs - np.einsum("k...j,...j->...k", ys, y)
-                 + 2j * np.einsum("k...j,...j->...k", ys, x))
-    half = len(stack) // 2
-    return pairs[..., :half] + 1j * pairs[..., half:]
+def _quad_forms(forms, z):
+    """z^t M_k z, (..., K), for the complex symmetric forms M_k = forms[k],
+    forms (K, d, d), at points z real or complex: a batch (..., d) or one
+    point (d,)."""
+    return np.einsum("k...j,...j->...k", z @ forms, z)
 
 
 # rho(e_a theta(e_b)), (4, 4, 2, 2): the blocks of complexify(P(p)) per basis pair
@@ -184,10 +177,6 @@ class HlFunction:
         # first use; not a field, so repr sees only the generators
         return quad_form_matrix(np.stack(self.amats))
 
-    @cached_property
-    def _real_forms(self):  # Re M_k then Im M_k, the stack _quad_forms takes
-        return np.concatenate([self._forms.real, self._forms.imag])
-
     def eval_sphere(self, p):
         """sum_k c_k (p^t M_k p)^l at one point p (n+1, 4), a scalar, or a batch
         (N, n+1, 4).
@@ -195,16 +184,14 @@ class HlFunction:
         Real p are sphere points.  Complex p are fiber points z, where
         z^t M_k z = <beta(rho(z)), A_k>_C gives the extension at beta(rho(z)).
         """
-        flat = np.reshape(p, np.shape(p)[:-2] + (-1,))
-        return self._eval(flat.real, flat.imag if np.iscomplexobj(flat) else None)
+        return self._eval(np.reshape(p, np.shape(p)[:-2] + (-1,)))
 
-    def _eval(self, x, y=None):
-        """eval_sphere at the fiber points x + i y from their real parts, flat (..., 4n+4);
-        at l = 0 the constant sum c_k on every row, with no form built."""
+    def _eval(self, z):
+        """eval_sphere at the points z, real or complex, flat (..., 4n+4); at
+        l = 0 the constant sum c_k on every row, with no form built."""
         if self.l == 0:
-            rows = np.broadcast_shapes(np.shape(x)[:-1], () if y is None else np.shape(y)[:-1])
-            return np.full(rows, np.sum(self.coeffs), dtype=complex)[()]
-        return _quad_forms(self._real_forms, x, y) ** self.l @ np.asarray(self.coeffs)
+            return np.full(np.shape(z)[:-1], np.sum(self.coeffs), dtype=complex)[()]
+        return _quad_forms(self._forms, z) ** self.l @ np.asarray(self.coeffs)
 
     def eval_amatrix(self, a):
         """sum_k c_k <A, A_k>_C^l at one matrix A (2n+2, 2n+2) of the cotangent model."""

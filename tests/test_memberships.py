@@ -58,7 +58,7 @@ def eh_oracle(pt):
 def bt_oracle(pt):
     z, w = pt.coords.reshape(2, -1)
     d = np.sum(np.linalg.det(pt.B))
-    if abs(d) > EQ_TOL * max(1.0, pt.norm ** 2):
+    if abs(d) > EQ_TOL * pt.norm ** 2:
         return False
     s = np.linalg.svd(np.stack([z, w], axis=1), compute_uv=False)
     return s[-1] > RANK_TOL * max(s[0], 1e-300)
@@ -70,7 +70,7 @@ def bt0_oracle(pt):
     z, w = pt.coords.reshape(2, -1)
     cross = np.sum(np.conj(z) * w)
     balance = np.sum(np.abs(z) ** 2) - np.sum(np.abs(w) ** 2)
-    scale = max(1.0, pt.norm ** 2)
+    scale = pt.norm ** 2
     return abs(cross) <= EQ_TOL * scale and abs(balance) <= EQ_TOL * scale
 
 
@@ -78,7 +78,7 @@ def ah_oracle(pt):
     a = pt.A
     m = a.shape[0] // 2
     jj = jmat(m)
-    scale = max(1.0, pt.norm)
+    scale = pt.norm
     if np.max(np.abs(jj @ a - a.T @ jj)) > EQ_TOL * scale:
         return False
     if np.max(np.abs(a @ a)) > EQ_TOL * scale ** 2:
@@ -187,17 +187,17 @@ def test_btuple_perturbations_fail_both(n, log_q, seed):
     z, w = sp.tau_s(pt).coords.reshape(2, -1)
     t = float(np.sum(np.abs(z) ** 2) + np.sum(np.abs(w) ** 2))
     # sum det B_i = z^t J w, and J^t conj(z) moves it by |z|^2 per unit step
-    step = 1e-6 * max(1.0, t) / np.sum(np.abs(z) ** 2)
+    step = 1e-6 * t / np.sum(np.abs(z) ** 2)
     bent = blocks(z, w + step * (jmat(n + 1).T @ np.conj(z)))
     assert rejects("Et_S", bent, "sum det B_i = 0")
-    unbalanced = blocks(z, w * (1.0 + 1e-6 * max(1.0, t) / t))
+    unbalanced = blocks(z, w * (1.0 + 1e-6))
     assert verdict("Et_S", unbalanced) and rejects("Et_S0", unbalanced, "|z| = |w|")
 
 
 def a_model_breaks(a):
     """Matrices near the A-model point a that break one condition each, keyed by
-    that condition; the first two by at least 1e-6 of its scale."""
-    scale = max(1.0, float(np.sqrt(np.sum(np.abs(a) ** 2))))
+    that condition; the first two by at least 1e-6 of its scale, the norm of a."""
+    scale = float(np.sqrt(np.sum(np.abs(a) ** 2)))
     m2 = a.shape[0]
     return {
         # J X - X^t J = -2 I for X = J
@@ -245,6 +245,30 @@ def test_rank_test_keeps_its_tolerance(n, log_z, seed, a_abs, ratio):
         assert verdict("Et_S", bt)
     else:
         assert rejects("Et_S", bt, "z, w independent")
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6])
+def test_model_gates_scale_with_the_point(scale, rng):
+    # The B-model and A-model gates are relative to the point's own norm, so
+    # a member and two non-members of unit norm keep their verdicts at every
+    # scale: a random 2-block tuple, whose sum det B_i is a fixed share of
+    # ||B||^2, and a random rank-2 matrix, neither J-symmetric nor nilpotent.
+    pt = sp.random_es0(1, 1.0, rng)
+    bt, am = sp.tau_s(pt), sp.tau_h(sp.alpha(pt))
+    b = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+    b /= np.linalg.norm(b)
+    assert abs(np.sum(np.linalg.det(b))) > 0.01
+    u, v = rng.standard_normal((2, 4, 2)) + 1j * rng.standard_normal((2, 4, 2))
+    a = u @ v.T
+    a /= np.linalg.norm(a)
+    assert verdict("Et_S", sp.BTuple(scale * bt.B)) and verdict("Et_S0", sp.BTuple(scale * bt.B))
+    assert verdict("Et_H", sp.AMatrix(scale * am.A))
+    assert rejects("Et_S", sp.BTuple(scale * b), "sum det B_i = 0")
+    assert rejects("Et_H", sp.AMatrix(scale * a), "J A = A^t J")
+    with pytest.raises(ValueError, match="B-model space: sum det B_i = 0 fails"):
+        sp.beta(sp.BTuple(scale * b))
+    with pytest.raises(ValueError, match="A-model space: J A = A\\^t J fails"):
+        sp.tau_h_inv(sp.AMatrix(scale * a))
 
 
 # ------------------------------------------------------------ named reasons

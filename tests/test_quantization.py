@@ -430,15 +430,17 @@ def test_restricted_degree_one_row_is_phi_at_the_fiber_point(n, rng, monkeypatch
 
 def test_fiber_oracles_draw_k_variates_a_row(rng, monkeypatch):
     # Each chunk of T consumes exactly sphere_uniform(4n - 1) rows of its
-    # generator, and each chunk of T~ sphere_uniform(4n + 2) rows, at every
-    # degree: 4n + 4 normals and a projection would leave it elsewhere.
+    # generator, and each chunk of T~ sphere_uniform(4n + 2) rows, at l >= 1:
+    # 4n + 4 normals and a projection would leave it elsewhere.  At l = 0 the
+    # row is the constant sum c_j, and a chunk consumes nothing.
     real_mc_mean, checked = nm.mc_mean, []
 
     def spy(batch, config):
         for size in (4096, 5000):
             got, ref = np.random.default_rng(size), np.random.default_rng(size)
-            batch(got, size)
-            sphere_uniform(k - 1, ref, size=size)
+            assert len(batch(got, size)) == size
+            if l > 0:
+                sphere_uniform(k - 1, ref, size=size)
             assert got.bit_generator.state == ref.bit_generator.state
         checked.append(k)
         return real_mc_mean(batch, config)

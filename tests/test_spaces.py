@@ -316,11 +316,11 @@ def test_tau_s_inverse_round_trip(rng):
         assert np.abs(rec.q - src.q).max() < 1e-12
     with pytest.raises(ValueError):
         sp.tau_s_inv(sp.BTuple(np.zeros((2, 2, 2), dtype=complex)))
-    # a small real tuple passes the B-model membership but has q = 0
-    real = rho(np.array([[1e-6, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]]))
-    assert sp.in_btuple_space(sp.BTuple(real))
+    # a member of the B-model whose covector part |q| = 1e-9 is below BOUNDARY_TOL
+    small = sp.tau_s(sp.random_es0(1, 1e-9, rng))
+    assert sp.in_btuple_space(small)
     with pytest.raises(ValueError, match="vanishing covector part"):
-        sp.tau_s_inv(sp.BTuple(real))
+        sp.tau_s_inv(small)
 
 
 def test_tau_h_inverse_round_trip(rng):

@@ -225,10 +225,10 @@ def test_random_hl_functions_evaluate(rng):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_real_points_take_the_real_forms_to_the_complex_route(n, rng):
-    # eval_sphere's one route, the real forms Re M_k and Im M_k, gives at real
-    # points what the complex route gives: the reference pairing by its
-    # definition through beta(rho(p)).  A real point written as
-    # a complex one, z = p + 0i, gives the same values.
+    # eval_sphere's one route, the complex forms M_k at the point, gives at
+    # real points the reference pairing by its definition through
+    # beta(rho(p)).  A real point written as a complex one, z = p + 0i,
+    # gives the same values.
     m = n + 1
     pts = sphere_uniform(4 * m - 1, rng, size=512).reshape(512, m, 4)
     for l in range(3):
@@ -241,6 +241,13 @@ def test_real_points_take_the_real_forms_to_the_complex_route(n, rng):
         assert abs(f.eval_sphere(pts[0]) - ref[0]) <= 1e-13 * scale
 
 
+def _points(x, y, x0):
+    """The point sets the form kernel takes: real rows x, complex rows
+    x + i y, one base point x0 shared by every row (x0 + i y), one complex
+    point broadcast to every row (a stride-0 view), and one point alone."""
+    return (x, x + 1j * y, x0 + 1j * y, np.broadcast_to(x0 + 1j * y[0], x.shape), x[0] + 1j * y[0])
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_degree_zero_eval_is_the_coefficient_sum(n, rng):
     # at l = 0 every row is sum c_k, with the dtype and row shape of the
@@ -251,9 +258,9 @@ def test_degree_zero_eval_is_the_coefficient_sum(n, rng):
     f = spec.HlFunction(n=n, l=0, amats=tuple(amats), coeffs=coeffs)
     x = rng.standard_normal((size, 4 * m))
     y = rng.standard_normal((size, 4 * m))
-    for xs, ys in ((x, None), (x, y), (x[0], y), (x[0], None)):
-        ref = spec._quad_forms(_form_stack(amats), xs, ys) ** 0 @ np.asarray(coeffs)
-        got = f._eval(xs, ys)
+    for z in _points(x, y, x[0]):
+        ref = spec._quad_forms(_forms(amats), z) ** 0 @ np.asarray(coeffs)
+        got = f._eval(z)
         assert got.dtype == ref.dtype == complex and np.shape(got) == np.shape(ref)
         assert np.abs(got - sum(coeffs)).max() <= 1e-15
     pts = x.reshape(size, m, 4)
@@ -263,35 +270,31 @@ def test_degree_zero_eval_is_the_coefficient_sum(n, rng):
     assert "_forms" not in vars(f)
 
 
-def _form_stack(amats):
-    """Re M_k then Im M_k, (2K, d, d), for the matrices A_k: the stack
-    _quad_forms takes, with M_k = quad_form_matrix(A_k)."""
-    forms = np.stack([spec.quad_form_matrix(a) for a in amats])
-    return np.concatenate([forms.real, forms.imag])
+def _forms(amats):
+    """The forms M_k = quad_form_matrix(A_k), (K, d, d), that _quad_forms takes."""
+    return np.stack([spec.quad_form_matrix(a) for a in amats])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_quad_forms_are_the_reference_pairing(n, rng):
-    # z^t M_k z from real products alone equals the reference pairing
-    # <(z_i theta(z_j)), A_k>_C through beta(rho(z)): at real points, at
-    # complex points z = x + i y, and at one base x shared by every row
+    # z^t M_k z equals the reference pairing <(z_i theta(z_j)), A_k>_C through
+    # beta(rho(z)): at real points, at complex points z = x + i y, at one base
+    # x shared by every row, at one point broadcast to every row, and at one
+    # point alone
     m, size = n + 1, 256
     amats = [sp.tau_h(sp.random_eh(n, float(r), rng)).A for r in (0.7, 1.3, 2.0)]
-    stack = _form_stack(amats)
+    forms = _forms(amats)
     x = rng.standard_normal((size, 4 * m))
     y = rng.standard_normal((size, 4 * m))
-    x0 = sphere_uniform(4 * m - 1, rng)
-    for xs, ys in ((x, None), (x, y), (x0, y)):
-        z = np.broadcast_to(xs, x.shape) + (0.0 if ys is None else 1j * ys)
-        ref = np.stack([spec.pair_projector_amatrix(z.reshape(size, m, 4), a) for a in amats],
-                       axis=-1)
-        got = spec._quad_forms(stack, xs, ys)
-        assert got.shape == (size, 3)
+    for z in _points(x, y, sphere_uniform(4 * m - 1, rng)):
+        ref = np.stack([spec.pair_projector_amatrix(z.reshape(z.shape[:-1] + (m, 4)), a)
+                        for a in amats], axis=-1)
+        got = spec._quad_forms(forms, z)
+        assert got.shape == z.shape[:-1] + (3,)
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-    # one point at a time
-    one = spec._quad_forms(stack, x[0], y[0])
-    assert one.shape == (3,)
-    assert np.abs(one - spec._quad_forms(stack, x, y)[0]).max() <= 1e-14 * np.abs(one).max()
+    # one point gives the row it gives in a batch
+    one = spec._quad_forms(forms, x[0] + 1j * y[0])
+    assert np.abs(one - spec._quad_forms(forms, x + 1j * y)[0]).max() <= 1e-14 * np.abs(one).max()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
