@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from functools import cache
 
@@ -59,6 +58,9 @@ class Report:
     timestamp: str
     config: dict
     checks: list = field(default_factory=list)
+    # wall seconds of each suite run, timed in the process that ran it; not
+    # part of the report's bytes (as_dict, to_json, to_csv)
+    seconds: dict = field(default_factory=dict)
 
     @property
     def passed(self):
@@ -95,12 +97,13 @@ def _timestamp():
 
 
 class Checks:
-    """The one recorder of a suite: its checks in run order, and the entries
-    it adds to the report's config echo."""
+    """The one recorder of a suite: its checks in run order, the entries it
+    adds to the report's config echo, and the wall seconds the suite took."""
 
     def __init__(self):
         self.records = []
         self.config = {}
+        self.seconds = 0.0
 
     def __call__(self, cid, ref, value, expected, tol, stderr=None, ok=None):
         """Record a check that passes when |value - expected| <= tol (+ 3 stderr);
@@ -413,32 +416,48 @@ REPORT_SCHEMA = {
 }
 
 
+def _run_one(name, cfg):
+    """Run suite ``name`` on its own generator and return its Checks, timed.
+    Module level, so a worker process can be sent it by name."""
+    start = time.perf_counter()
+    check = Checks()
+    SUITE_FUNCS[name](cfg, cfg.rng(list(SUITE_FUNCS).index(name) + 1), check)
+    check.seconds = time.perf_counter() - start
+    return check
+
+
 def run_suite(name, cfg, workers=1):
     """Execute one named suite (or 'all') and return the Report.
 
-    Suites are independent and may run on parallel threads; the report is
-    assembled single-threaded in the fixed suite order.
+    With ``workers`` > 1 and more than one suite to run, the suites run in
+    min(workers, suites) worker processes forked from this one, so they share
+    no interpreter lock and inherit ``SUITE_FUNCS`` as it stands.  Each suite
+    draws from its own generator, and the report is assembled here in the
+    fixed suite order, so its bytes do not depend on ``workers``.  A platform
+    with no 'fork' start method refuses ``workers`` > 1 (ValueError): a fresh
+    interpreter per worker would re-import numpy and qpquant.  An exception
+    raised in a worker is raised here.
     """
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    order = list(SUITE_FUNCS)
-    names = order if name == "all" else [name]
-
-    def run_one(nm):
-        check = Checks()
-        SUITE_FUNCS[nm](cfg, cfg.rng(order.index(nm) + 1), check)
-        return check
-
+    names = list(SUITE_FUNCS) if name == "all" else [name]
     if workers > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(run_one, names))
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise ValueError(f"workers={workers} runs suites in forked processes, and this "
+                             "platform has no 'fork' start method")
+        with ProcessPoolExecutor(min(workers, len(names)),
+                                 mp_context=multiprocessing.get_context("fork")) as ex:
+            parts = list(ex.map(_run_one, names, [cfg] * len(names)))
     else:
-        parts = [run_one(nm) for nm in names]
+        parts = [_run_one(nm, cfg) for nm in names]
     config = asdict(cfg)
     for part in parts:
         config.update(part.config)
     return Report(suite=name, timestamp=_timestamp(), config=config,
-                  checks=[c for part in parts for c in part.records])
+                  checks=[c for part in parts for c in part.records],
+                  seconds={nm: part.seconds for nm, part in zip(names, parts)})
 
 
 # --------------------------------------------------------------- interface
@@ -495,7 +514,8 @@ def build_parser():
         "--format": dict(choices=FORMATS),
         "--out": dict(),
         "--workers": dict(type=int, default=1,
-                          help="parallel suites for 'all' (results identical)"),
+                          help="worker processes for the suites of 'all', forked, at most "
+                               "one per suite (results identical)"),
     }
 
     def add(p, names):

@@ -74,7 +74,8 @@ __all__ = [
 
 EQ_TOL = 1e-10
 RANK_TOL = 1e-8
-# tau_s_inv rejects a recovered covector within this of the degenerate boundary
+# tau_s_inv rejects a recovered covector within this of the degenerate boundary,
+# relative to the tuple's scale
 BOUNDARY_TOL = 1e-8
 # attempts of a rejection sampler before it gives up
 MAX_TRIES = 64
@@ -413,23 +414,25 @@ def _tau_s_inv_core(b):
 def tau_s_inv(pt):
     """Recover (p, q) from B via the real/imaginary quaternion split.
 
-    Rejects tuples whose recovered point sits within ``BOUNDARY_TOL`` of the
-    boundary where the sphere-covector membership degenerates.
+    Both gates are relative to the tuple's own scale, ||B|| = 2 |q|: a
+    covector part below ``BOUNDARY_TOL`` ||B|| is refused as vanishing, and
+    the recovered point is tested as (p, q / |q|), where the conditions of
+    E_S, each homogeneous in q, are scale-free.  A point within
+    ``BOUNDARY_TOL`` of the degenerate boundary q + p <q,p>_H = 0 is refused.
     """
     _require(pt._failure, "tuple is not in the B-model space")
     # p is undefined where q vanishes; that tuple is rejected next
     with np.errstate(divide="ignore", invalid="ignore"):
         p, q = _tau_s_inv_core(pt.B)
     nq = float(np.linalg.norm(q))
-    if nq <= BOUNDARY_TOL:
+    if nq <= BOUNDARY_TOL * pt.norm:
         raise ValueError("tuple has vanishing covector part")
-    out = SphereCovector(p, q)
     # the split carries round-off of the tuple's scale, so test at 1e-9
-    reason, hor = _sphere_covector_failure(out.p, out.q, 1e-9)
-    if hor <= BOUNDARY_TOL * nq:
+    reason, hor = _sphere_covector_failure(p, q / nq, 1e-9)
+    if hor <= BOUNDARY_TOL:
         raise ValueError("recovered point is too close to the degenerate boundary")
     _require(reason, "recovered point fails sphere-covector membership")
-    return out
+    return SphereCovector(p, q)
 
 
 def _tau_h_inv_core(a):

@@ -41,6 +41,14 @@ def test_import_loads_no_scipy():
     assert res.returncode == 0 and res.stdout.strip() == "[]", res.stderr
 
 
+def test_import_loads_no_process_pool():
+    # the pool's modules load only when a run forks: every import of cli pays
+    # for them otherwise
+    res = run_python("import sys, qpquant.cli; print(sorted(m for m in sys.modules if m in "
+                     "('multiprocessing', 'concurrent.futures.process')))")
+    assert res.returncode == 0 and res.stdout.strip() == "[]", res.stderr
+
+
 def test_quadrature_oracles_load_no_scipy():
     # the oracles and a whole constants command run on numpy alone
     res = run_python(
@@ -338,6 +346,11 @@ def test_parallel_suites_identical_report(monkeypatch):
     seq = cli.run_suite("all", cfg, workers=1)
     par = cli.run_suite("all", cfg, workers=4)
     assert seq.to_json() == par.to_json()
+    # each suite timed where it ran, and kept out of the report's bytes
+    assert list(par.seconds) == list(cli.SUITE_FUNCS)
+    assert all(sec > 0 for sec in par.seconds.values())
+    assert set(json.loads(par.to_json())) == {"schema_version", "suite", "timestamp",
+                                              "config", "checks"}
     # every number cell of the CSV report is a plain float
     rows = list(csv.DictReader(io.StringIO(par.to_csv())))
     for row in rows:
@@ -371,3 +384,86 @@ def test_counterexample_point_in_config():
     from qpquant import spaces as sp
     obj = sp.point_from_json(json.dumps(pt))
     assert sp.in_sphere_covector(obj) and not sp.in_sphere_covector0(obj)
+
+
+def _pid_suite(cfg, rng, check):
+    check("pid", "the process that ran the suite", os.getpid(), 0.0, 0.0, ok=True)
+
+
+def _raising_suite(cfg, rng, check):
+    raise ValueError(f"suite raised in process {os.getpid()}")
+
+
+@pytest.fixture
+def pid_suites(monkeypatch):
+    """Every suite records the id of the process that ran it, and nothing else."""
+    for name in cli.SUITE_FUNCS:
+        monkeypatch.setitem(cli.SUITE_FUNCS, name, _pid_suite)
+
+
+def test_report_times_each_suite_that_ran():
+    report = cli.run_suite("algebra", cli.SuiteConfig())
+    assert list(report.seconds) == ["algebra"] and report.seconds["algebra"] > 0
+    assert "seconds" not in report.as_dict()
+
+
+def test_workers_run_suites_in_forked_processes(pid_suites):
+    import multiprocessing
+    cfg = cli.SuiteConfig()
+    pids = {c.value for c in cli.run_suite("all", cfg, workers=2).checks}
+    assert os.getpid() not in pids and 1 <= len(pids) <= 2
+    assert multiprocessing.active_children() == []
+    # one worker, or one suite, runs in this process
+    assert {c.value for c in cli.run_suite("all", cfg, workers=1).checks} == {os.getpid()}
+    assert [c.value for c in cli.run_suite("kernel", cfg, workers=4).checks] == [os.getpid()]
+
+
+def test_worker_error_is_raised_by_the_caller(pid_suites, monkeypatch, capsys):
+    import multiprocessing
+    monkeypatch.setitem(cli.SUITE_FUNCS, "geometry", _raising_suite)
+    with pytest.raises(ValueError, match=r"suite raised in process \d+") as err:
+        cli.run_suite("all", cli.SuiteConfig(), workers=2)
+    assert int(str(err.value).rsplit(" ", 1)[1]) != os.getpid()
+    assert multiprocessing.active_children() == []
+    assert cli.main(["verify", "--suite", "all", "--workers", "2"]) == 2
+    out, errtext = capsys.readouterr()
+    assert out == "" and "configuration error: suite raised in process" in errtext
+    assert multiprocessing.active_children() == []
+
+
+def test_workers_past_the_suite_count_ask_one_process_per_suite(pid_suites, monkeypatch,
+                                                               capsys):
+    import concurrent.futures
+    asked = []
+
+    class SerialSpy:
+        """Records the pool size asked for and runs the suites here, starting nothing."""
+
+        def __init__(self, max_workers=None, mp_context=None):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialSpy)
+    assert cli.main(["verify", "--suite", "all", "--workers", "50"]) == 0
+    assert asked == [len(cli.SUITE_FUNCS)] == [7]
+    capsys.readouterr()
+
+
+def test_workers_without_fork_are_a_configuration_error(pid_suites, monkeypatch, capsys):
+    import multiprocessing
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert cli.main(["verify", "--suite", "all", "--workers", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "no 'fork' start method" in err
+    # serial runs need no start method
+    assert cli.main(["verify", "--suite", "all", "--workers", "1"]) == 0
+    assert cli.main(["verify", "--suite", "algebra", "--workers", "2"]) == 0
+    capsys.readouterr()

@@ -314,13 +314,21 @@ def test_tau_s_inverse_round_trip(rng):
         rec = sp.tau_s_inv(sp.tau_s(src))
         assert np.abs(rec.p - src.p).max() < 1e-12
         assert np.abs(rec.q - src.q).max() < 1e-12
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="B-model space: z, w independent"):
         sp.tau_s_inv(sp.BTuple(np.zeros((2, 2, 2), dtype=complex)))
-    # a member of the B-model whose covector part |q| = 1e-9 is below BOUNDARY_TOL
-    small = sp.tau_s(sp.random_es0(1, 1e-9, rng))
-    assert sp.in_btuple_space(small)
-    with pytest.raises(ValueError, match="vanishing covector part"):
-        sp.tau_s_inv(small)
+    # the gates are relative to the tuple's scale: covector parts far below
+    # 1e-8 invert as well as unit ones
+    for n in range(1, 5):
+        for qnorm in (2e-10, 1e-9, 5e-9, 1.0):
+            src = sp.random_es0(n, qnorm, rng)
+            assert sp.in_sphere_covector(src)
+            rec = sp.tau_s_inv(sp.tau_s(src))
+            assert np.abs(rec.p - src.p).max() < 1e-12
+            assert np.abs(rec.q - src.q).max() < 1e-12 * qnorm
+    # q nearly vertical, q = p e1 + 1e-10 h for a horizontal h: refused as rank one
+    near = sp.BTuple(sp._tau_s_core(src.p, sp.sp1_orbit_frame(src.p)[1] + 1e-10 * src.q))
+    with pytest.raises(ValueError, match="B-model space: z, w independent"):
+        sp.tau_s_inv(near)
 
 
 def test_tau_h_inverse_round_trip(rng):
