@@ -373,7 +373,7 @@ def beta_preimage(am):
     pt = SphereCovector(p, q)
     bt = tau_s(pt)
     resid = fro_norm(beta_blocks(bt.B) - am.A)
-    if resid > 1e-8 * max(1.0, am.norm):
+    if resid > 1e-8 * am.norm:
         raise ArithmeticError("preimage reconstruction failed")
     return bt
 
@@ -398,7 +398,7 @@ def sigma_h_eval(am, cols, bt=None):
     flat = wbasis.reshape(len(wbasis), -1).T
     coef = np.linalg.lstsq(flat, w, rcond=None)[0]
     resid = np.linalg.norm(flat @ coef - w, axis=0)
-    if np.any(resid > 1e-8 * np.maximum(1.0, np.linalg.norm(w, axis=0))):
+    if np.any(resid > 1e-8 * np.linalg.norm(w, axis=0)):
         raise ArithmeticError("column is not tangent to the A-model image")
     return sigma_eval(bt, coef.T @ pre)
 

@@ -31,7 +31,7 @@ from .numerics import (
     vol_pnh,
     vol_sphere,
 )
-from .spaces import (EQ_TOL, _first_failure, _orbit_frames, _project_out, _require, _tau_s_core,
+from .spaces import (EQ_TOL, _first_failure, _orbit_frames, _project_out, _refuse, _tau_s_core,
                      beta_blocks, random_es0, sp1_orbit_frame)
 from .spectral import HlFunction, _check_degree, _quad_forms, dim_eigenspace, eigenvalue
 
@@ -391,7 +391,7 @@ def _base_point(phi, p_prime):
         raise ValueError(f"base point must have shape ({phi.n + 1}, 4) or ({4 * phi.n + 4},) "
                          f"at n = {phi.n}, got {x.shape}")
     resid = abs(np.vdot(x, x) - 1.0)
-    _require(_first_failure([("(p,p)_E = 1", resid, resid <= EQ_TOL)]), "base point")
+    _refuse(_first_failure([("(p,p)_E = 1", resid, resid <= EQ_TOL)]), "base point")
     return x.ravel()
 
 

@@ -14,6 +14,11 @@ The maps alpha, beta, tau_s, tau_h (and the inverses of the tau's) move
 points between these models; ``beta(tau_s(x)) == tau_h(alpha(x))`` exactly
 on the horizontal locus and provably not elsewhere.
 
+The models are cones in the covector part (q, Q, B, A), and every membership
+has one gate rule: a condition homogeneous of degree k in that part is tested at
+``EQ_TOL`` * scale^k, scale its norm, so "q != 0" and "Q != 0" test exact zero.
+The tolerance is scaled, never the arrays; rank tests are ratios (``RANK_TOL``).
+
 A point's arrays are read-only views of a private copy, so a point cannot
 change after it is made, and each point tests its membership once: the maps
 and the predicates read the verdict it cached.
@@ -209,22 +214,23 @@ def _first_failure(checks):
     return next((f"{c} fails (residual {r:.3e})" for c, r, ok in checks if not ok), None)
 
 
-def _require(reason, what):
+def _refuse(reason, what):
     if reason:
         raise ValueError(f"{what}: {reason}")
 
 
-def _sphere_covector_failure(p, q, tol=EQ_TOL, horizontal=False):
+def _sphere_covector_failure(p, q, horizontal=False):
     """First failed condition of E_S (of its horizontal locus if ``horizontal``), and
     the largest row of q + p <q,p>_H = q - F^t F q + 2 (p,q)_E p, F the orbit frame of p."""
     pf, qf = p.reshape(-1), q.reshape(-1)
-    pp, pq, frame = abs(pf @ pf - 1.0), pf @ qf, _orbit_frames(pf[None])[0]
+    pp, pq, nq = abs(pf @ pf - 1.0), pf @ qf, math.sqrt(qf @ qf)
+    frame, tol = _orbit_frames(pf[None])[0], EQ_TOL * nq  # each test of q is of degree one
     coeffs = frame @ qf  # (p e_k, q)_E: the components of <p, q>_H
     hor = math.sqrt(((qf - coeffs @ frame + 2.0 * pq * pf).reshape(-1, 4) ** 2).sum(-1).max())
-    checks = [("(p,p)_E = 1", pp, pp <= tol), ("(p,q)_E = 0", abs(pq), abs(pq) <= tol)]
+    checks = [("(p,p)_E = 1", pp, pp <= EQ_TOL), ("(p,q)_E = 0", abs(pq), abs(pq) <= tol)]
     if horizontal:
-        nq, vert = math.sqrt(qf @ qf), abs(coeffs).max()
-        checks += [("q != 0", nq, nq > tol), ("<q,p>_H = 0", vert, vert <= tol)]
+        vert = abs(coeffs).max()
+        checks += [("q != 0", nq, nq > 0.0), ("<q,p>_H = 0", vert, vert <= tol)]
     else:
         checks.append(("q + p <q,p>_H != 0", hor, hor > tol))
     return _first_failure(checks), hor
@@ -236,7 +242,7 @@ def in_sphere_covector(pt):
 
 
 def in_sphere_covector0(pt):
-    """(p,p)_E = 1, q != 0, (q,p)_H = 0 componentwise."""
+    """(p,p)_E = 1, (p,q)_E = 0, q != 0, and (q,p)_H = 0 componentwise."""
     return _sphere_covector_failure(pt.p, pt.q, horizontal=True)[0] is None
 
 
@@ -246,14 +252,14 @@ def _cotangent_h_failure(P, Q):
     read Re tr cp / 2 = 1, cp^2 = cp, cp cq + cq cp = cq and cq^3 = ||Q||^2 cq / 2.
     One complexify of (P, Q) stacked, and one product gives cp^2, cp cq, cq cp, cq^2."""
     nq, c = math.sqrt(np.vdot(Q, Q)), complexify(np.array([P, Q]))
-    cp, cq, s = c[0], c[1], max(1.0, abs(Q).max())
+    cp, cq = c
     (cp2, cpq), (cqp, cq2) = c[:, None] @ c[None, :]
     tr, pp = abs(0.5 * cp.trace().real - 1.0), abs(cp2 - cp).max()
     pq, q3 = abs(cpq + cqp - cq).max(), abs(cq2 @ cq - 0.5 * nq ** 2 * cq).max()
     reason = _first_failure([("tr P = 1", tr, tr <= EQ_TOL), ("P o P = P", pp, pp <= EQ_TOL),
-                             ("P o Q = Q/2", pq, pq <= 2.0 * EQ_TOL * s),
-                             ("Q != 0", nq, nq > EQ_TOL),
-                             ("Q^3 = ||Q||^2 Q/2", q3, q3 <= EQ_TOL * s ** 3)])
+                             ("P o Q = Q/2", pq, pq <= 2.0 * EQ_TOL * nq),
+                             ("Q != 0", nq, nq > 0.0),
+                             ("Q^3 = ||Q||^2 Q/2", q3, q3 <= EQ_TOL * nq ** 3)])
     return reason, _tau_h_from(cp, cq, cq2, nq)
 
 
@@ -330,7 +336,7 @@ def _alpha_core(p, q):
 
 def alpha(pt):
     """(p, q) -> (P, Q) with P = (p_i theta(p_j)), Q = (p_i theta(q_j) + q_i theta(p_j))."""
-    _require(pt._failure, "point is not in the sphere covector space")
+    _refuse(pt._failure, "point is not in the sphere covector space")
     return CotangentPointH(*_alpha_core(pt.p, pt.q))
 
 
@@ -343,7 +349,7 @@ def _tau_s_core(p, q):
 
 def tau_s(pt):
     """(p, q) -> B_i = rho(|q| p_i + q_i i); ||B||^2 = 4 |q|^2."""
-    _require(pt._failure, "point is not in the sphere covector space")
+    _refuse(pt._failure, "point is not in the sphere covector space")
     return BTuple(_tau_s_core(pt.p, pt.q))
 
 
@@ -370,7 +376,7 @@ def _tau_h_alpha_core(p, q):
 def tau_h(pt):
     """(P, Q) -> A = ||Q||^2 rho(P) - rho(Q)^2 + i ||Q|| rho(Q) / sqrt(2)."""
     reason, a = pt._checked
-    _require(reason, "point is not in the cotangent-bundle model")
+    _refuse(reason, "point is not in the cotangent-bundle model")
     return AMatrix(a)
 
 
@@ -400,7 +406,7 @@ def beta_blocks(b, c=None):
 
 def beta(pt):
     """B -> A with blocks A_ij = -B_i J B_j^t J = B_i adj(B_j)."""
-    _require(pt._failure, "tuple is not in the B-model space")
+    _refuse(pt._failure, "tuple is not in the B-model space")
     return AMatrix(beta_blocks(pt.B))
 
 
@@ -415,23 +421,22 @@ def tau_s_inv(pt):
     """Recover (p, q) from B via the real/imaginary quaternion split.
 
     Both gates are relative to the tuple's own scale, ||B|| = 2 |q|: a
-    covector part below ``BOUNDARY_TOL`` ||B|| is refused as vanishing, and
-    the recovered point is tested as (p, q / |q|), where the conditions of
-    E_S, each homogeneous in q, are scale-free.  A point within
-    ``BOUNDARY_TOL`` of the degenerate boundary q + p <q,p>_H = 0 is refused.
+    covector part below ``BOUNDARY_TOL`` ||B|| is refused as vanishing, and a
+    point whose horizontal part is below ``BOUNDARY_TOL`` |q|, near the
+    degenerate boundary q + p <q,p>_H = 0, is refused.  The recovered point
+    then passes the E_S gates as any other point does.
     """
-    _require(pt._failure, "tuple is not in the B-model space")
+    _refuse(pt._failure, "tuple is not in the B-model space")
     # p is undefined where q vanishes; that tuple is rejected next
     with np.errstate(divide="ignore", invalid="ignore"):
         p, q = _tau_s_inv_core(pt.B)
     nq = float(np.linalg.norm(q))
     if nq <= BOUNDARY_TOL * pt.norm:
         raise ValueError("tuple has vanishing covector part")
-    # the split carries round-off of the tuple's scale, so test at 1e-9
-    reason, hor = _sphere_covector_failure(p, q / nq, 1e-9)
-    if hor <= BOUNDARY_TOL:
+    reason, hor = _sphere_covector_failure(p, q)
+    if hor <= BOUNDARY_TOL * nq:
         raise ValueError("recovered point is too close to the degenerate boundary")
-    _require(reason, "recovered point fails sphere-covector membership")
+    _refuse(reason, "recovered point fails sphere-covector membership")
     return SphereCovector(p, q)
 
 
@@ -447,7 +452,7 @@ def _tau_h_inv_core(a):
 
 def tau_h_inv(pt):
     """Recover (P, Q) from A using the quaternionic real/imaginary parts."""
-    _require(pt._failure, "matrix is not in the A-model space")
+    _refuse(pt._failure, "matrix is not in the A-model space")
     return CotangentPointH(*_tau_h_inv_core(pt.A))
 
 
@@ -565,19 +570,21 @@ def point_to_json(pt):
 
 
 def point_from_json(text):
+    """The point of a :func:`point_to_json` record; a ValueError names the space and
+    the field of a record with n < 1, or with imaginary data for E_S or E_H."""
     rec = json.loads(text)
-    n = int(rec["n"])
-    m = n + 1
-    flat = _pair2c(rec["data"])
-    space = rec["space"]
+    space, n = rec["space"], int(rec["n"])
+    if space not in ("E_S", "E_H", "Et_S", "Et_H"):
+        raise ValueError(f"unknown space tag {space!r}")
+    if n < 1:
+        raise ValueError(f"{space} record: n must be >= 1, got {n}")
+    m, flat = n + 1, _pair2c(rec["data"])
+    if space in ("E_S", "E_H") and flat.imag.any():
+        raise ValueError(f"{space} record: data must be real, got an imaginary part")
     if space == "E_S":
-        half = flat.shape[0] // 2
-        return SphereCovector(flat[:half].real.reshape(m, 4), flat[half:].real.reshape(m, 4))
+        return SphereCovector(*flat.real.reshape(2, m, 4))
     if space == "E_H":
-        half = flat.shape[0] // 2
-        return CotangentPointH(flat[:half].real.reshape(m, m, 4), flat[half:].real.reshape(m, m, 4))
+        return CotangentPointH(*flat.real.reshape(2, m, m, 4))
     if space == "Et_S":
         return BTuple(flat.reshape(m, 2, 2))
-    if space == "Et_H":
-        return AMatrix(flat.reshape(2 * m, 2 * m))
-    raise ValueError(f"unknown space tag {space!r}")
+    return AMatrix(flat.reshape(2 * m, 2 * m))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import cbilinear, qconj, qmul, rho, sharp
 from .numerics import sphere_uniform
-from .spaces import AMatrix, _require, _tau_s_core, beta_blocks, random_es0
+from .spaces import AMatrix, _refuse, _tau_s_core, beta_blocks, random_es0
 
 __all__ = [
     "HlFunction",
@@ -118,7 +118,7 @@ def harmonicity_certificate(a):
     Laplacian: Delta(q^l) = l(l-1) q^(l-2) <grad q, grad q> + l q^(l-1) tr.
     """
     pt = a if isinstance(a, AMatrix) else AMatrix(a)
-    _require(pt._failure, "matrix fails the cotangent-model membership")
+    _refuse(pt._failure, "matrix fails the cotangent-model membership")
     m = quad_form_matrix(pt.A)
     scale = max(1.0, float(np.abs(m).max()))
     trace_residual = abs(np.trace(m)) / scale

@@ -1,6 +1,6 @@
 """Every public name of every qpquant module resolves, star imports work, no
-module imports a name it never uses, and every qpquant name and command line
-the benchmark workloads use exists."""
+module imports a name it never uses or defines a name another module defines,
+and every qpquant name and command line the benchmark workloads use exists."""
 
 import ast
 import dataclasses
@@ -72,3 +72,25 @@ def test_benchmark_workloads_use_existing_names():
     for argv in (verify_argv, ["kernel"],
                  ["constants", "--n", "1", "--l-range", "0..0", "--format", "json"]):
         aliases["cli"].build_parser().parse_args(argv)
+
+
+def test_no_name_is_defined_in_two_modules():
+    # one name, one meaning: apart from __all__, a name that one qpquant
+    # module defines at top level (a function, class or assignment) is
+    # defined in no other
+    where = {}
+    for name in MODULES:
+        tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for tgt in targets for t in ast.walk(tgt) if isinstance(t, ast.Name)]
+            else:
+                defined = []
+            for attr in defined:
+                where.setdefault(attr, set()).add(name)
+    twice = {attr: sorted(mods) for attr, mods in where.items()
+             if len(mods) > 1 and attr != "__all__"}
+    assert not twice, f"names defined in more than one module: {twice}"

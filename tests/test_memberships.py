@@ -2,8 +2,10 @@
 
 The oracles below are the membership tests as they were written on the
 quaternion side, with einsum products, Jordan products, determinants and an
-SVD.  On valid points of every size and scale both accept; on points that
-break one condition by 1e-6 of its scale both reject.
+SVD, and with the one gate rule of ``qpquant.spaces``: a condition of degree k
+in the covector part (q, Q, B, A) is tested at EQ_TOL times its norm to the k.
+On valid points of every size and scale both accept; on points that break one
+condition by 1e-6 of its scale both reject.
 """
 
 import re
@@ -23,36 +25,36 @@ EQ_TOL, RANK_TOL = 1e-10, 1e-8
 
 # ------------------------------------------------------------------ oracles
 
-def es_oracle(pt, tol=EQ_TOL):
+def es_oracle(pt):
     p, q = pt.p, pt.q
-    if abs(np.sum(p * p) - 1.0) > tol or abs(np.sum(p * q)) > tol:
+    tol = EQ_TOL * np.sqrt(np.sum(q ** 2))
+    if abs(np.sum(p * p) - 1.0) > EQ_TOL or abs(np.sum(p * q)) > tol:
         return False
     return qnorm(q + qmul(p, hinner(q, p)[None, :])).max() > tol
 
 
 def es0_oracle(pt):
     p, q = pt.p, pt.q
-    if abs(np.sum(p * p) - 1.0) > EQ_TOL:
+    nq = np.sqrt(np.sum(q ** 2))
+    if abs(np.sum(p * p) - 1.0) > EQ_TOL or nq == 0.0:
         return False
-    if np.sqrt(np.sum(q ** 2)) <= EQ_TOL:
-        return False
-    return np.max(np.abs(hinner(q, p))) <= EQ_TOL
+    return np.max(np.abs(hinner(q, p))) <= EQ_TOL * nq
 
 
 def eh_oracle(pt):
     P, Q = pt.P, pt.Q
-    scale = max(1.0, float(np.max(np.abs(Q))) ** 3)
+    nq2 = np.sum(Q ** 2)
+    nq = np.sqrt(nq2)
     if abs(qtrace(P)[0] - 1.0) > EQ_TOL:
         return False
     if np.max(np.abs(jordan(P, P) - P)) > EQ_TOL:
         return False
-    if np.max(np.abs(jordan(P, Q) - 0.5 * Q)) > EQ_TOL * max(1.0, np.max(np.abs(Q))):
+    if np.max(np.abs(jordan(P, Q) - 0.5 * Q)) > EQ_TOL * nq:
         return False
-    nq2 = np.sum(Q ** 2)
-    if np.sqrt(nq2) <= EQ_TOL:
+    if nq == 0.0:
         return False
     q3 = qmat_mul(qmat_mul(Q, Q), Q)
-    return bool(np.max(np.abs(q3 - 0.5 * nq2 * Q)) <= EQ_TOL * scale)
+    return bool(np.max(np.abs(q3 - 0.5 * nq2 * Q)) <= EQ_TOL * nq ** 3)
 
 
 def bt_oracle(pt):
@@ -117,7 +119,7 @@ def rejects(space, pt, condition):
 # ------------------------------------------------------------------- points
 
 # n, log10 |q| and the seed of the point's own generator
-points = given(st.integers(1, 4), st.floats(-3.0, 3.0), st.integers(0, 2 ** 32 - 1))
+points = given(st.integers(1, 4), st.floats(-12.0, 12.0), st.integers(0, 2 ** 32 - 1))
 bounded = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 
@@ -145,17 +147,17 @@ def test_valid_points_pass_both(n, log_q, seed):
 @points
 def test_sphere_covector_perturbations_fail_both(n, log_q, seed):
     pt, rng = draw(n, log_q, seed)
-    p, q = pt.p, pt.q
+    p, q, size = pt.p, pt.q, 10.0 ** log_q
     k = int(rng.integers(1, 4))
     long_p = sp.SphereCovector(p * (1.0 + 1e-6), q)
-    oblique = sp.SphereCovector(p, q + 1e-6 * p)  # (p, q)_E = 1e-6
+    oblique = sp.SphereCovector(p, q + 1e-6 * size * p)  # (p, q)_E = 1e-6 |q|
     for bad, condition in ((long_p, "(p,p)_E = 1"), (oblique, "(p,q)_E = 0")):
         assert rejects("E_S", bad, condition) and rejects("E_S0", bad, condition)
     # q along the Hopf fiber: (p, q)_E = 0 but no horizontal part
     vertical = sp.SphereCovector(p, np.sqrt(np.sum(q ** 2)) * sp.sp1_orbit_frame(p)[k])
     assert rejects("E_S", vertical, "q + p <q,p>_H != 0")
     # a vertical part of 1e-6 leaves E_S but not the horizontal locus
-    tilted = sp.SphereCovector(p, q + 1e-6 * sp.sp1_orbit_frame(p)[k])
+    tilted = sp.SphereCovector(p, q + 1e-6 * size * sp.sp1_orbit_frame(p)[k])
     assert verdict("E_S", tilted) and rejects("E_S0", tilted, "<q,p>_H = 0")
 
 
@@ -165,7 +167,7 @@ def test_cotangent_perturbations_fail_both(n, log_q, seed):
     pt, _ = draw(n, log_q, seed)
     cp = sp.alpha(pt)
     P, Q = cp.P, cp.Q
-    scale = max(1.0, float(np.max(np.abs(Q))))
+    scale = cp.qnorm_j
     assert rejects("E_H", sp.CotangentPointH(2.0 * P, Q), "tr P = 1")
     # P o (Q + e P) = Q/2 + e P, off (Q + e P)/2 by e P/2
     assert rejects("E_H", sp.CotangentPointH(P, Q + 1e-6 * scale * P), "P o Q = Q/2")
@@ -176,7 +178,7 @@ def test_cotangent_perturbations_fail_both(n, log_q, seed):
     x = qmul(p[:, None], qconj(b)[None, :]) - qmul(b[:, None], qconj(p)[None, :])
     eps = 1e-6 * scale ** 3 / np.sum(q ** 2) ** 1.5
     bent = sp.CotangentPointH(P, Q + eps * x)
-    assert np.max(np.abs(jordan(P, bent.Q) - 0.5 * bent.Q)) <= 1e-12 * max(1.0, eps)
+    assert np.max(np.abs(jordan(P, bent.Q) - 0.5 * bent.Q)) <= 1e-12 * scale
     assert rejects("E_H", bent, "Q^3 = ||Q||^2 Q/2")
 
 
@@ -247,14 +249,31 @@ def test_rank_test_keeps_its_tolerance(n, log_z, seed, a_abs, ratio):
         assert rejects("Et_S", bt, "z, w independent")
 
 
-@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("scale", [float(f"1e{k}") for k in range(-12, 13)])
 def test_model_gates_scale_with_the_point(scale, rng):
-    # The B-model and A-model gates are relative to the point's own norm, so
-    # a member and two non-members of unit norm keep their verdicts at every
-    # scale: a random 2-block tuple, whose sum det B_i is a fixed share of
-    # ||B||^2, and a random rank-2 matrix, neither J-symmetric nor nilpotent.
+    # Every gate is relative to the norm of the point's covector part, so the
+    # members and the non-members of unit norm below keep their verdicts at
+    # every scale: on E_S and E_H, q and Q off by 1e-6 of their norm, q along
+    # the Hopf fiber, and a random Q that is not tangent at P; a random
+    # 2-block tuple, whose sum det B_i is a fixed share of ||B||^2, and a
+    # random rank-2 matrix, neither J-symmetric nor nilpotent.
     pt = sp.random_es0(1, 1.0, rng)
-    bt, am = sp.tau_s(pt), sp.tau_h(sp.alpha(pt))
+    cp = sp.alpha(pt)
+    bt, am = sp.tau_s(pt), sp.tau_h(cp)
+    p, q, frame = pt.p, pt.q, sp.sp1_orbit_frame(pt.p)
+    assert verdict("E_S", sp.SphereCovector(p, scale * q))
+    assert verdict("E_S0", sp.SphereCovector(p, scale * q))
+    oblique = sp.SphereCovector(p, scale * (q + 1e-6 * p))
+    assert rejects("E_S", oblique, "(p,q)_E = 0") and rejects("E_S0", oblique, "(p,q)_E = 0")
+    tilted = sp.SphereCovector(p, scale * (q + 1e-6 * frame[1]))
+    assert verdict("E_S", tilted) and rejects("E_S0", tilted, "<q,p>_H = 0")
+    assert rejects("E_S", sp.SphereCovector(p, scale * frame[2]), "q + p <q,p>_H != 0")
+    r = rng.standard_normal(cp.Q.shape)
+    askew = r + np.swapaxes(qconj(r), 0, 1)  # quaternion-hermitian, like every Q
+    askew /= np.sqrt(np.sum(askew ** 2))
+    assert verdict("E_H", sp.CotangentPointH(cp.P, scale * cp.Q))
+    assert rejects("E_H", sp.CotangentPointH(cp.P, scale * (cp.Q + 1e-6 * cp.P)), "P o Q = Q/2")
+    assert rejects("E_H", sp.CotangentPointH(cp.P, scale * askew), "P o Q = Q/2")
     b = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
     b /= np.linalg.norm(b)
     assert abs(np.sum(np.linalg.det(b))) > 0.01
@@ -297,20 +316,20 @@ def test_public_maps_name_the_failed_condition(rng):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_small_covectors_pass_both_routes_to_the_a_model(n, rng):
-    # E_H tests ||Q|| != 0 with the threshold E_S uses for |q|, and ||Q||^2 = 2 |q|^2,
-    # so tau_h(alpha(x)) takes every horizontal x that beta(tau_s(x)) takes
-    for size in (1e-9, 1e-6, 6e-6):
-        pt = sp.random_es0(n, size, rng)
-        assert verdict("E_H", sp.alpha(pt))
-        lhs, rhs = sp.tau_h(sp.alpha(pt)).A, sp.beta(sp.tau_s(pt)).A
+    # E_S and E_H gate relative to |q| and ||Q|| = sqrt(2) |q|, so tau_h(alpha(x))
+    # and beta(tau_s(x)) take every horizontal x, down to ||Q|| = 1e-12, and agree
+    for size in (1e-12, 1e-9, 1e-6):
+        pt = sp.random_es0(n, size / np.sqrt(2.0), rng)
+        cp = sp.alpha(pt)
+        assert abs(cp.qnorm_j - size) <= 1e-14 * size and verdict("E_H", cp)
+        lhs, rhs = sp.tau_h(cp).A, sp.beta(sp.tau_s(pt)).A
         assert np.abs(lhs - rhs).max() <= 1e-10 * np.abs(rhs).max()
-    # a Q of Jordan norm 1e-11 is still refused
-    pt = sp.random_es0(n, 1e-11 / np.sqrt(2.0), rng)
-    tiny = sp.CotangentPointH(*sp._alpha_core(pt.p, pt.q))
-    assert abs(tiny.qnorm_j - 1e-11) <= 1e-24
-    assert rejects("E_H", tiny, "Q != 0")
-    with pytest.raises(ValueError, match=r"cotangent-bundle model: Q != 0 fails \(residual 1\.000e-11"):
-        sp.tau_h(tiny)
+    # only q = 0 and Q = 0 are refused as vanishing
+    assert rejects("E_S0", sp.SphereCovector(pt.p, np.zeros_like(pt.q)), "q != 0")
+    zero = sp.CotangentPointH(cp.P, np.zeros_like(cp.Q))
+    assert rejects("E_H", zero, "Q != 0")
+    with pytest.raises(ValueError, match=r"cotangent-bundle model: Q != 0 fails \(residual 0\.000e\+00"):
+        sp.tau_h(zero)
 
 
 @pytest.mark.parametrize("condition", ["J A = A^t J", "A^2 = 0", "rank A = 2"])

@@ -1,5 +1,7 @@
 """Model spaces: maps, memberships, norm chain, diagram, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -317,26 +319,28 @@ def test_tau_s_inverse_round_trip(rng):
     with pytest.raises(ValueError, match="B-model space: z, w independent"):
         sp.tau_s_inv(sp.BTuple(np.zeros((2, 2, 2), dtype=complex)))
     # the gates are relative to the tuple's scale: covector parts far below
-    # 1e-8 invert as well as unit ones
+    # 1e-8 or far above 1 invert as well as unit ones
     for n in range(1, 5):
-        for qnorm in (2e-10, 1e-9, 5e-9, 1.0):
+        for qnorm in (1e-12, 2e-10, 1e-9, 5e-9, 1.0, 1e6, 1e12):
             src = sp.random_es0(n, qnorm, rng)
             assert sp.in_sphere_covector(src)
             rec = sp.tau_s_inv(sp.tau_s(src))
             assert np.abs(rec.p - src.p).max() < 1e-12
             assert np.abs(rec.q - src.q).max() < 1e-12 * qnorm
     # q nearly vertical, q = p e1 + 1e-10 h for a horizontal h: refused as rank one
-    near = sp.BTuple(sp._tau_s_core(src.p, sp.sp1_orbit_frame(src.p)[1] + 1e-10 * src.q))
+    h = src.q / np.linalg.norm(src.q)
+    near = sp.BTuple(sp._tau_s_core(src.p, sp.sp1_orbit_frame(src.p)[1] + 1e-10 * h))
     with pytest.raises(ValueError, match="B-model space: z, w independent"):
         sp.tau_s_inv(near)
 
 
 def test_tau_h_inverse_round_trip(rng):
-    for _ in range(100):
-        src = sp.alpha(sp.random_es0(1, float(rng.uniform(0.3, 2.0)), rng))
-        rec = sp.tau_h_inv(sp.tau_h(src))
-        assert np.abs(rec.P - src.P).max() < 1e-11
-        assert np.abs(rec.Q - src.Q).max() < 1e-11
+    for n in range(1, 5):
+        for qnorm_j in (float(f"1e{k}") for k in range(-12, 13)):
+            src = sp.random_eh(n, qnorm_j, rng)
+            rec = sp.tau_h_inv(sp.tau_h(src))
+            assert np.abs(rec.P - src.P).max() < 1e-12
+            assert np.abs(rec.Q - src.Q).max() < 1e-12 * qnorm_j
 
 
 def test_sampler_constraints(rng):
@@ -375,3 +379,13 @@ def test_json_round_trip(rng):
         rec = sp.point_from_json(sp.point_to_json(obj))
         for field in obj.__dataclass_fields__:
             assert np.allclose(getattr(obj, field), getattr(rec, field))
+    # the arrays of E_S and E_H are real, and n counts from 1: a record that
+    # breaks either is refused by space and field, not read as something else
+    for obj in (pt, sp.alpha(pt)):
+        rec = json.loads(sp.point_to_json(obj))
+        rec["data"][0][1] = 5.0
+        with pytest.raises(ValueError, match=f"{rec['space']} record: data must be real"):
+            sp.point_from_json(json.dumps(rec))
+    for obj in (sp.SphereCovector(np.eye(4)[:1], np.eye(4)[1:2]), sp.BTuple(np.eye(2)[None])):
+        with pytest.raises(ValueError, match=r"E\w+ record: n must be >= 1, got 0"):
+            sp.point_from_json(sp.point_to_json(obj))
