@@ -220,21 +220,19 @@ def sphere_uniform(dim, rng, size=None):
     return v
 
 
-def sphere_moment(ma, mb, a, b, factor=False):
+def sphere_moment(ma, mb, a, b):
     """E over the unit sphere S^(d-1) of (x^t A x)^a (x^t B x)^b, exactly.
 
     A = ``ma`` (..., d, d) and B = ``mb`` (..., d, d) are complex symmetric,
-    with no condition on their traces or squares; with ``factor``, ``mb`` is
-    W (..., d, r) and B = W W^t.  Leading axes broadcast.
+    with no condition on their traces or squares.  Leading axes broadcast.
 
     For x ~ N(0, I_d) the moment is a! b! [t^a u^b] of
     exp(sum_{k <= a+b} 2^(k-1)/k tr((tA + uB)^k)), a polynomial identity, so
     it holds for complex forms; dividing by E|x|^(2(a+b)) =
     2^(a+b) Gamma(d/2+a+b) / Gamma(d/2) = d (d+2) ... (d+2(a+b)-2) leaves the
-    sphere moment.  The words of i factors A and j >= 1 factors B = U V^t
-    (U = B and V = I, or U = V = W) trace, summed over their cyclic turns, to
-    (i+j)/j times those that end in B: the traces of products of j matrices
-    G_s = V^t A^s U whose exponents s sum to i.
+    sphere moment.  The words of i factors A and j >= 1 factors B trace,
+    summed over their cyclic turns, to (i+j)/j times those that end in B: the
+    traces of products of j matrices G_s = A^s B whose exponents s sum to i.
     """
     ma, mb = np.asarray(ma), np.asarray(mb)
     d = ma.shape[-1]
@@ -248,10 +246,9 @@ def sphere_moment(ma, mb, a, b, factor=False):
         power = ma @ power
         kappa[i][0] = 2.0 ** (i - 1) / i * np.einsum("...jj->...", power)
     if b:
-        aus = [mb]
+        gs = [mb]
         for _ in range(a):
-            aus.append(ma @ aus[-1])
-        gs = [np.swapaxes(mb, -1, -2) @ au for au in aus] if factor else aus
+            gs.append(ma @ gs[-1])
         # words[i]: sum of the products of j factors G whose exponents sum to i
         words = gs
         for j in range(1, b + 1):

@@ -5,7 +5,7 @@ every one of them is paired with an independent oracle: a 1-D or a
 separable 2-D quadrature, or an angular Monte Carlo estimate with the radial direction
 integrated exactly (all radial factors are Gamma integrals).  The operators
 and the kernel check also integrate the sphere point exactly given the
-fiber point (:func:`numerics.sphere_moment`), so they draw fiber points alone.
+fiber point z, as kappa_l phi(z) (:func:`_fiber_apply`), so they draw fiber points alone.
 
 The volume-form constants recovered in :mod:`qpquant.geometry` enter the
 weights only through fixed scalars; they are pinned here as module
@@ -14,6 +14,7 @@ constants.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -395,10 +396,14 @@ def _base_point(phi, p_prime):
     return x.ravel()
 
 
-def _kappa1(d):
-    """kappa_1 = 8 / (d (d + 2)), the factor the sphere mean over S^(d-1)
-    puts on a degree-one pairing at a fiber point (see _fiber_apply)."""
-    return 8.0 / (d * (d + 2))
+@functools.cache
+def _kappa(n, l):
+    """kappa_l of :func:`_fiber_apply` from one exact moment at b_coeff_mc's z_0
+    and M_j = conj(M_0): sphere_moment(conj M_0, M_0, l, l) / (z_0^t conj(M_0) z_0)^l,
+    z_0^t conj(M_0) z_0 = 4.  kappa_1 is 8 / (d (d + 2)), d = 4n + 4, to the bit."""
+    m0 = np.zeros((4 * n + 4,) * 2, dtype=complex)
+    m0[:8, :8] = np.kron([[1.0, 1j], [1j, -1.0]], np.eye(4))
+    return float(sphere_moment(np.conj(m0), m0, l, l).real) / 4.0 ** l
 
 
 def _fiber_apply(phi, x, basis, config):
@@ -409,32 +414,27 @@ def _fiber_apply(phi, x, basis, config):
     At l = 0 every row is the constant sum c_j and nothing is drawn.
 
     Given z the mean over p is exact, sum_j c_j sphere_moment(M_j, M-hat(z),
-    l, l), M_j the forms of phi and p^t M-hat(z) p the pairing.  At l <= 1 it
-    is kappa_l phi(z), kappa_l = (8/(d(d+2)))^l, d = 4m: by Wick's fourth
-    moment it is (tr M_j tr M-hat + 2 tr(M_j M-hat)) / (d(d+2)) at l = 1,
-    where tr M-hat(z) = 4 z^t z = 0 and, every form being invariant under
-    p -> p e_k, tr(M_j M-hat(z)) = 4 z^t M_j z.  At l = 1 the form M =
-    sum_j c_j M_j (times kappa_1) is restricted to the fiber once per call,
-    z^t M z = x^t M x - g^t (C M C^t) g + 2i g.(C M x).  Above, M-hat(z) =
-    W W^t with column k of W the orbit frame z e_k.
+    l, l) = kappa_l phi(z), M_j the forms of phi and p^t M-hat(z) p the
+    pairing, whose l-th power lies in H_l: H_l has one invariant pairing up
+    to scale (Schur's lemma), and z^t z = 0 kills phi's part off H_l, so any
+    generators qualify.  Each form is restricted to the fiber once per call,
+    z^t M z = x^t M x - g^t (C M C^t) g + 2i g.(C M x).
     """
     if phi.l == 0:  # a (rows, 0) normal draw consumes no variates and carries the row count
         return _mc_blocks(phi._eval, config, (), 0)
-    l, coeffs, xframe = phi.l, np.asarray(phi.coeffs), _orbit_frames(x[None])
-    if l == 1:  # kappa_1 M restricted to the fiber
-        form = _kappa1(x.size) * np.tensordot(coeffs, phi._forms, 1)
-        cm = basis @ form
-        restricted, cmx = cm @ basis.T, 2.0 * (cm @ x)
-        xmx, stack = x @ form @ x, np.stack([restricted.real, restricted.imag])
-        cross = np.stack([-cmx.imag, cmx.real], axis=1)  # g @ cross: 2i g.(C M x) as (re, im)
+    l, k, kappa, coeffs = phi.l, len(basis), _kappa(phi.n, phi.l), np.asarray(phi.coeffs)
+    # at l = 1 the sum over j commutes with the restriction: one form kappa_1 sum_j c_j M_j
+    forms = kappa * np.tensordot(coeffs, phi._forms, 1)[None] if l == 1 else phi._forms
+    cm = basis @ forms
+    restricted, xmx = cm @ basis.T, x @ forms @ x
+    stack = np.stack([restricted.real, restricted.imag], axis=1).reshape(-1, k, k)
+    cross = np.ascontiguousarray((2j * (cm @ x)).T).view(float)  # 2i g.(C M x) as (re, im)
 
-    def integrand(g):
-        if l == 1:  # the einsum is not contiguous, so the difference makes the complex view
-            return xmx + (g @ cross - _quad_forms(stack, g)).view(complex)[:, 0]
-        w = np.swapaxes(xframe + 1j * _orbit_frames(g @ basis), -1, -2)
-        return coeffs @ sphere_moment(phi._forms[:, None], w, l, l, factor=True)
+    def integrand(g):  # the einsum is not contiguous, so the difference makes the complex view
+        vals = xmx + (g @ cross - _quad_forms(stack, g)).view(complex)
+        return vals[:, 0] if l == 1 else vals ** l @ (kappa * coeffs)
 
-    return _mc_blocks(integrand, config, (len(basis) - 1,))
+    return _mc_blocks(integrand, config, (k - 1,))
 
 
 def t_apply_eigenfunction(phi, p_prime, config, flow_t=None):
@@ -571,16 +571,15 @@ def kernel_reproduce_check(c0, phi1_amats, phi1_coeffs, a_prime, n, config):
     pairing (:func:`pairing_gg_mc`) of f with the degree <= 1 kernel terms.
 
     Given the fiber point z, the l-th term is the sphere mean of
-    <P(p), A-hat(z)>^l conj<P(p), A'>^l / b_l, which at l <= 1 is
+    <P(p), A-hat(z)>^l conj<P(p), A'>^l / b_l, which is
     kappa_l <z, quat_conj_c(A')>^l / b_l (:func:`_fiber_apply`; the form
     of quat_conj_c(A') is conj(M'), M' that of A').  Returns (f_value,
     reconstruction MCEstimate).
     """
     a_prime, f1, f_at_aprime = _kernel_test_function(c0, phi1_amats, phi1_coeffs, a_prime, n)
-    kappa = _kappa1(4 * n + 4)
     f = (HlFunction(n=n, l=0, amats=(a_prime,), coeffs=(complex(c0),)), f1)
     r = tuple(HlFunction(n=n, l=l, amats=(quat_conj_c(a_prime),),
-                         coeffs=(kappa ** l / b_coeff(n, l),)) for l in (0, 1))
+                         coeffs=(_kappa(n, l) / b_coeff(n, l),)) for l in (0, 1))
     return f_at_aprime, pairing_gg_mc(f, r, config).scaled(vol_pnh(n))
 
 

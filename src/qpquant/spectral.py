@@ -183,6 +183,8 @@ class HlFunction:
 
         Real p are sphere points.  Complex p are fiber points z, where
         z^t M_k z = <beta(rho(z)), A_k>_C gives the extension at beta(rho(z)).
+        At a unit fiber point z, kappa_l f(z) is the sphere mean of
+        f(p) <P(p), beta(rho(z))>^l for any A_k (quantization._fiber_apply).
         """
         return self._eval(np.reshape(p, np.shape(p)[:-2] + (-1,)))
 

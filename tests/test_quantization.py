@@ -369,21 +369,24 @@ def _complex_hat_forms(z):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_degree_one_fiber_mean_is_phi(n, rng):
     # At a unit fiber point z = x + i y with x orthogonal to y, the sphere
-    # mean of phi(p) <P(p), A-hat(z)> is 8/(d(d+2)) phi(z), d = 4n + 4: Wick's
-    # fourth moment with tr M-hat(z) = 4 z^t z = 0.  For A-model and for
-    # arbitrary complex generators, at horizontal and at whole-sphere y; with
-    # no Monte Carlo, the oracle of T, T~ and the kernel check at l = 1.
+    # mean of phi(p) <P(p), A-hat(z)>^l is kappa_l phi(z): at l = 1
+    # kappa_1 = 8/(d(d+2)), d = 4n + 4, by Wick's fourth moment with
+    # tr M-hat(z) = 4 z^t z = 0, and at l = 2..4 by Schur's lemma.  For A-model
+    # and for arbitrary complex generators, at horizontal and at whole-sphere
+    # y; with no Monte Carlo, the identity behind T, T~ and the kernel check.
     m, d, size = n + 1, 4 * n + 4, 32
     gens = rng.standard_normal((2, 2 * m, 2 * m)) + 1j * rng.standard_normal((2, 2 * m, 2 * m))
-    phis = [spl.random_hl_function(n, 1, 3, rng),
-            spl.HlFunction(n=n, l=1, amats=tuple(gens), coeffs=(0.6 - 1.1j, 1.3))]
     base = sphere_uniform(4 * m - 1, rng, size=size).reshape(size, m, 4)
-    for dirs_of in (sp.sp1_orbit_frame, lambda p: p[None]):
-        z = _complex_fiber_points(base, dirs_of, rng, size)
-        for phi in phis:
-            want = 8.0 / (d * (d + 2)) * _matrix_route_phi(phi, z)
-            got = _sphere_mean_of_phi(phi, _complex_hat_forms(z))
-            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    for l in range(1, 5):
+        kappa = 8.0 / (d * (d + 2)) if l == 1 else qz._kappa(n, l)
+        phis = [spl.random_hl_function(n, l, 3, rng),
+                spl.HlFunction(n=n, l=l, amats=tuple(gens), coeffs=(0.6 - 1.1j, 1.3))]
+        for dirs_of in (sp.sp1_orbit_frame, lambda p: p[None]):
+            z = _complex_fiber_points(base, dirs_of, rng, size)
+            for phi in phis:
+                want = kappa * _matrix_route_phi(phi, z)
+                got = _sphere_mean_of_phi(phi, _complex_hat_forms(z))
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     # the degree-1 kernel term's generator: the form of quat_conj_c(A') is conj(M')
     aprime = sp.tau_h(sp.random_eh(n, math.sqrt(2.0), rng)).A
     assert np.abs(spl.quad_form_matrix(alg.quat_conj_c(aprime))
@@ -410,22 +413,45 @@ def test_fiber_basis_spans_the_fiber(n, rng):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_restricted_degree_one_row_is_phi_at_the_fiber_point(n, rng, monkeypatch):
-    # The l = 1 row of T and T~ restricts the combined form to the fiber once
-    # per call.  On the same draws g it is kappa_1 phi(x + i g C), phi evaluated
-    # at the complex points by HlFunction: no Monte Carlo, both bases.
+    # The row of T and T~ restricts each form to the fiber once per call (at
+    # l = 1 the combined form).  On the same draws g it is kappa_l phi(x + i g C),
+    # phi evaluated at the complex points by HlFunction, at every l = 1..4:
+    # no Monte Carlo, both bases, generators on the null cone and off it.
+    # The cross term 2i g.(C M x) is odd in g and averages out of the MC
+    # gates, so this row test is what pins it.
     m, d = n + 1, 4 * n + 4
     monkeypatch.setattr(qz, "_mc_blocks", lambda integrand, config, dims: integrand)
     gens = rng.standard_normal((3, 2 * m, 2 * m)) + 1j * rng.standard_normal((3, 2 * m, 2 * m))
-    phis = [spl.random_hl_function(n, 1, 3, rng),
-            spl.HlFunction(n=n, l=1, amats=tuple(gens), coeffs=(0.6 - 1.1j, 1.3, -0.4j))]
     x = sphere_uniform(4 * m - 1, rng)
-    for tangent in (False, True):
-        basis = qz._fiber_basis(x, tangent)
-        g = sphere_uniform(len(basis) - 1, rng, size=64)
-        for phi in phis:
-            row = qz._fiber_apply(phi, x, basis, None)(g)
-            want = 8.0 / (d * (d + 2)) * phi.eval_sphere((x + 1j * (g @ basis)).reshape(64, m, 4))
-            assert np.abs(row - want).max() <= 1e-13 * np.abs(want).max()
+    for l in range(1, 5):
+        # the independent l = 1 value; kappa_l above it is pinned by test_kappa_is_wicks_factor_*
+        kappa = 8.0 / (d * (d + 2)) if l == 1 else qz._kappa(n, l)
+        phis = [spl.random_hl_function(n, l, 3, rng),
+                spl.HlFunction(n=n, l=l, amats=tuple(gens), coeffs=(0.6 - 1.1j, 1.3, -0.4j))]
+        for tangent in (False, True):
+            basis = qz._fiber_basis(x, tangent)
+            g = sphere_uniform(len(basis) - 1, rng, size=64)
+            for phi in phis:
+                row = qz._fiber_apply(phi, x, basis, None)(g)
+                want = kappa * phi.eval_sphere((x + 1j * (g @ basis)).reshape(64, m, 4))
+                assert np.abs(row - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kappa_is_wicks_factor_and_the_i_coeff_ratio(n):
+    # kappa_l comes from one exact sphere moment at z_0.  At l = 1 it is
+    # Wick's 8 / (d (d + 2)) to the bit; at every l it is
+    # kappa_1^l vol^(l-1) I_l / I_1^l, a cross-check through the closed form
+    # I_l that lives here only: no Monte Carlo oracle may use it.
+    d, vol = 4 * n + 4, qz.vol_pnh(n)
+    kappa1, i1 = qz._kappa(n, 1), qz.i_coeff(n, 1)
+    assert kappa1 == 8.0 / (d * (d + 2))
+    for l in range(7):
+        want = kappa1 ** l * vol ** (l - 1) * qz.i_coeff(n, l) / i1 ** l
+        assert abs(qz._kappa(n, l) - want) <= 1e-13 * want
+    if n == 1:
+        for l, den in zip(range(1, 5), (10, 70, 420, 2310)):
+            assert abs(qz._kappa(1, l) * den - 1.0) <= 1e-15
 
 
 def test_fiber_oracles_draw_k_variates_a_row(rng, monkeypatch):

@@ -298,19 +298,6 @@ def test_quad_forms_are_the_reference_pairing(n, rng):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_fiber_factor_is_the_reference_form(n, rng):
-    # the rank-4 factor of the l >= 2 sphere moment, column k the orbit frame
-    # z e_k = x e_k + i y e_k: W W^t is M-hat(z), the symmetrised pairing
-    # form quad_form_matrix(beta(rho(z)))
-    m, size = n + 1, 64
-    x = sphere_uniform(4 * m - 1, rng)
-    y = rng.standard_normal((size, 4 * m))
-    w = np.swapaxes(sp._orbit_frames(x[None]) + 1j * sp._orbit_frames(y), -1, -2)
-    mhat = spec.quad_form_matrix(sp.beta_blocks(rho((x + 1j * y).reshape(size, m, 4))))
-    assert np.abs(w @ np.swapaxes(w, -1, -2) - mhat).max() <= 1e-13 * np.abs(mhat).max()
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_random_hl_generators_are_tau_h_of_alpha_of_the_same_draws(n):
     # each generator is beta(tau_s(x)), which is tau_h(alpha(x)) at the
     # horizontal draw x = random_es0(n, 1, rng); the coefficients come after
