@@ -128,6 +128,8 @@ class SuiteConfig:
     def __post_init__(self):
         _require(n=(self.n, self.n >= 1, ">= 1"),
                  lmax=(self.lmax, self.lmax >= 0, ">= 0"),
+                 l_range=(self.l_range, 0 <= self.l_range[0] <= self.l_range[1],
+                          "A..B with 0 <= A <= B"),
                  samples=(self.samples, self.samples > 0, "positive"),
                  seed=(self.seed, self.seed >= 0, ">= 0"),
                  tol_scale=(self.tol_scale, math.isfinite(self.tol_scale) and self.tol_scale > 0,
@@ -173,15 +175,14 @@ def suite_algebra(cfg, rng, check):
 
 def suite_spaces(cfg, rng, check):
     t = cfg.tol_scale
-    worst = {1: 0.0, 2: 0.0}
-    for n in (1, 2):
-        for _ in range(100):
-            pt = sp.random_es0(n, float(rng.uniform(0.3, 2.0)), rng)
-            lhs = sp.beta(sp.tau_s(pt)).A
-            rhs = sp.tau_h(sp.alpha(pt)).A
-            worst[n] = max(worst[n], float(np.abs(lhs - rhs).max() / fro_norm(rhs)))
-        check(f"diagram-n{n}", "square of model maps commutes", worst[n], 0.0, 1e-10 * t)
-    ptg = sp.random_es_generic(1, rng)
+    worst = 0.0
+    for _ in range(100):
+        pt = sp.random_es0(cfg.n, float(rng.uniform(0.3, 2.0)), rng)
+        lhs = sp.beta(sp.tau_s(pt)).A
+        rhs = sp.tau_h(sp.alpha(pt)).A
+        worst = max(worst, float(np.abs(lhs - rhs).max() / fro_norm(rhs)))
+    check("diagram", "square of model maps commutes", worst, 0.0, 1e-10 * t)
+    ptg = sp.random_es_generic(cfg.n, rng)
     rhs = sp.tau_h(sp.alpha(ptg)).A
     dev = float(np.abs(sp.beta(sp.tau_s(ptg)).A - rhs).max() / fro_norm(rhs))
     check("diagram-counterexample", "maps differ off the horizontal locus",
@@ -189,8 +190,7 @@ def suite_spaces(cfg, rng, check):
     check.config["counterexample_point"] = json.loads(sp.point_to_json(ptg))
     worst_chain = 0.0
     for _ in range(200):
-        n = int(rng.integers(1, 3))
-        pt = sp.random_es0(n, float(rng.uniform(0.2, 2.5)), rng)
+        pt = sp.random_es0(cfg.n, float(rng.uniform(0.2, 2.5)), rng)
         bt, cp = sp.tau_s(pt), sp.alpha(pt)
         am = sp.tau_h(cp)
         nq2 = float(np.sum(pt.q ** 2))
@@ -206,7 +206,7 @@ def suite_spaces(cfg, rng, check):
     check("norm-chain", "norm chain across the four models", worst_chain, 0.0, 1e-12 * t)
     worst_rt = 0.0
     for _ in range(100):
-        pt = sp.random_es0(1, float(rng.uniform(0.3, 2.0)), rng)
+        pt = sp.random_es0(cfg.n, float(rng.uniform(0.3, 2.0)), rng)
         rec = sp.tau_s_inv(sp.tau_s(pt))
         worst_rt = max(worst_rt, float(np.abs(rec.p - pt.p).max()),
                        float(np.abs(rec.q - pt.q).max()))
@@ -217,7 +217,7 @@ def suite_geometry(cfg, rng, check):
     t = cfg.tol_scale
     worst_s = worst_h = 0.0
     for _ in range(100):
-        pt = sp.random_es0(1, float(rng.uniform(0.4, 2.0)), rng)
+        pt = sp.random_es0(cfg.n, float(rng.uniform(0.4, 2.0)), rng)
         bt, am = sp.tau_s(pt), sp.tau_h(sp.alpha(pt))
         for v in geo.real_basis_from_complex(geo.tangent_basis_et_s(bt))[:4]:
             worst_s = max(worst_s, geo.canonical_oneform_check("S", bt, v))
@@ -227,7 +227,7 @@ def suite_geometry(cfg, rng, check):
           worst_s, 0.0, 1e-10 * t)
     check("oneform-proj", "one-form potential identity, projective model",
           worst_h, 0.0, 1e-10 * t)
-    pt = sp.random_es0(1, 1.2, rng)
+    pt = sp.random_es0(cfg.n, 1.2, rng)
     am = sp.tau_h(sp.alpha(pt))
     basis = geo.real_basis_from_complex(geo.tangent_basis_et_h(pt))
     ham = max(geo.hamilton_check(am, y) for y in basis)
@@ -237,7 +237,7 @@ def suite_geometry(cfg, rng, check):
     check("dtheta-omega", "exterior derivative of the one-form", fd, 0.0, 1e-5 * t)
     worst_flow = 0.0
     for _ in range(100):
-        ptu = sp.random_es0(1, 1.0, rng)
+        ptu = sp.random_es0(cfg.n, 1.0, rng)
         a_t, a_f = geo.geodesic_flow_pair(ptu, np.arange(0.0, 3.15, 0.1))
         worst_flow = max(worst_flow, float(np.abs(a_t - a_f).max()))
     check("geodesic-flow", "geodesic flow equals matrix phase scaling",
@@ -261,39 +261,34 @@ def suite_spectral(cfg, rng, check):
     desc = max(abs(spl.sphere_descent_residual(n, l)) for n in (1, 2) for l in range(6))
     check("sphere-descent", "eigenvalue matches sphere degree 2l", desc, 0.0, 0.0)
     worst_tr = worst_gr = 0.0
-    for n in (1, 2):
-        for _ in range(20):
-            am = sp.tau_h(sp.random_eh(n, float(rng.uniform(0.5, 2.0)), rng))
-            cert = spl.harmonicity_certificate(am)
-            worst_tr = max(worst_tr, cert["trace_residual"])
-            worst_gr = max(worst_gr, cert["null_gradient_residual"])
+    for _ in range(20):
+        am = sp.tau_h(sp.random_eh(cfg.n, float(rng.uniform(0.5, 2.0)), rng))
+        cert = spl.harmonicity_certificate(am)
+        worst_tr = max(worst_tr, cert["trace_residual"])
+        worst_gr = max(worst_gr, cert["null_gradient_residual"])
     check("harmonic-trace", "invariant quadratic form is traceless", worst_tr, 0.0, 1e-10 * t)
     check("harmonic-gradient", "gradient square vanishes as polynomial",
           worst_gr, 0.0, 1e-10 * t)
-    am = sp.tau_h(sp.random_eh(1, 1.0, rng))
+    am = sp.tau_h(sp.random_eh(cfg.n, 1.0, rng))
     inv = spl.sp1_invariance_residual(am.A, 500, rng)
     check("right-invariance", "form invariant under the right action", inv, 0.0, 1e-12 * t)
 
 
 def suite_constants(cfg, rng, check):
     t = cfg.tol_scale
-    cons = geo.recover_constants(1, rng, npoints=5, det_points=100)
+    cons = geo.recover_constants(cfg.n, rng, npoints=5, det_points=100)
     check("a-sphere", "holomorphic volume ratio, sphere side",
           abs(cons["a_S"] - qz.A_S_CONST), 0.0, 1e-6 * t)
     check("b-sphere", "pullback volume ratio, sphere side",
           abs(cons["b_S"] - qz.B_S_CONST), 0.0, 1e-6 * t)
-    check("a-proj-n1", "holomorphic volume ratio, projective side",
-          abs(cons["a_H"] - qz.A_H_CONST(1)), 0.0, 1e-6 * t)
+    check("a-proj", "holomorphic volume ratio, projective side",
+          abs(cons["a_H"] - qz.A_H_CONST(cfg.n)), 0.0, 1e-6 * t)
     check("det-dual-frame", "determinant of the dual frame parts",
           abs(cons["det_theta"] - qz.DET_THETA_CONST), 0.0, 1e-6 * t)
     check("det-spread", "dual frame determinant constant on the locus",
           cons["det_theta_spread"], 0.0, 1e-8 * t)
     check("b-proj", "substituted constant, projective side",
           abs(cons["b_H"] - qz.B_H_CONST), 0.0, 1e-6 * t)
-    if cfg.n >= 2:
-        cons2 = geo.recover_constants(2, rng, npoints=4, det_points=10)
-        check("a-proj-n2", "holomorphic volume ratio at n = 2",
-              abs(cons2["a_H"] - qz.A_H_CONST(2)), 0.0, 1e-6 * t)
     lhs = 2 * math.pi ** 2 * (qz.A_S_CONST / qz.B_S_CONST) * qz.DET_THETA_CONST
     rhs = (1.0 / math.sqrt(2.0)) ** (2 * cfg.n + 1) * qz.A_H_CONST(cfg.n) / qz.B_H_CONST
     check("corollary-substitution", "five-constant substitution identity",
@@ -344,9 +339,9 @@ def suite_quantization(cfg, rng, check):
     check("ratio-limit", "descended-to-direct ratio limit",
           qz.c_over_a(cfg.n, 10 ** 6), math.pi / 2.0, 1e-3 * t)
     for l in (0, 1):
-        phi = spl.random_hl_function(1, l, 2, rng)
-        pprime = sp.random_es0(1, 1.0, rng).p
-        target = qz.a_coeff(1, l) * complex(phi.eval_sphere(pprime[None])[0])
+        phi = spl.random_hl_function(cfg.n, l, 2, rng)
+        pprime = sp.random_es0(cfg.n, 1.0, rng).p
+        target = qz.a_coeff(cfg.n, l) * complex(phi.eval_sphere(pprime[None])[0])
         est = qz.t_apply_eigenfunction(phi, pprime, cfg.mc(salt=100 + l,
                                                           target_rel_stderr=OP_IDENTITY_TARGET))
         check(f"op-identity-l{l}", "operator reproduces the eigenspace embedding",
@@ -361,13 +356,13 @@ def suite_kernel(cfg, rng, check):
           ratio * l0 ** 4 / math.pi ** 4, 1.0, 1e-2 * t)
     val, tail = qz.kernel_diag(cfg.n, 2.0 * math.sqrt(2.0))
     check("kernel-tail", "diagonal series tail bound", tail / val, 0.0, 1e-12)
-    a1 = sp.tau_h(sp.random_eh(1, math.sqrt(2.0), rng)).A
-    aprime = sp.tau_h(sp.random_eh(1, math.sqrt(2.0), rng)).A
-    fval, rec = qz.kernel_reproduce_check(0.7, [a1], [0.4 - 0.3j], aprime, 1,
+    a1 = sp.tau_h(sp.random_eh(cfg.n, math.sqrt(2.0), rng)).A
+    aprime = sp.tau_h(sp.random_eh(cfg.n, math.sqrt(2.0), rng)).A
+    fval, rec = qz.kernel_reproduce_check(0.7, [a1], [0.4 - 0.3j], aprime, cfg.n,
                                           cfg.mc(salt=9))
     check("kernel-reproduce", "kernel reproduces low-degree functions",
           abs(rec.value - fval), 0.0, 1e-12, stderr=rec.stderr)
-    lhs, bound, slack = qz.kernel_norm_bound_check(0.5, [a1], [0.8j], aprime, 1,
+    lhs, bound, slack = qz.kernel_norm_bound_check(0.5, [a1], [0.8j], aprime, cfg.n,
                                                    cfg.mc(factor=0.5, salt=10))
     check("kernel-bound", "evaluation bounded by the diagonal kernel",
           lhs, bound, slack, ok=lhs <= bound + slack)

@@ -503,13 +503,12 @@ def recover_a_h(seed_pt):
 
 
 def recover_constants(n, rng, npoints=6, det_points=100):
-    """Numerically recover the five pairing constants.
+    """Numerically recover the five pairing constants at n.
 
-    det(theta'(Y)) and a_H at the requested n; a_S, b_S and, by the
-    corollary substitution, b_H at n = 1 only: their points are drawn from
-    the caller's generator, so recovering them at other n too would move
-    every later draw of a fixed-seed caller.  Returns a dict with values and
-    observed spreads.  tau_S of the draws, in E_S by construction, skips membership.
+    a_S, b_S, det(theta'(Y)) and a_H from points drawn from the caller's
+    generator, and b_H from them by the corollary substitution.  Returns a
+    dict with values and observed spreads.  tau_S of the draws, in E_S by
+    construction, skips membership.
     """
     out = {}
 
@@ -519,20 +518,18 @@ def recover_constants(n, rng, npoints=6, det_points=100):
         out[key] = complex(np.mean(vals))
         out[key + "_spread"] = float(np.max(np.abs(vals - out[key])))
 
-    def draw(m, lo, hi, count):
-        return [random_es0(m, float(rng.uniform(lo, hi)), rng) for _ in range(count)]
+    def draw(lo, hi, count):
+        return [random_es0(n, float(rng.uniform(lo, hi)), rng) for _ in range(count)]
 
-    if n == 1:
-        bts = [BTuple(_tau_s_core(pt.p, pt.q)) for pt in draw(1, 0.5, 1.8, npoints)]
-        record("a_S", [recover_a_s(bt) for bt in bts])
-        record("b_S", [VS_ORIENTATION_SIGN * recover_b_s(bt) for bt in bts])
-        out["orientation_sign"] = VS_ORIENTATION_SIGN
+    bts = [BTuple(_tau_s_core(pt.p, pt.q)) for pt in draw(0.5, 1.8, npoints)]
+    record("a_S", [recover_a_s(bt) for bt in bts])
+    record("b_S", [VS_ORIENTATION_SIGN * recover_b_s(bt) for bt in bts])
+    out["orientation_sign"] = VS_ORIENTATION_SIGN
     record("det_theta", [det_theta_prime(BTuple(_tau_s_core(pt.p, pt.q)))
-                         for pt in draw(n, 0.4, 2.2, det_points)])
-    record("a_H", [recover_a_h(pt) for pt in draw(n, 0.5, 1.8, npoints)])
-    if n == 1:
-        out["b_H"] = complex((1.0 / math.sqrt(2.0)) ** (2 * n + 1) * out["a_H"] * out["b_S"]
-                             / (2.0 * math.pi ** 2 * out["a_S"] * out["det_theta"]))
+                         for pt in draw(0.4, 2.2, det_points)])
+    record("a_H", [recover_a_h(pt) for pt in draw(0.5, 1.8, npoints)])
+    out["b_H"] = complex((1.0 / math.sqrt(2.0)) ** (2 * n + 1) * out["a_H"] * out["b_S"]
+                         / (2.0 * math.pi ** 2 * out["a_S"] * out["det_theta"]))
     return out
 
 

@@ -1,6 +1,7 @@
 """CLI surface: suites, report schema, determinism, exit codes."""
 
 import csv
+import inspect
 import io
 import json
 import os
@@ -157,16 +158,53 @@ def test_lmax_below_zero_is_a_configuration_error(cmd, value):
     assert run_cli([*cmd, valid]).returncode == 0
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+# the check ids of --suite all, in report order, the same at every --n
+ALL_IDS = [
+    "assoc", "theta-antihom", "norm-mult", "rho-hom", "jordan-trace",
+    "diagram", "diagram-counterexample", "norm-chain", "tau-s-roundtrip",
+    "oneform-sphere", "oneform-proj", "hamilton-flow", "dtheta-omega",
+    "geodesic-flow", "fibration-duality", "fibration-volume",
+    *(f"dim-l{l}" for l in range(6)), "eigenvalue-shift", "sphere-descent",
+    "harmonic-trace", "harmonic-gradient", "right-invariance",
+    "a-sphere", "b-sphere", "a-proj", "det-dual-frame", "det-spread", "b-proj",
+    "corollary-substitution",
+    *(f"moment-mc-l{l}" for l in range(4)), "bcoeff-assemblies", "bcoeff-mc",
+    "acoeff-quadrature", "ccoeff-quadrature", "tnorm-identity",
+    "tnorm-limit-printed", "tnorm-limit-defining", "ratio-limit",
+    "op-identity-l0", "op-identity-l1",
+    "bcoeff-growth", "kernel-tail", "kernel-reproduce", "kernel-bound"]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_verify_all_passes_in_process(n, capsys, monkeypatch):
-    # every suite passes in process above n = 1, and the report echoes n;
-    # the n = 2 constant runs, and bcoeff-mc runs at the report's n
+    # every suite passes in process, and the report echoes n; every point
+    # drawn and every n-dependent oracle runs at the report's n, so the
+    # check ids are the same at every n
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    spied = ((cli.sp, "random_es0"), (cli.sp, "random_eh"), (cli.sp, "random_es_generic"),
+             (cli.spl, "random_hl_function"), (cli.geo, "recover_constants"),
+             (cli.geo, "hopf_pushforward_check"), (cli.qz, "kernel_reproduce_check"),
+             (cli.qz, "kernel_norm_bound_check"))
+    seen = []
+
+    def spy(module, name):
+        fn = getattr(module, name)
+        sig = inspect.signature(fn)
+
+        def recording(*args, **kwargs):
+            seen.append((name, sig.bind(*args, **kwargs).arguments["n"]))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, recording)
+
+    for module, name in spied:
+        spy(module, name)
     assert cli.main(["verify", "--suite", "all", "--seed", "42", "--n", str(n)]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["config"]["n"] == n
     assert {c["status"] for c in rep["checks"]} == {"pass"}
-    assert "a-proj-n2" in [c["id"] for c in rep["checks"]]
+    assert [c["id"] for c in rep["checks"]] == ALL_IDS
+    assert {name for name, _ in seen} == {name for _, name in spied}
+    assert {m for _, m in seen} == {n}
     bmc = next(c for c in rep["checks"] if c["id"] == "bcoeff-mc")
     assert bmc["expected"] == cli.qz.b_coeff(n, 1)
     # the exactly constant l = 0 moment meets its closed form at a few ulps
@@ -294,6 +332,14 @@ def test_bad_seed_or_samples_is_a_configuration_error(flag, value, capsys):
     assert cli.SuiteConfig(samples=1).mc(0).samples == 1000
 
 
+@pytest.mark.parametrize("l_range", [(3, 1), (-1, 2)])
+def test_suite_config_refuses_a_bad_l_range(l_range):
+    # the parser refuses such a range as --l-range; the config refuses it too
+    with pytest.raises(ValueError, match=r"l_range must be A\.\.B with 0 <= A <= B, got "):
+        cli.SuiteConfig(l_range=l_range)
+    assert cli.SuiteConfig(l_range=(2, 2)).l_range == (2, 2)
+
+
 def test_verify_aliases():
     res = run_cli(["verify-spectral", "--n", "1", "--lmax", "2"])
     assert res.returncode == 0
@@ -348,21 +394,7 @@ def test_parallel_suites_identical_report(monkeypatch):
         for key in ("value", "expected", "tolerance", "stderr"):
             if row[key]:
                 float(row[key])
-    assert [row["id"] for row in rows] == [
-        "assoc", "theta-antihom", "norm-mult", "rho-hom", "jordan-trace",
-        "diagram-n1", "diagram-n2", "diagram-counterexample", "norm-chain",
-        "tau-s-roundtrip",
-        "oneform-sphere", "oneform-proj", "hamilton-flow", "dtheta-omega",
-        "geodesic-flow", "fibration-duality", "fibration-volume",
-        *(f"dim-l{l}" for l in range(6)), "eigenvalue-shift", "sphere-descent",
-        "harmonic-trace", "harmonic-gradient", "right-invariance",
-        "a-sphere", "b-sphere", "a-proj-n1", "det-dual-frame", "det-spread", "b-proj",
-        "corollary-substitution",
-        *(f"moment-mc-l{l}" for l in range(4)), "bcoeff-assemblies", "bcoeff-mc",
-        "acoeff-quadrature", "ccoeff-quadrature", "tnorm-identity",
-        "tnorm-limit-printed", "tnorm-limit-defining", "ratio-limit",
-        "op-identity-l0", "op-identity-l1",
-        "bcoeff-growth", "kernel-tail", "kernel-reproduce", "kernel-bound"]
+    assert [row["id"] for row in rows] == ALL_IDS
     assert set(par.config) == {f.name for f in fields(cli.SuiteConfig)} | {
         "counterexample_point"}
 

@@ -292,8 +292,13 @@ def test_recovered_constants(rng):
     assert abs(cons["det_theta"] - 0.125) <= 1e-6
     assert cons["det_theta_spread"] <= 1e-8
     assert abs(cons["b_H"] - (-1.0 / (math.sqrt(2.0) * math.pi ** 2))) <= 1e-6
+    # all five at n = 2 too
     cons2 = geo.recover_constants(2, rng, npoints=3, det_points=8)
+    assert abs(cons2["a_S"] - (-1j)) <= 1e-6
+    assert abs(cons2["b_S"] - 1j) <= 1e-6
     assert abs(cons2["a_H"] - 1.0) <= 1e-6
+    assert abs(cons2["det_theta"] - 0.125) <= 1e-6
+    assert abs(cons2["b_H"] - (-1.0 / (math.sqrt(2.0) * math.pi ** 2))) <= 1e-6
 
 
 def test_recover_b_s_is_the_subset_laplace_expansion(rng):

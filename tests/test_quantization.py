@@ -361,9 +361,9 @@ def _complex_hat_forms(z):
     """M-hat(z) (N, 4m, 4m) with p^t M-hat(z) p = sum_k ((p e_k).z)^2 for the
     complex points z (N, m, 4): entry (i, j) sums ((e_i e_k).z) ((e_j e_k).z)."""
     m = z.shape[-2]
-    frames = sp.sp1_orbit_frame(np.eye(4 * m).reshape(4 * m, m, 4))
-    w = np.einsum("kiab,nab->nik", frames, z)
-    return np.einsum("nik,njk->nij", w, w)
+    frames = sp.sp1_orbit_frame(np.eye(4 * m).reshape(4 * m, m, 4)).reshape(4, 4 * m, 4 * m)
+    w = (frames @ z.reshape(-1, 4 * m).T).T  # (N, 4m, 4): (e_i e_k).z
+    return w @ np.swapaxes(w, -1, -2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
